@@ -12,7 +12,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -21,8 +20,8 @@ import numpy as np
 from . import __version__, library as lib
 from .factor import coifman_rochberg_symbol, factorize, product
 from .grid import (Grid1D, HalfPlaneField, HeightLadder, PreconditionError,
-                   SampledFunction, integrate, load_function, make_grid,
-                   make_ladder, save_function)
+                   SampledFunction, _atomic_write, integrate, load_function,
+                   make_grid, make_ladder, save_function)
 from .hankel import boundedness_study, hankel_apply
 from .maximal import max_interval_average, nontangential_max
 from .spaces import (NormReport, THETA, bmo_norm, bmo_plus_norm,
@@ -38,7 +37,6 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_RESIDUAL = 4
 
-SUITES = ("lemma31", "prop31", "thm21", "thm11", "cr", "hankel")
 NORMS = ("l1", "llog", "bmo", "bmoplus", "h1", "hlog", "bmoalog", "carleson")
 
 
@@ -81,19 +79,14 @@ class RunConfig:
 
 def _coerce(name: str, kind, raw: str):
     try:
-        if kind is int:
-            return int(raw)
-        if kind is float:
-            return float(raw)
-        return raw
+        return kind(raw)
     except ValueError as exc:
         raise PreconditionError(f"bad value for {name}: {raw!r}") from exc
 
 
 def load_config(path: str | None, env: dict, overrides: dict) -> RunConfig:
     cfg = RunConfig()
-    kinds = {"grid_l": float, "grid_n": int, "y_min": float, "y_max": float,
-             "levels": int, "seed": int, "out": str}
+    kinds = {f.name: type(f.default) for f in fields(RunConfig)}
     if path is not None:
         for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
             line = line.strip()
@@ -119,19 +112,6 @@ def load_config(path: str | None, env: dict, overrides: dict) -> RunConfig:
 # ---------------------------------------------------------------------------
 # report output
 # ---------------------------------------------------------------------------
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp_", suffix=path.suffix)
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
 
 def _jsonify(obj):
     if isinstance(obj, dict):
@@ -168,14 +148,12 @@ def write_csv(path: Path, rows: list[tuple]) -> None:
 # input resolution
 # ---------------------------------------------------------------------------
 
-def _load_boundary(args, grid: Grid1D) -> SampledFunction:
+def _boundary(args, grid: Grid1D) -> SampledFunction:
+    """The named input on the config grid, or the --input file parsed by
+    main; a file keeps the grid of its own header."""
     if args.function is not None:
         return lib.named_function(args.function, grid)
-    f0 = load_function(args.input)
-    if f0.grid.n != grid.n or f0.grid.L != grid.L:
-        # file grids win; the config grid only seeds generated inputs
-        pass
-    return f0
+    return args.f0
 
 
 def holomorphic_extension(f0: SampledFunction, ladder: HeightLadder):
@@ -213,7 +191,7 @@ def _run_norm(f0: SampledFunction, norm: str, cfg: RunConfig) -> NormReport:
 
 def cmd_norm(args, cfg: RunConfig) -> int:
     grid = cfg.grid()
-    f0 = _load_boundary(args, grid)
+    f0 = _boundary(args, grid)
     report = _run_norm(f0, args.norm, cfg)
     out = Path(cfg.out) / f"norm_{args.norm}.json"
     write_json(out, {"norm": args.norm,
@@ -233,7 +211,7 @@ def cmd_factorize(args, cfg: RunConfig) -> int:
         h_field = lib.named_field(args.field, grid, ladder)
         label = args.field
     else:
-        f0 = _load_boundary(args, grid)
+        f0 = _boundary(args, grid)
         h_field = holomorphic_extension(f0, ladder)
         label = args.function or str(args.input)
     res = factorize(h_field)
@@ -278,7 +256,8 @@ def suite_lemma31(cfg: RunConfig):
     grid = cfg.grid()
     heights = (1.0, 10.0, 100.0, 1000.0)
     rows, by_case = [], {}
-    for name, f0 in _lemma31_symbols(grid, cfg.seed):
+    symbols = _lemma31_symbols(grid, cfg.seed)
+    for name, f0 in symbols:
         base = bmo_plus_norm(f0).value
         for y in heights:
             lhs = bmo_plus_norm(poisson_slice(f0, y)).value
@@ -288,7 +267,7 @@ def suite_lemma31(cfg: RunConfig):
     max_ratio = max(r[3] for r in rows)
     log_ok = True
     growth_cap = 2.0 * np.log(E + 1000.0) / np.log(E + 10.0)
-    for name, _ in _lemma31_symbols(grid, cfg.seed):
+    for name, _ in symbols:
         g = by_case[(name, 1000.0)] / by_case[(name, 10.0)]
         log_ok = log_ok and (g <= growth_cap)
     summary = {"max_ratio": max_ratio, "ratio_bound": 10.0,
@@ -321,16 +300,12 @@ def _bmoa_family(grid: Grid1D, ladder: HeightLadder):
     ]
 
 
-def suite_prop31(cfg: RunConfig, cases: int | None = None):
+def suite_prop31(cfg: RunConfig):
     """Product estimate: the log-Hardy norm of f*g is controlled by
     ||f||_{H1} times the augmented BMO norm of g's boundary data."""
     grid, ladder = cfg.grid(), cfg.ladder()
     ffam = _h1_family(grid, ladder)
     gfam = _bmoa_family(grid, ladder)
-    if cases is not None:
-        ffam, gfam = ffam[:cases], gfam[:cases]
-    if not ffam or not gfam:
-        raise PreconditionError("empty family")
     rows = []
     fnorms = {n: hp_norm(f, 1.0).value for n, f in ffam}
     gnorms = {n: bmo_plus_norm(g.slice_at(0)).value for n, g in gfam}
@@ -484,19 +459,13 @@ def suite_hankel(cfg: RunConfig):
     return rows, summary
 
 
+SUITES = {"lemma31": suite_lemma31, "prop31": suite_prop31,
+          "thm21": suite_thm21, "thm11": suite_thm11, "cr": suite_cr,
+          "hankel": suite_hankel}
+
+
 def cmd_verify(args, cfg: RunConfig) -> int:
-    if args.suite == "prop31":
-        rows, summary = suite_prop31(cfg, args.cases)
-    elif args.suite == "lemma31":
-        rows, summary = suite_lemma31(cfg)
-    elif args.suite == "thm21":
-        rows, summary = suite_thm21(cfg)
-    elif args.suite == "thm11":
-        rows, summary = suite_thm11(cfg)
-    elif args.suite == "cr":
-        rows, summary = suite_cr(cfg)
-    else:
-        rows, summary = suite_hankel(cfg)
+    rows, summary = SUITES[args.suite](cfg)
     out_dir = Path(cfg.out)
     write_csv(out_dir / f"verify_{args.suite}.csv", rows)
     write_json(out_dir / f"verify_{args.suite}.json",
@@ -509,7 +478,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 def cmd_hankel(args, cfg: RunConfig) -> int:
     grid = cfg.grid()
-    b0 = _load_boundary(args, grid)
+    b0 = _boundary(args, grid)
     study = boundedness_study(b0, trials=args.trials, seed=cfg.seed)
     payload = {
         "symbol_id": args.function or str(args.input),
@@ -550,21 +519,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", help="columnar function file")
     p.add_argument("--function", help="named closed-form input")
     p.add_argument("--norm", required=True, choices=NORMS)
+    p.set_defaults(run=cmd_norm)
 
     p = sub.add_parser("factorize", help="multiplicative splitting h = f*g")
     p.add_argument("--input")
     p.add_argument("--function")
     p.add_argument("--field", help="named closed-form field")
+    p.set_defaults(run=cmd_factorize)
 
     p = sub.add_parser("verify", help="run a named inequality sweep")
     p.add_argument("--suite", required=True, choices=SUITES)
-    p.add_argument("--cases", type=int, default=None,
-                   help="restrict family size (prop31)")
+    p.set_defaults(run=cmd_verify)
 
     p = sub.add_parser("hankel", help="randomized symbol boundedness study")
     p.add_argument("--input")
     p.add_argument("--function")
     p.add_argument("--trials", type=int, default=50)
+    p.set_defaults(run=cmd_hankel)
     return ap
 
 
@@ -572,9 +543,7 @@ def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
-        overrides = {k: getattr(args, k, None)
-                     for k in ("grid_l", "grid_n", "y_min", "y_max",
-                               "levels", "seed", "out")}
+        overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
         cfg = load_config(args.config, dict(os.environ), overrides)
         cfg.validate()
     except (PreconditionError, OSError) as exc:
@@ -600,19 +569,13 @@ def main(argv=None) -> int:
 
     if getattr(args, "input", None) is not None:
         try:
-            load_function(args.input)
+            args.f0 = load_function(args.input)
         except (PreconditionError, OSError) as exc:
             print(f"input parse error: {exc}", file=sys.stderr)
             return EXIT_PARSE
 
     try:
-        if args.command == "norm":
-            return cmd_norm(args, cfg)
-        if args.command == "factorize":
-            return cmd_factorize(args, cfg)
-        if args.command == "verify":
-            return cmd_verify(args, cfg)
-        return cmd_hankel(args, cfg)
+        return args.run(args, cfg)
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION

@@ -11,7 +11,6 @@ because |g| >= Re g is pinned away from zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -90,15 +89,14 @@ def build_g(b: SampledFunction, ladder: HeightLadder
     return g0, poisson_extend(g0, ladder)
 
 
-def factorize(h_field: HalfPlaneField,
-              gap_threshold: Optional[float] = None) -> FactorizationResult:
+def factorize(h_field: HalfPlaneField) -> FactorizationResult:
     """Split h = f*g with g from the boundary symbol and f the exact quotient.
 
     The residual max|h - f*g| / max|h| is zero up to roundoff by
     construction; the reported diagnostics (|f0| mass, symbol norm, boundary
     gap) are the checkable content.
     """
-    bv = boundary_value(h_field, gap_threshold)
+    bv = boundary_value(h_field)
     h0 = bv.f0
     b = coifman_rochberg_symbol(h0)
     g0, g_field = build_g(b, h_field.ladder)

@@ -7,7 +7,9 @@ which keeps results bit-for-bit reproducible.
 
 from __future__ import annotations
 
+import os
 import re
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -174,31 +176,31 @@ class SampledFunction:
 # quadrature
 # ---------------------------------------------------------------------------
 
-def _trapezoid(values: np.ndarray, dx: float):
-    """Composite trapezoid over the sampled window [-L, L-dx]."""
-    return dx * (values.sum() - 0.5 * (values[0] + values[-1]))
+def line_integral(grid: Grid1D, values: np.ndarray, p: Optional[float] = None):
+    """Whole-line quadrature of samples along the last axis.
 
-
-def _power_tail(f: SampledFunction):
-    """Closed-form tail integral assuming |f| ~ |f(edge)|*(edge/x)**p outside."""
-    p = f.decay.p
-    x = f.grid.nodes
-    left = f.values[0] * abs(x[0]) / (p - 1.0)
-    right = f.values[-1] * abs(x[-1]) / (p - 1.0)
-    return left + right
+    Composite trapezoid over the window [-L, L-dx], plus, when a tail
+    exponent p > 1 is given, the closed-form tail integral assuming
+    |f| ~ |f(edge)|*(edge/x)**p outside it.  Deterministic (fixed summation
+    order).
+    """
+    first, last = values[..., 0], values[..., -1]
+    total = grid.dx * (values.sum(axis=-1) - 0.5 * (first + last))
+    if p is not None:
+        x = grid.nodes
+        total += (first * abs(x[0]) + last * abs(x[-1])) / (p - 1.0)
+    return total
 
 
 def integrate(f: SampledFunction):
     """Quadrature of f over the whole line: trapezoid core plus analytic tail.
 
-    Deterministic (fixed summation order).  Returns a float for real input,
-    complex otherwise.  Rejects log_growth decay.
+    Returns a float for real input, complex otherwise.  Rejects log_growth
+    decay.
     """
     if not f.decay.integrable:
         raise NonIntegrableError("non-integrable decay class log_growth")
-    total = _trapezoid(f.values, f.grid.dx)
-    if f.decay.tag == "power":
-        total = total + _power_tail(f)
+    total = line_integral(f.grid, f.values, f.decay.p)
     if f.is_real:
         return float(total.real)
     return complex(total)
@@ -299,23 +301,56 @@ _HEADER_RE = re.compile(
     r"^#\s*L=([^\s]+)\s+n=(\d+)\s+decay=([^\s]+)\s*$")
 
 
+def _atomic_write(path: Path, text: str) -> None:
+    """Write text to path via a temp file and rename, creating the directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp_", suffix=path.suffix)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_function(f: SampledFunction, path) -> None:
     lines = [f"# L={f.grid.L:.17g} n={f.grid.n} decay={f.decay}"]
     for x, v in zip(f.grid.nodes, f.values):
         lines.append(f"{x:.17g} {v.real:.17g} {v.imag:.17g}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    _atomic_write(Path(path), "\n".join(lines) + "\n")
 
 
 def load_function(path) -> SampledFunction:
-    text = Path(path).read_text().strip().splitlines()
+    """Parse a function file; any malformed content raises PreconditionError.
+
+    The header fixes the grid, and the x column must match its nodes.
+    """
+    try:
+        text = Path(path).read_text().strip().splitlines()
+    except UnicodeDecodeError as exc:
+        raise PreconditionError(f"{path}: not a text file ({exc})") from exc
     if not text:
         raise PreconditionError(f"{path}: empty function file")
     m = _HEADER_RE.match(text[0])
     if not m:
         raise PreconditionError(f"{path}: malformed header {text[0]!r}")
-    L, n, decay = float(m.group(1)), int(m.group(2)), DecayClass.parse(m.group(3))
     rows = [ln.split() for ln in text[1:] if ln.strip()]
+    try:
+        L, n = float(m.group(1)), int(m.group(2))
+        decay = DecayClass.parse(m.group(3))
+        data = [[float(v) for v in r] for r in rows]
+    except ValueError as exc:
+        raise PreconditionError(f"{path}: unparsable field ({exc})") from exc
     if len(rows) != n:
         raise PreconditionError(f"{path}: expected {n} samples, found {len(rows)}")
-    vals = np.array([float(r[1]) + 1j * float(r[2]) for r in rows])
-    return SampledFunction(make_grid(L, n), vals, decay)
+    if any(len(r) != 3 for r in rows):
+        raise PreconditionError(f"{path}: every sample row needs x re im")
+    grid = make_grid(L, n)
+    dev = np.max(np.abs(np.array([r[0] for r in data]) - grid.nodes))
+    if not dev <= 1e-9 * grid.dx:
+        raise PreconditionError(
+            f"{path}: x column is off the header's grid nodes by {dev:g}")
+    vals = np.array([r[1] + 1j * r[2] for r in data])
+    return SampledFunction(grid, vals, decay)

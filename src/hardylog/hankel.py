@@ -10,7 +10,7 @@ import numpy as np
 
 from . import library as lib
 from .grid import (HalfPlaneField, HeightLadder, PreconditionError,
-                   SampledFunction, make_ladder)
+                   SampledFunction, line_integral, make_ladder)
 from .factor import product
 from .spaces import bmoa_log_seminorm, bmo_plus_norm, hp_norm
 from .transforms import boundary_value, poisson_extend, szego_project
@@ -35,21 +35,19 @@ def hankel_apply(b0: SampledFunction, f0: SampledFunction) -> SampledFunction:
 
 
 def hankel_form(b0: SampledFunction, f_field: HalfPlaneField,
-                g_field: HalfPlaneField,
-                gap_threshold: Optional[float] = None) -> complex:
+                g_field: HalfPlaneField) -> complex:
     """Bilinear form <b, fg> as the boundary pairing of the symbol against
     the conjugated boundary value of the pointwise product."""
     if b0.bounded is not True:
         raise PreconditionError("Hankel symbols must be flagged bounded")
     prod = product(f_field, g_field)
-    bv = boundary_value(prod, gap_threshold)
+    bv = boundary_value(prod)
     if not prod.decay.integrable:
         raise PreconditionError("product boundary value is not integrable")
     vals = b0.values * np.conj(bv.f0.values)
     # core trapezoid only: oscillatory pairings cancel in the tails, so the
     # coherent-phase power-tail model would overcount
-    dx = b0.grid.dx
-    return complex(dx * (vals.sum() - 0.5 * (vals[0] + vals[-1])))
+    return complex(line_integral(b0.grid, vals))
 
 
 def _scaled_field(field: HalfPlaneField, c: float) -> HalfPlaneField:

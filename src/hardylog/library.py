@@ -11,9 +11,6 @@ from .grid import (Grid1D, HalfPlaneField, HeightLadder, LOG_GROWTH, RAPID,
                    SampledFunction, PreconditionError, power_decay,
                    sample_field)
 
-E = float(np.e)
-
-
 # ---------------------------------------------------------------------------
 # boundary functions
 # ---------------------------------------------------------------------------

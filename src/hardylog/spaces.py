@@ -17,7 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .grid import (Grid1D, HalfPlaneField, NonIntegrableError,
-                   PreconditionError, SampledFunction, integrate_window)
+                   PreconditionError, SampledFunction, integrate_window,
+                   line_integral)
 
 E = float(np.e)
 
@@ -78,27 +79,8 @@ def weight_eval(w: MusielakWeight, x, t):
 
 
 # ---------------------------------------------------------------------------
-# intervals, tents, reports
+# reports
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Interval:
-    """I(x0, r) = (x0 - r, x0 + r)."""
-
-    x0: float
-    r: float
-
-    def __post_init__(self):
-        if not self.r > 0:
-            raise PreconditionError("interval radius must be positive")
-
-
-@dataclass(frozen=True)
-class Tent:
-    """Carleson box over the base interval: |x-x0| < r, 0 < y < r."""
-
-    base: Interval
-
 
 @dataclass
 class NormReport:
@@ -137,11 +119,7 @@ def weight_integral(grid: Grid1D, magnitudes: np.ndarray, decay,
     tail slightly; the bias is conservative and far below solver tolerance.
     """
     vals = weight_eval(w, grid.nodes, magnitudes / lam)
-    total = grid.dx * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
-    if decay.tag == "power":
-        x = grid.nodes
-        total += (vals[0] * abs(x[0]) + vals[-1] * abs(x[-1])) / (decay.p - 1.0)
-    return float(total)
+    return float(line_integral(grid, vals, decay.p))
 
 
 def luxemburg_norm(f0: SampledFunction, w: MusielakWeight = THETA,
@@ -211,40 +189,42 @@ def _window_counts(grid: Grid1D) -> list[int]:
     return sorted(counts)
 
 
-def _class_oscillation(vals: np.ndarray, count: int):
-    """Max mean|f - mean| over all windows of `count` samples; (max, offset)."""
-    n = vals.size
-    prefix = np.concatenate((np.zeros(1, dtype=vals.dtype), np.cumsum(vals)))
-    means = (prefix[count:] - prefix[:-count]) / count
-    best = -1.0
-    best_off = 0
-    chunk = max(1, _OSC_CHUNK // count)
-    windows = np.lib.stride_tricks.sliding_window_view(vals, count)
-    for start in range(0, n - count + 1, chunk):
-        stop = min(start + chunk, n - count + 1)
-        osc = np.abs(windows[start:stop] -
-                     means[start:stop, None]).mean(axis=1)
-        k = int(np.argmax(osc))
-        if osc[k] > best:
-            best = float(osc[k])
-            best_off = start + k
-    return best, best_off
+def _family_sup(grid: Grid1D, scores) -> NormReport:
+    """sup over the interval family of per-window scores.
+
+    scores(count) gives one score per offset for the windows of `count`
+    samples, or None to skip that count.  Ties keep the first offset of the
+    first count, and the report carries the attaining interval {x0, r} and
+    the number of windows scored."""
+    best, best_iv, scanned = 0.0, None, 0
+    for count in _window_counts(grid):
+        s = scores(count)
+        if s is None:
+            continue
+        k = int(np.argmax(s))
+        scanned += s.size
+        if s[k] > best:
+            best = float(s[k])
+            best_iv = {"x0": float(grid.nodes[k] + (count - 1) * grid.dx / 2.0),
+                       "r": count * grid.dx / 2.0}
+    return NormReport(best, attaining_parameter=best_iv, iterations=scanned)
 
 
 def bmo_norm(f0: SampledFunction) -> NormReport:
     """Mean-oscillation seminorm: sup over the interval family of the window
     average of |f - window mean|.  Vanishes exactly on constants."""
     vals = f0.values.real if f0.is_real else f0.values
-    grid = f0.grid
-    best, best_iv, scanned = 0.0, None, 0
-    for count in _window_counts(grid):
-        osc, off = _class_oscillation(vals, count)
-        scanned += grid.n - count + 1
-        if osc > best:
-            best = osc
-            x0 = grid.nodes[off] + (count - 1) * grid.dx / 2.0
-            best_iv = {"x0": float(x0), "r": count * grid.dx / 2.0}
-    return NormReport(best, attaining_parameter=best_iv, iterations=scanned)
+    prefix = np.concatenate((np.zeros(1, dtype=vals.dtype), np.cumsum(vals)))
+
+    def oscillation(count):
+        means = (prefix[count:] - prefix[:-count]) / count
+        windows = np.lib.stride_tricks.sliding_window_view(vals, count)
+        chunk = max(1, _OSC_CHUNK // count)
+        return np.concatenate([
+            np.abs(windows[a:a + chunk] - means[a:a + chunk, None]).mean(axis=1)
+            for a in range(0, means.size, chunk)])
+
+    return _family_sup(f0.grid, oscillation)
 
 
 def bmo_plus_norm(f0: SampledFunction) -> NormReport:
@@ -260,32 +240,22 @@ def bmo_plus_norm(f0: SampledFunction) -> NormReport:
 # sup-over-heights norms
 # ---------------------------------------------------------------------------
 
-def _lp_slice_integral(grid: Grid1D, slice_vals: np.ndarray, decay,
-                       p: float) -> float:
-    mags = np.abs(slice_vals) ** p
-    total = grid.dx * (mags.sum() - 0.5 * (mags[0] + mags[-1]))
-    if decay.tag == "power":
-        q = decay.p * p
-        if q <= 1.0:
-            raise NonIntegrableError(
-                f"|f|^{p:g} with tail exponent {q:g} is not integrable")
-        x = grid.nodes
-        total += (mags[0] * abs(x[0]) + mags[-1] * abs(x[-1])) / (q - 1.0)
-    return float(total)
-
-
 def hp_norm(field: HalfPlaneField, p: float) -> NormReport:
     """sup over ladder heights of the slice L^p integral, to the power 1/p."""
     if not p > 0:
         raise PreconditionError("p must be positive")
     if not field.decay.integrable:
         raise NonIntegrableError("field slices are not integrable")
-    best, best_y = -1.0, None
-    for k, y in enumerate(field.ladder.levels):
-        j = _lp_slice_integral(field.grid, field.values[k], field.decay, p)
-        if j > best:
-            best, best_y = j, y
-    return NormReport(best ** (1.0 / p), attaining_parameter=best_y,
+    q = None
+    if field.decay.tag == "power":
+        q = field.decay.p * p
+        if q <= 1.0:
+            raise NonIntegrableError(
+                f"|f|^{p:g} with tail exponent {q:g} is not integrable")
+    integrals = line_integral(field.grid, np.abs(field.values) ** p, q)
+    k = int(np.argmax(integrals))
+    return NormReport(float(integrals[k]) ** (1.0 / p),
+                      attaining_parameter=field.ladder.levels[k],
                       iterations=field.ladder.count)
 
 
@@ -343,31 +313,25 @@ def _tent_sweep(field: HalfPlaneField, energy: np.ndarray, ratio_fn):
     levels = field.ladder.y
     prefix = np.concatenate(
         (np.zeros((levels.size, 1)), np.cumsum(energy, axis=1)), axis=1)
-    best, best_iv, scanned = 0.0, None, 0
-    for count in _window_counts(grid):
+
+    def ratios(count):
         r = count * grid.dx / 2.0
         w = _height_weights(levels, r)
         if w is None:
-            continue
+            return None
         sums = prefix[:w.size, count:] - prefix[:w.size, :-count]
         boxes = (w @ sums) * grid.dx
         x0s = grid.nodes[:boxes.size] + (count - 1) * grid.dx / 2.0
-        ratios = ratio_fn(boxes, x0s, r)
-        k = int(np.argmax(ratios))
-        scanned += boxes.size
-        if ratios[k] > best:
-            best = float(ratios[k])
-            best_iv = {"x0": float(x0s[k]), "r": r}
-    return best, best_iv, scanned
+        return ratio_fn(boxes, x0s, r)
+
+    return _family_sup(grid, ratios)
 
 
 def carleson_ratio(g_field: HalfPlaneField) -> NormReport:
     """sup over intervals of (1/|I|) integral over the box of |g'|^2 y dxdy."""
     d = spectral_derivative(g_field)
     energy = (np.abs(d) ** 2) * g_field.ladder.y[:, None]
-    best, best_iv, scanned = _tent_sweep(
-        g_field, energy, lambda boxes, x0s, r: boxes / (2.0 * r))
-    return NormReport(best, attaining_parameter=best_iv, iterations=scanned)
+    return _tent_sweep(g_field, energy, lambda boxes, x0s, r: boxes / (2.0 * r))
 
 
 def bmoa_log_seminorm(b_field: HalfPlaneField) -> NormReport:
@@ -380,5 +344,4 @@ def bmoa_log_seminorm(b_field: HalfPlaneField) -> NormReport:
     def ratio(boxes, x0s, r):
         return boxes * (abs(np.log(r)) + np.log(E + np.abs(x0s))) / r
 
-    best, best_iv, scanned = _tent_sweep(b_field, energy, ratio)
-    return NormReport(best, attaining_parameter=best_iv, iterations=scanned)
+    return _tent_sweep(b_field, energy, ratio)

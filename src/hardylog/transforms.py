@@ -128,9 +128,7 @@ def szego_project(f0: SampledFunction) -> SampledFunction:
     if f0.decay.tag == "log_growth":
         decay, bounded = LOG_GROWTH, f0.bounded
     elif _is_mean_zero(f0):
-        decay = power_decay(2.0) if f0.decay.tag == "rapid" else \
-            power_decay(min(f0.decay.p, 2.0))
-        bounded = None
+        decay, bounded = _field_decay(f0.decay), None
     else:
         # surviving flat component: no decay at all
         decay, bounded = LOG_GROWTH, True
@@ -150,8 +148,6 @@ def _fft_heights(f0: SampledFunction, heights: np.ndarray, pad_factor: int
     out = np.empty((heights.size, n), dtype=np.complex128)
     for k, y in enumerate(heights):
         out[k] = np.fft.ifft(spec * np.exp(-y * xi))[lo:lo + n]
-    if f0.is_real:
-        out = out.real.astype(np.complex128)
     return out
 
 
@@ -191,8 +187,6 @@ def _direct_heights(f0: SampledFunction, heights: np.ndarray) -> np.ndarray:
         # discrete partition of unity: constants are reproduced exactly
         mass = dx * taps.sum() + 2.0 * kern_v.sum()
         out[k] = (conv + tails) / mass
-    if f0.is_real:
-        out = out.real.astype(np.complex128)
     return out
 
 
@@ -201,12 +195,15 @@ def _extend_heights(f0: SampledFunction, heights: np.ndarray,
     if not np.all(np.isfinite(heights)) or np.any(heights <= 0):
         raise PreconditionError("extension heights must be positive and finite")
     if f0.decay.tag == "log_growth":
-        return _direct_heights(f0, heights)
-    if heights[0] < 0.5 * f0.grid.dx:
+        out = _direct_heights(f0, heights)
+    elif heights[0] < 0.5 * f0.grid.dx:
         raise PreconditionError(
             f"height {heights[0]:g} below dx/2={0.5*f0.grid.dx:g}: "
             "kernel unresolvable on this grid")
-    return _fft_heights(f0, heights, pad_factor)
+    else:
+        out = _fft_heights(f0, heights, pad_factor)
+    # real boundary data has real harmonic extensions
+    return out.real.astype(np.complex128) if f0.is_real else out
 
 
 def _field_decay(d: DecayClass) -> DecayClass:
@@ -254,14 +251,12 @@ class BoundaryValue:
     flagged: bool
 
 
-def boundary_value(field: HalfPlaneField, gap_threshold: float | None = None
-                   ) -> BoundaryValue:
+def boundary_value(field: HalfPlaneField) -> BoundaryValue:
     """Boundary recovery: the lowest-level slice, with the sup-norm gap to the
     next level reported as a convergence diagnostic (flag, not failure)."""
     if field.ladder.count < 2:
         raise PreconditionError("boundary recovery needs at least two levels")
     f0 = field.slice_at(0)
     gap = float(np.max(np.abs(field.values[1] - field.values[0])))
-    if gap_threshold is None:
-        gap_threshold = 0.05 * float(np.max(np.abs(field.values[0])) + 1e-300)
-    return BoundaryValue(f0, gap, gap_threshold, gap > gap_threshold)
+    threshold = 0.05 * float(np.max(np.abs(field.values[0])) + 1e-300)
+    return BoundaryValue(f0, gap, threshold, gap > threshold)

@@ -3,14 +3,14 @@ import pytest
 
 from hardylog import library as lib
 from hardylog.grid import (NonIntegrableError, PreconditionError, RAPID,
-                           SampledFunction, make_grid, make_ladder,
-                           sample_field)
+                           SampledFunction, integrate, make_grid, make_ladder,
+                           power_decay, sample_field)
 from hardylog.oracles import bmo_bruteforce, luxemburg_scan
-from hardylog.spaces import (BracketError, Interval, MusielakWeight,
-                             NormReport, THETA, THETA0, THETA1, Tent,
-                             bmo_norm, bmo_plus_norm, bmoa_log_seminorm,
-                             carleson_ratio, hlog_norm, hp_norm,
-                             luxemburg_norm, weight_eval, _window_counts)
+from hardylog.spaces import (BracketError, MusielakWeight, NormReport, THETA,
+                             THETA0, THETA1, bmo_norm, bmo_plus_norm,
+                             bmoa_log_seminorm, carleson_ratio, hlog_norm,
+                             hp_norm, luxemburg_norm, spectral_derivative,
+                             weight_eval, _height_weights, _window_counts)
 from hardylog.transforms import poisson_extend
 
 E = float(np.e)
@@ -68,12 +68,6 @@ class TestWeights:
 
 
 class TestIntervalTent:
-    def test_interval_radius(self):
-        with pytest.raises(PreconditionError):
-            Interval(0.0, 0.0)
-        t = Tent(Interval(1.0, 2.0))
-        assert t.base.x0 == 1.0
-
     def test_norm_report_validation(self):
         with pytest.raises(PreconditionError):
             NormReport(-1.0)
@@ -217,6 +211,19 @@ class TestHeightNorms:
         assert abs(hp_norm(scaled, 1.0).value -
                    3.0 * hp_norm(fld, 1.0).value) < 1e-10
 
+    def test_hp_matches_slice_loop(self, small_grid):
+        # the vectorised sweep equals whole-line quadrature slice by slice
+        lad = make_ladder(0.1, 4.0, 8)
+        fld = lib.field_inv_square(small_grid, lad, 0.7)
+        for p in (1.0, 1.5):
+            per_slice = [integrate(SampledFunction(
+                small_grid, np.abs(row) ** p, power_decay(2.0 * p)))
+                for row in fld.values]
+            k = int(np.argmax(per_slice))
+            rep = hp_norm(fld, p)
+            assert rep.value == per_slice[k] ** (1.0 / p)
+            assert rep.attaining_parameter == lad.levels[k]
+
     def test_hp_rejects_bad_exponent(self, small_grid):
         lad = make_ladder(0.1, 4.0, 8)
         fld = lib.field_inv_square(small_grid, lad)
@@ -295,3 +302,91 @@ class TestTentEnergies:
                    4.0 * carleson_ratio(fld).value) <= 1e-10
         assert abs(bmoa_log_seminorm(fld2).value -
                    4.0 * bmoa_log_seminorm(fld).value) <= 1e-9
+
+
+def _scan(grid, scores):
+    """Reference sweep: first-index argmax over offsets, counts in order."""
+    best, best_iv, scanned = 0.0, None, 0
+    for count in _window_counts(grid):
+        s = scores(count)
+        if s is None:
+            continue
+        scanned += s.size
+        k = int(np.argmax(s))
+        if s[k] > best:
+            best = float(s[k])
+            best_iv = {"x0": float(grid.nodes[k] + (count - 1) * grid.dx / 2),
+                       "r": count * grid.dx / 2}
+    return best, best_iv, scanned
+
+
+def _oscillations(vals):
+    prefix = np.concatenate((np.zeros(1, dtype=vals.dtype), np.cumsum(vals)))
+
+    def scores(count):
+        means = (prefix[count:] - prefix[:-count]) / count
+        windows = np.lib.stride_tricks.sliding_window_view(vals, count)
+        return np.abs(windows - means[:, None]).mean(axis=1)
+    return scores
+
+
+def _tent_scores(field, energy, ratio):
+    grid, levels = field.grid, field.ladder.y
+    prefix = np.concatenate(
+        (np.zeros((levels.size, 1)), np.cumsum(energy, axis=1)), axis=1)
+
+    def scores(count):
+        r = count * grid.dx / 2
+        w = _height_weights(levels, r)
+        if w is None:
+            return None
+        boxes = (w @ (prefix[:w.size, count:] - prefix[:w.size, :-count])) \
+            * grid.dx
+        x0s = grid.nodes[:boxes.size] + (count - 1) * grid.dx / 2
+        return ratio(boxes, x0s, r)
+    return scores
+
+
+def _as_tuple(rep):
+    return rep.value, rep.attaining_parameter, rep.iterations
+
+
+class TestSharedSweep:
+    """Every interval-family norm reports the value, attaining {x0, r} and
+    window count of one first-index sweep over _window_counts."""
+
+    @pytest.fixture
+    def grid(self):
+        return make_grid(8, 256)
+
+    def test_bmo_real_with_ties(self, grid):
+        # a step of period 16 samples: windows 16 apart hold the same
+        # samples, so the tie-breaking rule decides the attaining interval
+        steps = np.where(np.arange(grid.n) // 8 % 2 == 0, 1.0, -1.0)
+        f = SampledFunction(grid, steps, RAPID)
+        assert _as_tuple(bmo_norm(f)) == _scan(grid, _oscillations(
+            f.values.real))
+
+    def test_bmo_real_random(self, grid):
+        vals = np.random.default_rng(5).standard_normal(grid.n)
+        f = SampledFunction(grid, vals, RAPID)
+        assert _as_tuple(bmo_norm(f)) == _scan(grid, _oscillations(vals))
+
+    def test_bmo_complex(self, grid):
+        rng = np.random.default_rng(6)
+        vals = rng.standard_normal(grid.n) + 1j * rng.standard_normal(grid.n)
+        f = SampledFunction(grid, vals, RAPID)
+        assert _as_tuple(bmo_norm(f)) == _scan(grid, _oscillations(f.values))
+
+    def test_tent_norms(self, grid):
+        lad = make_ladder(0.5 * grid.dx, 2.0 * grid.L, 16)
+        for fld in (lib.field_exp_osc(grid, lad, 1.0),
+                    lib.field_inv_square(grid, lad, 0.5)):
+            d2 = np.abs(spectral_derivative(fld)) ** 2
+            energy = d2 * lad.y[:, None]
+            assert _as_tuple(carleson_ratio(fld)) == _scan(grid, _tent_scores(
+                fld, energy, lambda boxes, x0s, r: boxes / (2.0 * r)))
+            energy = 2.0 * d2 * lad.y[:, None]
+            assert _as_tuple(bmoa_log_seminorm(fld)) == _scan(
+                grid, _tent_scores(fld, energy, lambda boxes, x0s, r: boxes * (
+                    abs(np.log(r)) + np.log(E + np.abs(x0s))) / r))
