@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
@@ -302,9 +301,14 @@ _HEADER_RE = re.compile(
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    """Write text to path via a temp file and rename, creating the directory."""
+    """Write text to path via a temp file and rename, creating the directory.
+
+    The temp file is created with mode 0o666, so the file ends up with the
+    usual 0o666 & ~umask permissions (mkstemp would force 0o600).
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp_", suffix=path.suffix)
+    tmp = path.parent / f".tmp_{os.urandom(8).hex()}{path.suffix}"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

@@ -4,8 +4,11 @@ All fast paths are FFT multipliers.  Slowly decaying inputs are handled by
 extending the grid window before transforming: the window is padded by a
 power-of-two factor and filled from the function's closed-form continuation
 when available, otherwise from its declared decay class.  Poisson extension
-of non-decaying (BMO-type) data takes a windowed direct-convolution path with
-analytic tail quadrature instead, since periodisation would corrupt growth.
+of non-decaying (BMO-type) data takes a direct quadrature path instead, since
+periodisation would corrupt growth.  It splits the line at |u| = 9L: the
+trapezoid on [-9L, 9L] is convolved with the kernel taps by real FFTs, and
+the far line uses log-spaced nodes in |u|, where the kernel is analytic in x
+and is interpolated to the grid from 16 Chebyshev nodes.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import fftconvolve
+from scipy.fft import irfft, next_fast_len, rfft
 
 from .grid import (DecayClass, HalfPlaneField, HeightLadder,
                    LOG_GROWTH, PreconditionError, SampledFunction,
@@ -21,8 +24,12 @@ from .grid import (DecayClass, HalfPlaneField, HeightLadder,
 
 HILBERT_PAD = 64
 POISSON_PAD = 8
-_DIRECT_WINDOW = 8       # kernel reach of the direct path, in units of L
+_DIRECT_WINDOW = 9       # near/far split of the direct path, |u| = 9L
 _TAIL_NODES = 256
+# Chebyshev nodes of [-L, L] for the far kernel P_y(x-u), |u| >= 9L: its
+# poles lie outside the Bernstein ellipse rho = 9 + sqrt(80) = 17.9, so 16
+# nodes interpolate it to about 17.9**-16 (1e-20) relative error
+_FAR_CHEB = 16
 # relative to max|f| * window; odd decaying data lands near edge*dx/window
 # (~1e-5), genuinely nonzero means two decades higher
 _MEAN_ZERO_REL = 1e-4
@@ -151,43 +158,79 @@ def _fft_heights(f0: SampledFunction, heights: np.ndarray, pad_factor: int
     return out
 
 
+def _cheb_interpolation(x: np.ndarray, half: float):
+    """Chebyshev nodes of [-half, half] and the barycentric matrix taking
+    values there to values at the points x (no x may equal a node)."""
+    theta = (2 * np.arange(_FAR_CHEB) + 1) * np.pi / (2 * _FAR_CHEB)
+    nodes = half * np.cos(theta)
+    q = (-1.0) ** np.arange(_FAR_CHEB) * np.sin(theta) / (x[:, None] - nodes)
+    return nodes, q / q.sum(axis=1, keepdims=True)
+
+
 def _direct_heights(f0: SampledFunction, heights: np.ndarray) -> np.ndarray:
-    """Windowed convolution with mass-normalised kernel taps plus analytic
-    tails from the continuation on |x-u| > 8L.  Exact on constants at every
-    height and correct in the small-y delta limit."""
+    """Poisson quadrature split at |u| = W = 9L in absolute coordinates.
+
+    Near part: the trapezoid on [-W, W] (window samples plus the node at +W,
+    half weights at both ends) convolved with the P_y taps by real FFTs.  The
+    window is transformed once; each height costs one kernel transform and
+    one inverse.  Far part: log-spaced trapezoid nodes in |u| on [W, v_max],
+    so the continuation is sampled once, at 2*_TAIL_NODES points.  There
+    P_y(x-u) is analytic in x with its poles at least 8L from the window, so
+    it is evaluated on _FAR_CHEB = 16 Chebyshev nodes of [-L, L] and
+    interpolated to the grid, to about 17.9**-16 relative.  Each node is
+    divided by its discrete kernel mass, which makes the path exact on
+    constants at every height and correct in the small-y delta limit.
+    Sampling in relative offsets x-u instead would carry f's oscillation
+    into the far part, which then could not be interpolated in x."""
     if f0.continuation is None:
         raise PreconditionError(
             "BMO-type Poisson extension needs a closed-form continuation")
     grid = f0.grid
     dx, L, n = grid.dx, grid.L, grid.n
-    reach = _DIRECT_WINDOW * L
-    ext, _, lo = extended_window(f0, 2 * _DIRECT_WINDOW)
-    taps_k = np.arange(-int(round(reach / dx)), int(round(reach / dx)) + 1)
-    taps_x = taps_k * dx
+    split = _DIRECT_WINDOW * L
 
-    # log-spaced tail quadrature nodes, relative offset v in [reach, v_max]
-    x = grid.nodes
+    # near trapezoid: samples at u_m = -W + m*dx, m = 0..9n, times weights
+    ext, _, _ = extended_window(f0, _DIRECT_WINDOW)
+    near = dx * np.append(ext, f0.continuation(np.array([split])))
+    near[[0, -1]] *= 0.5
+    span = _DIRECT_WINDOW * n
+    size = next_fast_len(span + n, real=True)
+    real = f0.is_real
+    parts = [near.real] if real else [near.real, near.imag]
+    near_spec = rfft(np.array(parts), size)
+    # x_j - u_m = (j - m + (span - n)/2) dx sits at tap index j - m + span
+    taps_x = dx * (np.arange(span + n) - (span + n) // 2)
+
+    # far trapezoid in s, u = W e^s, on |u| in [W, v_max]
     y_top = float(heights[-1])
     v_max = max(1e8, 1e4 * y_top)
-    s = np.linspace(0.0, np.log(v_max / reach), _TAIL_NODES)
-    v = reach * np.exp(s)
-    ds = s[1] - s[0]
-    w_s = np.full(_TAIL_NODES, ds)
-    w_s[0] *= 0.5
-    w_s[-1] *= 0.5
-    cont_r = f0.continuation(x[:, None] + v[None, :])
-    cont_l = f0.continuation(x[:, None] - v[None, :])
+    s = np.linspace(0.0, np.log(v_max / split), _TAIL_NODES)
+    u = split * np.exp(s)
+    w_s = np.full(_TAIL_NODES, s[1] - s[0])
+    w_s[[0, -1]] *= 0.5
+    u_far = np.concatenate([u, -u])
+    w_far = np.tile(w_s * u, 2)                # jacobian of u = W e^s
+    cont_far = f0.continuation(u_far)
+    cheb, interp = _cheb_interpolation(grid.nodes, L)
 
-    out = np.empty((heights.size, n), dtype=np.complex128)
+    near_val = np.empty((heights.size, n), dtype=np.complex128)
+    near_mass = np.empty((heights.size, n))
+    far_val = np.empty((_FAR_CHEB, heights.size), dtype=np.complex128)
+    far_mass = np.empty((_FAR_CHEB, heights.size))
     for k, y in enumerate(heights):
         taps = poisson_kernel(y, taps_x)
-        conv = fftconvolve(ext, taps, mode="same")[lo:lo + n] * dx
-        kern_v = poisson_kernel(y, v) * v * w_s      # jacobian of v = reach*e^s
-        tails = (cont_r + cont_l) @ kern_v
-        # discrete partition of unity: constants are reproduced exactly
-        mass = dx * taps.sum() + 2.0 * kern_v.sum()
-        out[k] = (conv + tails) / mass
-    return out
+        conv = irfft(near_spec * rfft(taps, size), size)[:, span:span + n]
+        near_val[k] = conv[0] if real else conv[0] + 1j * conv[1]
+        # near-trapezoid kernel mass at each node, from running tap sums
+        cum = np.concatenate(([0.0], np.cumsum(taps)))
+        near_mass[k] = dx * (cum[span + 1:span + n + 1] - cum[:n]
+                             - 0.5 * (taps[:n] + taps[span:span + n]))
+        kern = poisson_kernel(y, cheb[:, None] - u_far[None, :]) * w_far
+        far_val[:, k] = kern @ cont_far
+        far_mass[:, k] = kern.sum(axis=1)
+    # discrete partition of unity: constants are reproduced exactly
+    return ((near_val + (interp @ far_val).T)
+            / (near_mass + (interp @ far_mass).T))
 
 
 def _extend_heights(f0: SampledFunction, heights: np.ndarray,

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hardylog
 from hardylog import library as lib
 from hardylog.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                           RunConfig, load_config, main)
@@ -136,6 +140,17 @@ class TestFactorizeCommand:
                      "factorization.json"):
             assert (out / name).exists()
 
+    def test_output_modes_follow_umask(self, tmp_path):
+        old = os.umask(0o022)
+        try:
+            rc = main(SMALL + ["--out", str(tmp_path), "factorize",
+                               "--field", "inv_sq"])
+        finally:
+            os.umask(old)
+        assert rc == EXIT_OK
+        for name in ("factor_f0.txt", "factorization.json"):
+            assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
+
     def test_unknown_field(self, tmp_path):
         rc = main(SMALL + ["--out", str(tmp_path), "factorize",
                            "--field", "nope"])
@@ -179,3 +194,15 @@ class TestHankelCommand:
         rep = json.loads((tmp_path / "hankel_study.json").read_text())
         assert rep["trials"] == 2
         assert rep["degenerate"] is False
+
+
+class TestImportCost:
+    def test_cli_import_skips_scipy_signal(self):
+        # scipy.signal pulls in stats, optimize, sparse and spatial
+        src = os.path.dirname(os.path.dirname(hardylog.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = ("import sys, hardylog.cli; "
+                "print('scipy.signal' in sys.modules)")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"

@@ -4,9 +4,10 @@ import pytest
 from conftest import max_abs
 from hardylog import library as lib
 from hardylog.factor import product
-from hardylog.grid import (PreconditionError, SampledFunction, make_ladder,
-                           power_decay)
+from hardylog.grid import (PreconditionError, SampledFunction, make_grid,
+                           make_ladder, power_decay)
 from hardylog.hankel import boundedness_study, hankel_apply, hankel_form
+from hardylog.spaces import bmoa_log_seminorm
 from hardylog.transforms import boundary_value, poisson_extend, szego_project
 
 
@@ -120,3 +121,14 @@ class TestStudy:
         assert study["degenerate"] is True
         assert study["max_ratio"] is None
         assert study["max_form"] > 0.0
+
+    @pytest.mark.parametrize("freq", [0.5, 1.0, 2.0])
+    def test_extended_symbol_seminorm(self, freq):
+        # the study extends boundary symbols on the direct path; its tent
+        # seminorm must match the closed-form field exp(i*a*z)
+        grid = make_grid(64, 1024)
+        lad = make_ladder(0.5 * grid.dx, 2.0 * grid.L, 32)
+        extended = bmoa_log_seminorm(
+            poisson_extend(lib.exp_osc(grid, freq), lad)).value
+        exact = bmoa_log_seminorm(lib.field_exp_osc(grid, lad, freq)).value
+        assert abs(extended / exact - 1.0) <= 0.01

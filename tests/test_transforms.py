@@ -46,7 +46,7 @@ class TestPoissonExtend:
         assert max_abs(out.values.real, 3.0 / (np.pi * (x * x + 9.0))) <= 1e-4
 
     def test_harmonic_cosine_multiplier(self, rig_grid):
-        # single-bin cosine through the pure one-period multiplier path
+        # log_growth input: the direct path, which ignores pad_factor
         a = lib.harmonic_freq(rig_grid, 1.0)
         x = rig_grid.nodes
         f0 = SampledFunction(rig_grid, np.cos(a * x), lib.LOG_GROWTH,
@@ -75,17 +75,41 @@ class TestPoissonExtend:
             poisson_slice(bare, 1.0)
 
     def test_direct_path_closed_forms(self, rig_grid):
-        x = rig_grid.nodes
-        sg = lib.sign_step(rig_grid)
-        for y in (1.0, 100.0, 1000.0):
-            out = poisson_slice(sg, y)
-            assert max_abs(out.values.real,
-                           (2 / np.pi) * np.arctan(x / y)) < 1e-4
+        x, dx = rig_grid.nodes, rig_grid.dx
+        central = np.abs(x) <= rig_grid.L / 2
+        one, sg = lib.constant(rig_grid, 1.0), lib.sign_step(rig_grid)
+        for y in (0.1, 1.0, 30.0, 100.0, 1000.0):
+            assert max_abs(poisson_slice(one, y).values, 1.0) < 1e-12
+            # sampling the unit step costs up to dx^2 * max|P_y'|
+            allow = 1e-4 + 3 * np.sqrt(3) / (8 * np.pi) * (dx / y) ** 2
+            assert max_abs(poisson_slice(sg, y).values.real,
+                           (2 / np.pi) * np.arctan(x / y)) < allow
         la = lib.log_abs(rig_grid)
-        for y in (1.0, 1000.0):
+        a = lib.harmonic_freq(rig_grid, 1.0)
+        ex = lib.exp_osc(rig_grid, 1.0)
+        for y in (1.0, 30.0, 1000.0):
             out = poisson_slice(la, y)
             target = 0.5 * np.log(x * x + y * y)
             assert max_abs(out.values.real - target) < 0.02
+            out = poisson_slice(ex, y)
+            target = np.exp(-a * y) * np.exp(1j * a * x)
+            assert max_abs((out.values - target)[central]) <= 1e-4 * y
+
+    def test_direct_path_samples_continuation_once(self, rig_grid):
+        # the continuation is sampled on the near window and the far nodes
+        # once per input, however many heights are extended
+        n = rig_grid.n
+        sg = lib.sign_step(rig_grid)
+        for count in (8, 48):
+            seen = []
+
+            def counted(u):
+                seen.append(np.size(u))
+                return np.sign(u)
+            f0 = SampledFunction(rig_grid, sg.values, lib.LOG_GROWTH,
+                                 continuation=counted, bounded=True)
+            poisson_extend(f0, make_ladder(1e-3, 1e3, count))
+            assert sum(seen) <= 9 * n + 1 + 2 * 256
 
 
 class TestHilbert:
