@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from hardylog.grid import make_grid, make_ladder
+
+# Property tests draw the same examples on every run, so Tier-1 stays
+# reproducible; numpy-heavy examples have no per-example deadline.
+settings.register_profile("hardylog", derandomize=True, deadline=None)
+settings.load_profile("hardylog")
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from hardylog import library as lib
-from hardylog.grid import (NonIntegrableError, PreconditionError, RAPID,
-                           SampledFunction, integrate, make_grid, make_ladder,
-                           power_decay, sample_field)
+from hardylog import spaces
+from hardylog.grid import (HalfPlaneField, NonIntegrableError,
+                           PreconditionError, RAPID, SampledFunction,
+                           integrate, make_grid, make_ladder, power_decay,
+                           sample_field)
 from hardylog.oracles import bmo_bruteforce, luxemburg_scan
 from hardylog.spaces import (BracketError, MusielakWeight, NormReport, THETA,
                              THETA0, THETA1, bmo_norm, bmo_plus_norm,
                              bmoa_log_seminorm, carleson_ratio, hlog_norm,
                              hp_norm, luxemburg_norm, spectral_derivative,
-                             weight_eval, _height_weights, _window_counts)
+                             weight_eval, weight_integral, _gauges,
+                             _height_weights, _window_counts)
 from hardylog.transforms import poisson_extend
 
 E = float(np.e)
@@ -130,6 +134,129 @@ class TestLuxemburg:
         f = lib.gaussian(small_grid, amplitude=100.0)
         with pytest.raises(BracketError):
             luxemburg_norm(f, max_doublings=0)
+        # the message names the side and the limit: a wide bump under
+        # theta0 needs 5 halvings of its L1 guess
+        wide = lib.gaussian(make_grid(64, 512), width=40.0)
+        assert luxemburg_norm(wide, THETA0, max_doublings=5).iterations > 5
+        with pytest.raises(BracketError, match=r"no lower bracket after 3 "):
+            luxemburg_norm(wide, THETA0, max_doublings=3)
+        # a narrow bump under theta1 has phi > 1 at its guess and doubles
+        narrow = lib.gaussian(small_grid, width=0.05)
+        with pytest.raises(BracketError, match=r"no upper bracket after 0 "):
+            luxemburg_norm(narrow, THETA1, max_doublings=0)
+
+    def test_flags_are_final_integral_and_bracket(self, small_grid):
+        for f, w in ((lib.gaussian(small_grid, 1.0, 2.0), THETA),
+                     (lib.gaussian(small_grid, width=0.05), THETA1)):
+            rep = luxemburg_norm(f, w)
+            mags = np.abs(f.values)
+            lo, hi = rep.flags["bracket"]
+            assert rep.flags["integral"] == weight_integral(
+                small_grid, mags, f.decay, w, rep.value)
+            assert rep.value == 0.5 * (lo + hi)
+            assert weight_integral(small_grid, mags, f.decay, w, lo) > 1.0
+            assert weight_integral(small_grid, mags, f.decay, w, hi) <= 1.0
+
+
+def _scalar_gauge(grid, mags, decay, w, tol=1e-8):
+    """The one-row doubling bracket and bisection, step by step: value,
+    iterations, final integral and final bracket."""
+    def phi(lam):
+        return weight_integral(grid, mags, decay, w, lam)
+
+    lo = hi = grid.dx * mags.sum() + 1e-300
+    its = 0
+    if phi(lo) > 1.0:
+        while phi(hi) > 1.0:
+            hi *= 2.0
+            its += 1
+    else:
+        while phi(lo) <= 1.0:
+            lo *= 0.5
+            its += 1
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        val = phi(mid)
+        its += 1
+        if abs(val - 1.0) <= tol:
+            break
+        if val > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid, its, val, [lo, hi]
+
+
+_PROP_GRID = make_grid(16, 512)
+_bumps = st.lists(
+    st.one_of(st.none(),
+              st.tuples(st.floats(-3.0, 3.0), st.floats(-8.0, 8.0),
+                        st.floats(0.05, 4.0))),
+    min_size=2, max_size=12)
+_decays = st.one_of(st.just(RAPID), st.floats(1.05, 4.0).map(power_decay))
+
+
+class TestBatchedGauge:
+    """hlog_norm and _gauges solve all rows in one bisection; each row must
+    come out exactly as the one-row solver gives it."""
+
+    @given(_bumps, st.sampled_from([THETA, THETA0, THETA1]), _decays)
+    @example([(3.0, 0.0, 0.05), (-3.0, 2.0, 0.05), None], THETA1, RAPID)
+    def test_rows_replay_one_row_solver(self, bumps, w, decay):
+        x = _PROP_GRID.nodes
+        mags = np.array([np.zeros(x.size) if b is None else
+                         10.0 ** b[0] * np.exp(-((x - b[1]) / b[2]) ** 2)
+                         for b in bumps])
+        value, its, integral, lo, hi = _gauges(_PROP_GRID, mags, decay, w,
+                                               1e-8, 200)
+        for k, row in enumerate(mags):
+            rep = luxemburg_norm(SampledFunction(_PROP_GRID, row, decay), w)
+            assert (value[k], its[k]) == (rep.value, rep.iterations)
+            if not row.any():
+                assert (rep.value, rep.iterations) == (0.0, 0)
+                continue
+            assert integral[k] == rep.flags["integral"]
+            assert [lo[k], hi[k]] == rep.flags["bracket"]
+            assert (rep.value, rep.iterations, rep.flags["integral"],
+                    rep.flags["bracket"]) == _scalar_gauge(
+                        _PROP_GRID, row, decay, w)
+
+    @pytest.fixture
+    def stacked(self, small_grid):
+        """48 levels with an all-zero slice and two equal largest slices."""
+        fld = lib.field_inv_square(small_grid, make_ladder(0.1, 4.0, 48))
+        vals = fld.values.copy()
+        vals[7] = 0.0
+        vals[20] = vals[30] = 3.0 * vals[0]
+        return HalfPlaneField(fld.grid, fld.ladder, vals, fld.decay)
+
+    def test_hlog_matches_slice_loop(self, stacked):
+        reps = [luxemburg_norm(stacked.slice_at(k))
+                for k in range(stacked.ladder.count)]
+        best, best_y = -1.0, None
+        for rep, y in zip(reps, stacked.ladder.levels):
+            if rep.value > best:
+                best, best_y = rep.value, y
+        assert reps[7].value == 0.0 and reps[20].value == reps[30].value
+        assert best_y == stacked.ladder.levels[20]
+        rep = hlog_norm(stacked)
+        assert rep.value == best
+        assert rep.attaining_parameter == best_y
+        assert rep.iterations == sum(r.iterations for r in reps)
+
+    def test_hlog_evaluates_all_slices_per_step(self, stacked, monkeypatch):
+        longest = max(luxemburg_norm(stacked.slice_at(k)).iterations
+                      for k in range(stacked.ladder.count))
+        calls = []
+        quadrature = spaces.line_integral
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return quadrature(*args, **kwargs)
+
+        monkeypatch.setattr(spaces, "line_integral", counting)
+        hlog_norm(stacked)
+        assert len(calls) <= 1 + longest
 
 
 class TestBmo:
