@@ -22,7 +22,8 @@ from .factor import coifman_rochberg_symbol, factorize, product
 from .grid import (Grid1D, HalfPlaneField, HeightLadder, PreconditionError,
                    SampledFunction, _atomic_write, integrate, load_function,
                    make_grid, make_ladder, save_function)
-from .hankel import boundedness_study, hankel_apply
+from .hankel import (_check_symbol, boundedness_study, hankel_apply,
+                     symbol_ladder, trial_pairs)
 from .maximal import max_interval_average, nontangential_max
 from .spaces import (NormReport, THETA, bmo_norm, bmo_plus_norm,
                      bmoa_log_seminorm, carleson_ratio, hlog_norm, hp_norm,
@@ -55,11 +56,9 @@ class RunConfig:
     out: str = "."
 
     def validate(self) -> None:
-        make_grid(self.grid_l, self.grid_n)
-        if not (0 < self.y_min < self.y_max):
-            raise PreconditionError("need 0 < y_min < y_max")
-        if self.levels < 8:
-            raise PreconditionError("ladder needs at least 8 levels")
+        # the grid and ladder constructors own the rules
+        self.grid()
+        self.ladder()
 
     def grid(self) -> Grid1D:
         return make_grid(self.grid_l, self.grid_n)
@@ -418,26 +417,24 @@ def suite_hankel(cfg: RunConfig):
     scale = float(np.max(np.abs(rhs1.values)))
     anti_rel = anti / scale if scale else 0.0
 
+    pairs = trial_pairs(grid, 50, cfg.seed)
     b_field = lib.field_exp_osc(grid, cfg.ladder(), 1.0) \
         if cfg.y_min >= 0.5 * grid.dx else None
-    study = boundedness_study(b0, trials=50, seed=cfg.seed, b_field=b_field)
-    const_study = boundedness_study(lib.constant(grid, 1.0), trials=3,
-                                    seed=cfg.seed)
+    study = boundedness_study(b0, pairs, b_field)
+    const_study = boundedness_study(lib.constant(grid, 1.0), pairs[:3])
 
     # amplitude ladder: the tent seminorm scales quadratically, so the
     # family has strictly increasing seminorms
-    sem_ladder = make_ladder(0.5 * grid.dx, 2.0 * grid.L, 32)
+    sem_ladder = symbol_ladder(grid)
     family = []
     for amp, freq in ((0.5, 2.0), (1.0, 1.0), (2.0, 0.5)):
         base = lib.exp_osc(grid, freq)
         sym = SampledFunction(grid, amp * base.values, base.decay,
-                              continuation=lambda u, a=amp, c=base.continuation:
-                              a * c(u), bounded=True)
+                              bounded=True)
         base_field = lib.field_exp_osc(grid, sem_ladder, freq)
         sym_field = HalfPlaneField(grid, sem_ladder, amp * base_field.values,
                                    base_field.decay)
-        s = boundedness_study(sym, trials=10, seed=cfg.seed,
-                              b_field=sym_field, ladder=sem_ladder)
+        s = boundedness_study(sym, pairs[:10], sym_field)
         family.append({"amplitude": amp, "freq": freq,
                        "seminorm": s["seminorm"], "max_form": s["max_form"]})
     family.sort(key=lambda r: r["seminorm"])
@@ -479,14 +476,15 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 def cmd_hankel(args, cfg: RunConfig) -> int:
     grid = cfg.grid()
     b0 = _boundary(args, grid)
-    study = boundedness_study(b0, trials=args.trials, seed=cfg.seed)
+    _check_symbol(b0)  # before the pairs are drawn
+    study = boundedness_study(b0, trial_pairs(grid, args.trials, cfg.seed))
     payload = {
         "symbol_id": args.function or str(args.input),
         "seminorm": study["seminorm"],
         "max_form": study["max_form"],
         "ratio": study["max_ratio"],
-        "trials": study["trials"],
-        "seed": study["seed"],
+        "trials": args.trials,
+        "seed": cfg.seed,
         "degenerate": study["degenerate"],
         "rows": study["rows"],
     }

@@ -256,7 +256,8 @@ def make_ladder(y_min: float, y_max: float, count: int = 48) -> HeightLadder:
     """Logarithmically spaced ladder from y_min to y_max."""
     if y_min <= 0 or y_max <= y_min:
         raise PreconditionError("need 0 < y_min < y_max")
-    return HeightLadder(tuple(np.geomspace(y_min, y_max, count)))
+    # a negative count is a too-short ladder, which HeightLadder rejects
+    return HeightLadder(tuple(np.geomspace(y_min, y_max, max(count, 0))))
 
 
 @dataclass(frozen=True)

@@ -9,13 +9,18 @@ from typing import Optional
 import numpy as np
 
 from . import library as lib
-from .grid import (HalfPlaneField, HeightLadder, PreconditionError,
+from .grid import (Grid1D, HalfPlaneField, HeightLadder, PreconditionError,
                    SampledFunction, line_integral, make_ladder)
-from .factor import product
+from .factor import _product_decay
 from .spaces import bmoa_log_seminorm, bmo_plus_norm, hp_norm
-from .transforms import boundary_value, poisson_extend, szego_project
+from .transforms import poisson_extend, poisson_slice, szego_project
 
 _DEGENERATE_SEMINORM = 1e-12
+
+
+def _check_symbol(b0: SampledFunction) -> None:
+    if b0.bounded is not True:
+        raise PreconditionError("Hankel symbols must be flagged bounded")
 
 
 def hankel_apply(b0: SampledFunction, f0: SampledFunction) -> SampledFunction:
@@ -26,89 +31,89 @@ def hankel_apply(b0: SampledFunction, f0: SampledFunction) -> SampledFunction:
     """
     if b0.grid != f0.grid:
         raise PreconditionError("symbol and argument live on different grids")
-    if b0.bounded is not True:
-        raise PreconditionError("Hankel symbols must be flagged bounded")
+    _check_symbol(b0)
     if not f0.decay.integrable:
         raise PreconditionError("Hankel argument needs integrable decay")
     prod = SampledFunction(b0.grid, b0.values * np.conj(f0.values), f0.decay)
     return szego_project(prod)
 
 
-def hankel_form(b0: SampledFunction, f_field: HalfPlaneField,
-                g_field: HalfPlaneField) -> complex:
+def hankel_form(b0: SampledFunction, f0: SampledFunction,
+                g0: SampledFunction) -> complex:
     """Bilinear form <b, fg> as the boundary pairing of the symbol against
-    the conjugated boundary value of the pointwise product."""
-    if b0.bounded is not True:
-        raise PreconditionError("Hankel symbols must be flagged bounded")
-    prod = product(f_field, g_field)
-    bv = boundary_value(prod)
-    if not prod.decay.integrable:
+    the conjugated product of the boundary values f0 and g0."""
+    _check_symbol(b0)
+    if not b0.grid == f0.grid == g0.grid:
+        raise PreconditionError("form arguments live on different grids")
+    if not _product_decay(f0.decay, g0.decay).integrable:
         raise PreconditionError("product boundary value is not integrable")
-    vals = b0.values * np.conj(bv.f0.values)
     # core trapezoid only: oscillatory pairings cancel in the tails, so the
     # coherent-phase power-tail model would overcount
-    return complex(line_integral(b0.grid, vals))
+    return complex(line_integral(b0.grid,
+                                 b0.values * np.conj(f0.values * g0.values)))
 
 
-def _scaled_field(field: HalfPlaneField, c: float) -> HalfPlaneField:
-    return HalfPlaneField(field.grid, field.ladder, field.values * c,
-                          field.decay)
+def symbol_ladder(grid: Grid1D) -> HeightLadder:
+    """The 32 heights from dx/2 to 2L on which symbols are extended."""
+    return make_ladder(0.5 * grid.dx, 2.0 * grid.L, 32)
 
 
-def boundedness_study(b0: SampledFunction, trials: int, seed: int,
-                      b_field: Optional[HalfPlaneField] = None,
-                      ladder: Optional[HeightLadder] = None) -> dict:
-    """Randomized sweep of |<b, fg>| over normalized test pairs.
+def trial_pairs(grid: Grid1D, trials: int, seed: int
+                ) -> list[tuple[SampledFunction, SampledFunction, float]]:
+    """Seeded test pairs (f0, g0, g_plus) for the boundedness study.
 
-    f runs over projected odd-Gaussian bumps scaled to unit sup-of-heights
-    L1 norm, g over harmonic extensions of bounded random BMO mixtures.
-    The reported ratio divides by sqrt(seminorm) * ||f|| * ||g||; a symbol
-    with vanishing tent seminorm (constants) is flagged degenerate instead
-    of ratioed.  Deterministic for a fixed seed.
+    f0 is the boundary slice of a projected odd-Gaussian bump extended over
+    the 8-level pair ladder (dx/2 to 1.5), scaled to unit sup-of-heights L1
+    norm there.  g0 is a bounded random BMO mixture extended to the lowest
+    pair height, the boundary value the form reads, and g_plus the mixture's
+    augmented BMO norm.  No draw depends on a symbol, so one list serves
+    every symbol, and the first k pairs are those of trial_pairs(grid, k,
+    seed).
     """
-    if trials < 1:
+    pair_ladder = make_ladder(0.5 * grid.dx, 1.5, 8)
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for _ in range(trials):
+        center = rng.uniform(-grid.L / 4, grid.L / 4)
+        width = rng.uniform(0.5, 4.0)
+        f_field = poisson_extend(
+            szego_project(lib.gaussian_deriv(grid, center, width)), pair_ladder)
+        scale = 1.0 / hp_norm(f_field, 1.0).value
+        f0 = SampledFunction(grid, f_field.values[0] * scale, f_field.decay)
+        mixture = lib.bmo_mixture(grid, rng)
+        g0 = poisson_slice(mixture, pair_ladder.levels[0])
+        pairs.append((f0, g0, bmo_plus_norm(mixture).value))
+    return pairs
+
+
+def boundedness_study(b0: SampledFunction, pairs: list,
+                      b_field: Optional[HalfPlaneField] = None) -> dict:
+    """Sweep of |<b, fg>| over the given test pairs (see trial_pairs).
+
+    The reported ratio divides by sqrt(seminorm) * ||g||, f being
+    normalized already; a symbol with vanishing tent seminorm (constants)
+    is flagged degenerate instead of ratioed.  Without b_field the symbol
+    is extended over symbol_ladder.
+    """
+    if not pairs:
         raise PreconditionError("need at least one trial")
-    grid = b0.grid
-    dx = grid.dx
-    if ladder is None:
-        ladder = make_ladder(0.5 * dx, 2.0 * grid.L, 32)
     if b_field is None:
-        b_field = poisson_extend(b0, ladder)
+        b_field = poisson_extend(b0, symbol_ladder(b0.grid))
     seminorm = bmoa_log_seminorm(b_field).value
     degenerate = seminorm < _DEGENERATE_SEMINORM
 
-    pair_ladder = make_ladder(0.5 * dx, 1.5, 8)
-    rng = np.random.default_rng(seed)
     rows = []
-    max_form = 0.0
-    max_ratio = 0.0
-    for t in range(trials):
-        center = rng.uniform(-grid.L / 4, grid.L / 4)
-        width = rng.uniform(0.5, 4.0)
-        f0 = szego_project(lib.gaussian_deriv(grid, center, width))
-        f_field = poisson_extend(f0, pair_ladder)
-        h1 = hp_norm(f_field, 1.0).value
-        f_field = _scaled_field(f_field, 1.0 / h1)
-
-        g0 = lib.bmo_mixture(grid, rng)
-        g_field = poisson_extend(g0, pair_ladder)
-        g_plus = bmo_plus_norm(g0).value
-
-        form = abs(hankel_form(b0, f_field, g_field))
+    for t, (f0, g0, g_plus) in enumerate(pairs):
+        form = abs(hankel_form(b0, f0, g0))
         ratio = None if degenerate else \
             form / (np.sqrt(seminorm) * g_plus)
         rows.append({"trial": t, "form": form, "g_plus": g_plus,
                      "ratio": ratio})
-        max_form = max(max_form, form)
-        if ratio is not None:
-            max_ratio = max(max_ratio, ratio)
 
     return {
         "seminorm": seminorm,
         "degenerate": degenerate,
-        "max_form": max_form,
-        "max_ratio": None if degenerate else max_ratio,
-        "trials": trials,
-        "seed": seed,
+        "max_form": max(r["form"] for r in rows),
+        "max_ratio": None if degenerate else max(r["ratio"] for r in rows),
         "rows": rows,
     }

@@ -8,31 +8,11 @@ interval by two power-of-two windows shows the discrete sup is bracketed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
 from .grid import (HalfPlaneField, LOG_GROWTH, PreconditionError,
                    SampledFunction)
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Aperture-one cone {u+iy : |u-apex| < y, 0 < y <= y_max}."""
-
-    apex: float
-    y_max: float
-    aperture: float = 1.0
-
-    def __post_init__(self):
-        if self.aperture != 1.0:
-            raise PreconditionError("cone aperture is fixed to 1")
-        if not self.y_max > 0:
-            raise PreconditionError("cone truncation height must be positive")
-
-    def contains(self, u: float, y: float) -> bool:
-        return 0.0 < y <= self.y_max and abs(u - self.apex) < y
 
 
 def _trailing_window_max(a: np.ndarray, size: int) -> np.ndarray:

@@ -116,15 +116,16 @@ class NormReport:
 # ---------------------------------------------------------------------------
 
 def weight_integral(grid: Grid1D, magnitudes: np.ndarray, decay,
-                    w: MusielakWeight, lam: float) -> float:
+                    w: MusielakWeight, lam):
     """Integral of w(x, |f(x)|/lam) dx with the power-tail correction.
 
     The composed integrand decays at least as fast as |f| itself (the weight
     is dominated by t), so reusing the declared exponent overestimates the
     tail slightly; the bias is conservative and far below solver tolerance.
+    Rows of magnitudes with lam of shape (k, 1) give the k row integrals.
     """
     vals = weight_eval(w, grid.nodes, magnitudes / lam)
-    return float(line_integral(grid, vals, decay.p))
+    return line_integral(grid, vals, decay.p)
 
 
 def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: MusielakWeight,
@@ -148,8 +149,7 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: MusielakWeight,
     hi = lo.copy()
 
     def phi(rows, lam):
-        return line_integral(
-            grid, weight_eval(w, grid.nodes, mags[rows] / lam[:, None]), decay.p)
+        return weight_integral(grid, mags[rows], decay, w, lam[:, None])
 
     rows = np.flatnonzero(mags.any(axis=1))
     # per row: +1 doubles hi, -1 halves lo, 0 bisects [lo, hi]

@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import hardylog
+from hardylog import cli
 from hardylog import library as lib
 from hardylog.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                           RunConfig, load_config, main)
@@ -43,6 +44,20 @@ class TestConfig:
         b = RunConfig(out="/tmp/b")
         assert a.digest() == b.digest()
         assert a.digest() != RunConfig(seed=999, out="/tmp/a").digest()
+
+    @pytest.mark.parametrize("norm", ["l1", "h1"])
+    @pytest.mark.parametrize("flags", [["--y-max", "0.5"], ["--levels", "4"],
+                                       ["--levels", "-1"],
+                                       ["--y-min", "2", "--y-max", "1"]],
+                             ids=["low_top", "few_levels", "negative_levels",
+                                  "inverted"])
+    def test_bad_ladder_is_parse_error(self, tmp_path, flags, norm):
+        # every ladder rule rejects the config up front, whether or not
+        # the command would build the ladder
+        rc = main(SMALL + flags + ["--out", str(tmp_path), "norm",
+                                   "--function", "gbump_odd", "--norm", norm])
+        assert rc == EXIT_PARSE
+        assert not list(tmp_path.iterdir())
 
     def test_env_override_end_to_end(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HARDYLOG_GRID_N", "1024")
@@ -194,6 +209,16 @@ class TestHankelCommand:
         rep = json.loads((tmp_path / "hankel_study.json").read_text())
         assert rep["trials"] == 2
         assert rep["degenerate"] is False
+
+    def test_unbounded_symbol_rejected_before_drawing(self, tmp_path,
+                                                      monkeypatch):
+        drawn = []
+        monkeypatch.setattr(cli, "trial_pairs",
+                            lambda *a: drawn.append(a) or [])
+        rc = main(SMALL + ["--out", str(tmp_path), "hankel",
+                           "--function", "logabs"])
+        assert rc == EXIT_PRECONDITION
+        assert drawn == []
 
 
 class TestImportCost:

@@ -3,17 +3,31 @@ import pytest
 
 from conftest import max_abs
 from hardylog import library as lib
-from hardylog.factor import product
-from hardylog.grid import (PreconditionError, SampledFunction, make_grid,
-                           make_ladder, power_decay)
-from hardylog.hankel import boundedness_study, hankel_apply, hankel_form
+from hardylog import hankel
+from hardylog.cli import RunConfig, suite_hankel
+from hardylog.grid import (HalfPlaneField, PreconditionError, SampledFunction,
+                           make_grid, make_ladder, power_decay)
+from hardylog.hankel import (boundedness_study, hankel_apply, hankel_form,
+                             symbol_ladder, trial_pairs)
 from hardylog.spaces import bmoa_log_seminorm
-from hardylog.transforms import boundary_value, poisson_extend, szego_project
+from hardylog.transforms import poisson_extend, szego_project
 
 
 @pytest.fixture(scope="module")
 def pair_ladder(rig_grid):
     return make_ladder(0.5 * rig_grid.dx, 1.5, 8)
+
+
+@pytest.fixture(scope="module")
+def grid1024():
+    return make_grid(64, 1024)
+
+
+def boundary_f(grid, ladder):
+    """Slice 0 of the extended projected odd bump, as the study draws it."""
+    return poisson_extend(szego_project(lib.gaussian_deriv(grid)),
+                          ladder).slice_at(0)
+
 
 
 class TestHankelApply:
@@ -53,30 +67,27 @@ class TestHankelApply:
 class TestHankelForm:
     def test_zero_symbol(self, rig_grid, pair_ladder):
         zero = lib.constant(rig_grid, 0.0)
-        f = poisson_extend(szego_project(lib.gaussian_deriv(rig_grid)),
-                           pair_ladder)
-        g = lib.field_constant(rig_grid, pair_ladder, 1.0)
+        f = boundary_f(rig_grid, pair_ladder)
+        g = lib.field_constant(rig_grid, pair_ladder, 1.0).slice_at(0)
         assert hankel_form(zero, f, g) == 0.0
 
     def test_constant_against_mean_free(self, rig_grid, pair_ladder):
         one = lib.constant(rig_grid, 1.0)
-        f = poisson_extend(szego_project(lib.gaussian_deriv(rig_grid)),
-                           pair_ladder)
-        g = lib.field_constant(rig_grid, pair_ladder, 1.0)
+        f = boundary_f(rig_grid, pair_ladder)
+        g = lib.field_constant(rig_grid, pair_ladder, 1.0).slice_at(0)
         val = hankel_form(one, f, g)
         # residue is the trapezoid end-correction on the power tails
         assert abs(val) <= 1e-5
 
     def test_matches_operator_pairing(self, rig_grid, pair_ladder):
         b0 = lib.exp_osc(rig_grid, 1.0)
-        f = poisson_extend(szego_project(lib.gaussian_deriv(rig_grid)),
-                           pair_ladder)
+        f = boundary_f(rig_grid, pair_ladder)
         g = poisson_extend(lib.bmo_mixture(rig_grid,
                                            np.random.default_rng(11)),
-                           pair_ladder)
+                           pair_ladder).slice_at(0)
         form = hankel_form(b0, f, g)
-        w0 = boundary_value(product(f, g)).f0
-        applied = hankel_apply(b0, SampledFunction(rig_grid, w0.values,
+        applied = hankel_apply(b0, SampledFunction(rig_grid,
+                                                   f.values * g.values,
                                                    power_decay(2.0)))
         # projection keeps the flat component, so the plain average of the
         # operator output reproduces the pairing
@@ -87,11 +98,58 @@ class TestHankelForm:
         b1 = lib.exp_osc(rig_grid, 1.0)
         b2 = SampledFunction(rig_grid, 2.0 * b1.values, b1.decay,
                              continuation=None, bounded=True)
-        f = poisson_extend(szego_project(lib.gaussian_deriv(rig_grid)),
-                           pair_ladder)
-        g = lib.field_blaschke(rig_grid, pair_ladder)
+        f = boundary_f(rig_grid, pair_ladder)
+        g = lib.field_blaschke(rig_grid, pair_ladder).slice_at(0)
         assert abs(hankel_form(b2, f, g) -
                    2.0 * hankel_form(b1, f, g)) <= 1e-12
+
+    def test_rejects_grids_that_differ(self, rig_grid, grid1024):
+        b0 = lib.exp_osc(rig_grid, 1.0)
+        f = boundary_f(rig_grid, make_ladder(0.5 * rig_grid.dx, 1.5, 8))
+        g = lib.constant(grid1024, 1.0)
+        with pytest.raises(PreconditionError, match="different grids"):
+            hankel_form(b0, f, g)
+
+    def test_rejects_non_integrable_product(self, rig_grid):
+        b0 = lib.exp_osc(rig_grid, 1.0)
+        with pytest.raises(PreconditionError, match="not integrable"):
+            hankel_form(b0, lib.sign_step(rig_grid), lib.constant(rig_grid, 1.0))
+
+
+class TestTrialPairs:
+    def test_extend_by_prefix(self, grid1024):
+        head = trial_pairs(grid1024, 10, 41)[:3]
+        alone = trial_pairs(grid1024, 3, 41)
+        assert len(alone) == 3
+        for (f1, g1, p1), (f2, g2, p2) in zip(head, alone):
+            assert np.array_equal(f1.values, f2.values)
+            assert np.array_equal(g1.values, g2.values)
+            assert f1.decay == f2.decay and g1.decay == g2.decay
+            assert p1 == p2
+
+    def test_g0_is_lowest_slice_of_pair_extension(self, grid1024):
+        # the study extends g at the one height the form reads; that slice
+        # is bit for bit the lowest row of the full pair-ladder extension
+        lad = make_ladder(0.5 * grid1024.dx, 1.5, 8)
+        rng = np.random.default_rng(41)
+        for _, g0, _ in trial_pairs(grid1024, 3, 41):
+            rng.uniform(-grid1024.L / 4, grid1024.L / 4)
+            rng.uniform(0.5, 4.0)
+            mixture = lib.bmo_mixture(grid1024, rng)
+            full = poisson_extend(mixture, lad)
+            assert np.array_equal(g0.values, full.values[0])
+
+    def test_suite_draws_each_pair_once(self, monkeypatch):
+        calls = []
+        original = hankel.bmo_plus_norm
+
+        def counting(f0):
+            calls.append(1)
+            return original(f0)
+
+        monkeypatch.setattr(hankel, "bmo_plus_norm", counting)
+        suite_hankel(RunConfig(grid_n=1024))
+        assert len(calls) == 50
 
 
 class TestStudy:
@@ -99,8 +157,8 @@ class TestStudy:
         b0 = lib.exp_osc(rig_grid, 1.0)
         lad = make_ladder(0.5 * rig_grid.dx, 2 * rig_grid.L, 16)
         bf = lib.field_exp_osc(rig_grid, lad, 1.0)
-        s1 = boundedness_study(b0, trials=3, seed=77, b_field=bf)
-        s2 = boundedness_study(b0, trials=3, seed=77, b_field=bf)
+        s1 = boundedness_study(b0, trial_pairs(rig_grid, 3, 77), bf)
+        s2 = boundedness_study(b0, trial_pairs(rig_grid, 3, 77), bf)
         assert s1 == s2
 
     def test_symbol_doubling_doubles_forms(self, rig_grid):
@@ -109,25 +167,29 @@ class TestStudy:
         b2 = SampledFunction(rig_grid, 2.0 * b1.values, b1.decay,
                              continuation=b1.continuation, bounded=True)
         bf1 = lib.field_exp_osc(rig_grid, lad, 1.0)
-        from hardylog.grid import HalfPlaneField
         bf2 = HalfPlaneField(rig_grid, lad, 2.0 * bf1.values, bf1.decay)
-        s1 = boundedness_study(b1, trials=3, seed=5, b_field=bf1)
-        s2 = boundedness_study(b2, trials=3, seed=5, b_field=bf2)
+        pairs = trial_pairs(rig_grid, 3, 5)
+        s1 = boundedness_study(b1, pairs, bf1)
+        s2 = boundedness_study(b2, pairs, bf2)
         assert abs(s2["max_form"] - 2.0 * s1["max_form"]) <= 1e-12
 
     def test_constant_symbol_degenerate(self, rig_grid):
-        study = boundedness_study(lib.constant(rig_grid, 2.0), trials=2,
-                                  seed=9)
+        study = boundedness_study(lib.constant(rig_grid, 2.0),
+                                  trial_pairs(rig_grid, 2, 9))
         assert study["degenerate"] is True
         assert study["max_ratio"] is None
         assert study["max_form"] > 0.0
+
+    def test_needs_a_trial(self, rig_grid):
+        with pytest.raises(PreconditionError, match="at least one trial"):
+            boundedness_study(lib.exp_osc(rig_grid, 1.0), [])
 
     @pytest.mark.parametrize("freq", [0.5, 1.0, 2.0])
     def test_extended_symbol_seminorm(self, freq):
         # the study extends boundary symbols on the direct path; its tent
         # seminorm must match the closed-form field exp(i*a*z)
         grid = make_grid(64, 1024)
-        lad = make_ladder(0.5 * grid.dx, 2.0 * grid.L, 32)
+        lad = symbol_ladder(grid)
         extended = bmoa_log_seminorm(
             poisson_extend(lib.exp_osc(grid, freq), lad)).value
         exact = bmoa_log_seminorm(lib.field_exp_osc(grid, lad, freq)).value

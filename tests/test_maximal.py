@@ -5,7 +5,7 @@ from conftest import max_abs
 from hardylog import library as lib
 from hardylog.grid import (PreconditionError, SampledFunction, make_grid,
                            make_ladder, power_decay, sample_field)
-from hardylog.maximal import (Cone, hl_maximal, max_interval_average,
+from hardylog.maximal import (hl_maximal, max_interval_average,
                               nontangential_max)
 from hardylog.transforms import poisson_extend
 
@@ -21,19 +21,6 @@ def brute_max_average(values):
             avg = (pref[hi + 1] - pref[lo]) / (hi + 1 - lo)
             out[lo:hi + 1] = np.maximum(out[lo:hi + 1], avg)
     return out
-
-
-class TestCone:
-    def test_membership(self):
-        c = Cone(apex=1.0, y_max=2.0)
-        assert c.contains(1.5, 1.0)
-        assert not c.contains(3.0, 1.0)       # outside aperture
-        assert not c.contains(1.0, 3.0)       # above truncation
-        assert not c.contains(1.0, 0.0)       # boundary line excluded
-
-    def test_aperture_fixed(self):
-        with pytest.raises(PreconditionError):
-            Cone(apex=0.0, y_max=1.0, aperture=2.0)
 
 
 class TestHlMaximal:
@@ -124,11 +111,12 @@ class TestNontangentialMax:
         star = nontangential_max(fld, y_max=1.5)
         mags = np.abs(vals)
         for j in (0, 7, 31, 40, 63):
-            cone = Cone(apex=g.nodes[j], y_max=1.5)
+            apex = g.nodes[j]
             best = -np.inf
             for k, y in enumerate(lad.levels):
                 for i in range(g.n):
-                    if cone.contains(g.nodes[i], y):
+                    # aperture-one cone truncated at 1.5
+                    if abs(g.nodes[i] - apex) < y <= 1.5:
                         best = max(best, mags[k, i])
             assert abs(star.values.real[j] - best) < 1e-14
 
