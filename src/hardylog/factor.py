@@ -18,10 +18,8 @@ from .grid import (DecayClass, HalfPlaneField, HeightLadder, LOG_GROWTH,
                    PreconditionError, RAPID, SampledFunction, integrate,
                    power_decay)
 from .maximal import max_interval_average
-from .spaces import bmo_plus_norm
+from .spaces import E, bmo_plus_norm
 from .transforms import boundary_value, hilbert_transform, poisson_extend
-
-E = float(np.e)
 
 
 @dataclass(frozen=True)
@@ -71,9 +69,11 @@ def build_g(b: SampledFunction, ladder: HeightLadder
     bre = b.values.real
     if bre.min() < 1.0:
         raise PreconditionError("symbol must be >= 1 everywhere")
+    cont_b = b.continuation
+    if cont_b is None:
+        raise PreconditionError("symbol must carry a closed-form continuation")
     hb = hilbert_transform(b)
     g0_vals = bre + 1j * hb.values.real
-    cont_b = b.continuation
 
     def cont_g(u):
         u = np.asarray(u, dtype=np.float64)
@@ -81,11 +81,8 @@ def build_g(b: SampledFunction, ladder: HeightLadder
         # part and its conjugate both decay
         return cont_b(u) + 1j * (np.arctan2(E, u) - np.pi / 2.0)
 
-    g0 = SampledFunction(b.grid, g0_vals, LOG_GROWTH,
-                         continuation=cont_g if cont_b is not None else None,
+    g0 = SampledFunction(b.grid, g0_vals, LOG_GROWTH, continuation=cont_g,
                          bounded=False)
-    if g0.continuation is None:
-        raise PreconditionError("symbol must carry a closed-form continuation")
     return g0, poisson_extend(g0, ladder)
 
 

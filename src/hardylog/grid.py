@@ -111,9 +111,12 @@ class Grid1D:
 
 
 def make_grid(L: float, n: int) -> Grid1D:
-    """Build the uniform grid; n must be a power of two, n >= 16, L > 0."""
+    """Build the uniform grid; n must be a power of two, n >= 16, L > 0 with
+    2L finite."""
     if not L > 0:
         raise PreconditionError(f"half-width must be positive, got {L}")
+    if not np.isfinite(2.0 * L):
+        raise PreconditionError(f"window width 2L must be finite, got L={L}")
     if n < 16 or (n & (n - 1)) != 0:
         raise PreconditionError(f"sample count must be a power of two >= 16, got {n}")
     return Grid1D(float(L), int(n))
@@ -164,11 +167,9 @@ class SampledFunction:
                                continuation, bounded)
 
     def abs(self) -> "SampledFunction":
-        cont = self.continuation
-        return SampledFunction(
-            self.grid, np.abs(self.values), self.decay,
-            None if cont is None else (lambda u, c=cont: np.abs(c(u))),
-            self.bounded)
+        """|f| on the grid; integrate reads no continuation, so none is kept."""
+        return SampledFunction(self.grid, np.abs(self.values), self.decay,
+                               bounded=self.bounded)
 
 
 # ---------------------------------------------------------------------------

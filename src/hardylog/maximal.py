@@ -11,8 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
-from .grid import (HalfPlaneField, LOG_GROWTH, PreconditionError,
-                   SampledFunction)
+from .grid import HalfPlaneField, PreconditionError, SampledFunction
 
 
 def _trailing_window_max(a: np.ndarray, size: int) -> np.ndarray:
@@ -25,10 +24,9 @@ def _trailing_window_max(a: np.ndarray, size: int) -> np.ndarray:
 
 
 def max_interval_average(values: np.ndarray) -> np.ndarray:
-    """Per-node sup of window averages of |values| over power-of-two windows.
-
-    Internal sweep without the decay gate; hl_maximal is the public wrapper.
-    """
+    """Uncentered maximal function: per node, the sup of the averages of
+    |values| over the power-of-two windows containing it.  Dominates |values|
+    pointwise and is exactly sublinear."""
     a = np.abs(np.asarray(values))
     n = a.size
     prefix = np.concatenate(([0.0], np.cumsum(a)))
@@ -40,20 +38,6 @@ def max_interval_average(values: np.ndarray) -> np.ndarray:
         np.maximum(best, _trailing_window_max(padded, size), out=best)
         size *= 2
     return best
-
-
-def hl_maximal(f0: SampledFunction) -> SampledFunction:
-    """Uncentered maximal function over sample-aligned windows containing x.
-
-    Dominates |f0| pointwise and is exactly sublinear.  Output carries the
-    no-decay marker: maximal functions of integrable data decay only like
-    1/x and are never integrated downstream.
-    """
-    if f0.decay.tag == "log_growth" and f0.bounded is not True:
-        raise PreconditionError(
-            "maximal averages of unbounded log_growth data diverge; rejected")
-    out = max_interval_average(f0.values)
-    return SampledFunction(f0.grid, out, LOG_GROWTH, bounded=True)
 
 
 def nontangential_max(field: HalfPlaneField, y_max: float | None = None

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import PreconditionError, SampledFunction
-from .spaces import MusielakWeight, THETA, weight_eval
+from .spaces import THETA, Weight, weight_eval
 from .transforms import extended_window
 
 _BRUTE_CAP = 4096
@@ -109,7 +109,7 @@ def bmo_bruteforce(f0: SampledFunction) -> float:
     return best
 
 
-def luxemburg_scan(f0: SampledFunction, w: MusielakWeight = THETA) -> float:
+def luxemburg_scan(f0: SampledFunction, w: Weight = THETA) -> float:
     """Geometric scan over the gauge parameter (1e4 steps spanning eight
     decades around the L1 mass) followed by local bisection refinement."""
     mags = np.abs(f0.values)

@@ -17,7 +17,7 @@ sweeps reduce in a deterministic order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -39,47 +39,36 @@ class BracketError(PreconditionError):
 # Musielak weights
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MusielakWeight:
-    """One of the three position-dependent integrands.
-
-    theta(x,t)  = t / (1 + log+|x| + 0.5*log+ t)
-    theta0(x,t) = theta(x, t^2)
-    theta1(x,t) = theta(x, t)^2
-    """
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("theta", "theta0", "theta1"):
-            raise PreconditionError(f"unknown weight kind {self.kind!r}")
-
-
-THETA = MusielakWeight("theta")
-THETA0 = MusielakWeight("theta0")
-THETA1 = MusielakWeight("theta1")
+# each takes the position x and the argument t >= 0, scalars or arrays
+Weight = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 def _log_plus(s):
     return np.log(np.maximum(s, 1.0))
 
 
-def _theta(x, t):
+def THETA(x, t):
+    """theta(x,t) = t / (1 + log+|x| + 0.5*log+ t)"""
     return t / (1.0 + _log_plus(np.abs(x)) + 0.5 * _log_plus(t))
 
 
-def weight_eval(w: MusielakWeight, x, t):
+def THETA0(x, t):
+    """theta0(x,t) = theta(x, t^2)"""
+    return THETA(x, t * t)
+
+
+def THETA1(x, t):
+    """theta1(x,t) = theta(x, t)^2"""
+    return THETA(x, t) ** 2
+
+
+def weight_eval(w: Weight, x, t):
     """Evaluate the weight; scalar or broadcast arrays, t >= 0 required."""
     x = np.asarray(x, dtype=np.float64)
     t = np.asarray(t, dtype=np.float64)
     if np.any(t < 0):
         raise PreconditionError("weights are defined for t >= 0 only")
-    if w.kind == "theta":
-        out = _theta(x, t)
-    elif w.kind == "theta0":
-        out = _theta(x, t * t)
-    else:
-        out = _theta(x, t) ** 2
+    out = w(x, t)
     return out if out.ndim else float(out)
 
 
@@ -116,7 +105,7 @@ class NormReport:
 # ---------------------------------------------------------------------------
 
 def weight_integral(grid: Grid1D, magnitudes: np.ndarray, decay,
-                    w: MusielakWeight, lam):
+                    w: Weight, lam):
     """Integral of w(x, |f(x)|/lam) dx with the power-tail correction.
 
     The composed integrand decays at least as fast as |f| itself (the weight
@@ -128,7 +117,7 @@ def weight_integral(grid: Grid1D, magnitudes: np.ndarray, decay,
     return line_integral(grid, vals, decay.p)
 
 
-def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: MusielakWeight,
+def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: Weight,
             tol: float, max_doublings: int):
     """Luxemburg gauges of the rows of mags, all rows bracketed and bisected
     together.
@@ -179,7 +168,7 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: MusielakWeight,
     return value, its, integral, lo, hi
 
 
-def luxemburg_norm(f0: SampledFunction, w: MusielakWeight = THETA,
+def luxemburg_norm(f0: SampledFunction, w: Weight = THETA,
                    tol: float = 1e-8, max_doublings: int = 200) -> NormReport:
     """Gauge norm inf{lam > 0 : integral of w(x, |f|/lam) <= 1}.
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .grid import (DecayClass, HalfPlaneField, HeightLadder,
+from .grid import (DecayClass, Grid1D, HalfPlaneField, HeightLadder,
                    LOG_GROWTH, PreconditionError, SampledFunction,
                    power_decay)
 
@@ -233,13 +233,19 @@ def _direct_heights(f0: SampledFunction, heights: np.ndarray) -> np.ndarray:
             / (near_mass + (interp @ far_mass).T))
 
 
+def resolvable(grid: Grid1D, y: float) -> bool:
+    """Whether the FFT path resolves the Poisson kernel at height y: y >= dx/2.
+    The direct path of BMO-type inputs accepts any positive height."""
+    return y >= 0.5 * grid.dx
+
+
 def _extend_heights(f0: SampledFunction, heights: np.ndarray,
                     pad_factor: int) -> np.ndarray:
     if not np.all(np.isfinite(heights)) or np.any(heights <= 0):
         raise PreconditionError("extension heights must be positive and finite")
     if f0.decay.tag == "log_growth":
         out = _direct_heights(f0, heights)
-    elif heights[0] < 0.5 * f0.grid.dx:
+    elif not resolvable(f0.grid, heights[0]):
         raise PreconditionError(
             f"height {heights[0]:g} below dx/2={0.5*f0.grid.dx:g}: "
             "kernel unresolvable on this grid")
@@ -297,8 +303,6 @@ class BoundaryValue:
 def boundary_value(field: HalfPlaneField) -> BoundaryValue:
     """Boundary recovery: the lowest-level slice, with the sup-norm gap to the
     next level reported as a convergence diagnostic (flag, not failure)."""
-    if field.ladder.count < 2:
-        raise PreconditionError("boundary recovery needs at least two levels")
     f0 = field.slice_at(0)
     gap = float(np.max(np.abs(field.values[1] - field.values[0])))
     threshold = 0.05 * float(np.max(np.abs(field.values[0])) + 1e-300)

@@ -11,9 +11,9 @@ from scipy.special import wofz
 
 from conftest import max_abs, rel_l2
 from hardylog import library as lib
-from hardylog.cli import (RunConfig, main, suite_cr, suite_hankel,
-                          suite_lemma31, suite_prop31, suite_thm11,
-                          suite_thm21)
+from hardylog.cli import RunConfig, main
+from hardylog.suites import (suite_cr, suite_hankel, suite_lemma31,
+                             suite_prop31, suite_thm11, suite_thm21)
 from hardylog.grid import SampledFunction, power_decay
 from hardylog.oracles import luxemburg_scan, poisson_sum, pv_sum
 from hardylog.spaces import (THETA, THETA0, luxemburg_norm, weight_eval,

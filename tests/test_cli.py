@@ -1,16 +1,19 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import hardylog
-from hardylog import cli
+from hardylog import cli, suites
 from hardylog import library as lib
 from hardylog.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                           RunConfig, load_config, main)
-from hardylog.grid import make_grid, save_function
+from hardylog.grid import make_grid, make_ladder, save_function
+from hardylog.transforms import resolvable
 
 SMALL = ["--grid-L", "16", "--grid-n", "1024"]
 
@@ -48,12 +51,15 @@ class TestConfig:
     @pytest.mark.parametrize("norm", ["l1", "h1"])
     @pytest.mark.parametrize("flags", [["--y-max", "0.5"], ["--levels", "4"],
                                        ["--levels", "-1"],
-                                       ["--y-min", "2", "--y-max", "1"]],
+                                       ["--y-min", "2", "--y-max", "1"],
+                                       ["--seed", "-1"], ["--grid-L", "inf"],
+                                       ["--grid-L", "1e308"]],
                              ids=["low_top", "few_levels", "negative_levels",
-                                  "inverted"])
+                                  "inverted", "negative_seed", "infinite_L",
+                                  "overflowing_L"])
     def test_bad_ladder_is_parse_error(self, tmp_path, flags, norm):
-        # every ladder rule rejects the config up front, whether or not
-        # the command would build the ladder
+        # every ladder, grid and seed rule rejects the config up front,
+        # whether or not the command would use it
         rc = main(SMALL + flags + ["--out", str(tmp_path), "norm",
                                    "--function", "gbump_odd", "--norm", norm])
         assert rc == EXIT_PARSE
@@ -67,6 +73,48 @@ class TestConfig:
         assert rc == EXIT_OK
         rep = json.loads((tmp_path / "norm_llog.json").read_text())
         assert abs(rep["report"]["value"] - 1.0) <= 1e-6
+
+
+def _choices(command, dest):
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return next(a.choices for a in sub.choices[command]._actions
+                if a.dest == dest)
+
+
+class TestParserAndReports:
+    def test_norm_choices(self):
+        assert list(_choices("norm", "norm")) == [
+            "l1", "llog", "bmo", "bmoplus", "h1", "hlog", "bmoalog",
+            "carleson"]
+
+    def test_suite_choices(self):
+        assert list(_choices("verify", "suite")) == list(suites.SUITES)
+
+    def test_write_json_numpy_scalars(self, tmp_path):
+        cfg = RunConfig()
+        payload = {"f": np.float64(0.1), "i": np.int64(3),
+                   "b": np.bool_(True), "t": (1, np.float64(2.5)),
+                   "d": {"z": {"y": np.bool_(False)}, "a": [np.int64(-1)]}}
+        cli.write_json(tmp_path / "r.json", payload, cfg)
+        assert (tmp_path / "r.json").read_text() == (
+            '{\n  "b": true,\n'
+            f'  "config_hash": "{cfg.digest()}",\n'
+            '  "d": {\n    "a": [\n      -1\n    ],\n'
+            '    "z": {\n      "y": false\n    }\n  },\n'
+            '  "f": 0.1,\n  "i": 3,\n  "t": [\n    1,\n    2.5\n  ],\n'
+            f'  "version": "{hardylog.__version__}"\n}}\n')
+
+    @pytest.mark.parametrize("below", [False, True], ids=["half_dx", "below"])
+    def test_h1_family_has_szego_gauss_when_resolvable(self, below):
+        grid = make_grid(16, 1024)
+        y = 0.5 * grid.dx
+        if below:
+            y = np.nextafter(y, 0.0)
+        ladder = make_ladder(y, 1e3, 8)
+        assert ladder.levels[0] == y
+        names = [name for name, _ in suites._h1_family(grid, ladder)]
+        assert ("szego_gauss" in names) == resolvable(grid, y) == (not below)
 
 
 class TestNormCommand:

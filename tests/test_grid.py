@@ -24,7 +24,8 @@ class TestMakeGrid:
         assert g.nodes[-1] == 4.0 - g.dx
         assert np.allclose(g.nodes[1:] + g.nodes[:0:-1], 0.0)
 
-    @pytest.mark.parametrize("L,n", [(1, 15), (1, 12), (0, 16), (-2, 16), (1, 8)])
+    @pytest.mark.parametrize("L,n", [(1, 15), (1, 12), (0, 16), (-2, 16), (1, 8),
+                                     (np.inf, 16), (1e308, 16)])
     def test_rejects_bad_parameters(self, L, n):
         with pytest.raises(PreconditionError):
             make_grid(L, n)

@@ -4,7 +4,8 @@ import pytest
 from conftest import max_abs
 from hardylog import library as lib
 from hardylog import hankel
-from hardylog.cli import RunConfig, suite_hankel
+from hardylog.cli import RunConfig
+from hardylog.suites import suite_hankel
 from hardylog.grid import (HalfPlaneField, PreconditionError, SampledFunction,
                            make_grid, make_ladder, power_decay)
 from hardylog.hankel import (boundedness_study, hankel_apply, hankel_form,

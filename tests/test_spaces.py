@@ -9,7 +9,7 @@ from hardylog.grid import (HalfPlaneField, NonIntegrableError,
                            integrate, make_grid, make_ladder, power_decay,
                            sample_field)
 from hardylog.oracles import bmo_bruteforce, luxemburg_scan
-from hardylog.spaces import (BracketError, MusielakWeight, NormReport, THETA,
+from hardylog.spaces import (BracketError, NormReport, THETA,
                              THETA0, THETA1, bmo_norm, bmo_plus_norm,
                              bmoa_log_seminorm, carleson_ratio, hlog_norm,
                              hp_norm, luxemburg_norm, spectral_derivative,
@@ -49,10 +49,6 @@ class TestWeights:
     def test_rejects_negative_t(self):
         with pytest.raises(PreconditionError):
             weight_eval(THETA, 0.0, -1.0)
-
-    def test_unknown_kind(self):
-        with pytest.raises(PreconditionError):
-            MusielakWeight("theta2")
 
     def test_theta0_convex_away_from_junction(self):
         # piecewise convexity holds on each side of t = 1

@@ -8,7 +8,7 @@ from hardylog.grid import (PreconditionError, SampledFunction, power_decay,
                            make_ladder)
 from hardylog.transforms import (boundary_value, hilbert_transform,
                                  poisson_extend, poisson_kernel, poisson_slice,
-                                 szego_project)
+                                 resolvable, szego_project)
 
 
 class TestPoissonKernel:
@@ -67,6 +67,17 @@ class TestPoissonExtend:
         lad = make_ladder(rig_grid.dx / 8, 2.0, 8)
         with pytest.raises(PreconditionError):
             poisson_extend(f, lad)
+
+    def test_resolvable_from_half_spacing(self, small_grid):
+        # the predicate and the FFT path agree on both sides of dx/2
+        f = lib.gaussian(small_grid)
+        half = 0.5 * small_grid.dx
+        below = np.nextafter(half, 0.0)
+        assert resolvable(small_grid, half)
+        assert not resolvable(small_grid, below)
+        poisson_slice(f, half)
+        with pytest.raises(PreconditionError):
+            poisson_slice(f, below)
 
     def test_log_growth_needs_continuation(self, rig_grid):
         vals = np.sign(rig_grid.nodes)

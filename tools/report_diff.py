@@ -1,0 +1,158 @@
+"""Run one fixed set of hardylog commands on two source trees and diff what
+they leave behind.
+
+    python tools/report_diff.py PARENT_TREE CHANGE_TREE
+
+Each tree's ``src/`` goes on PYTHONPATH, and its commands run one after the
+other from a fresh temporary directory of its own, always with the same
+relative ``--out``, so the paths the commands print match between trees.
+The two trees run side by side.  Every file left in the directory, and each
+command's stdout, stderr and exit code, is compared; the differences are
+printed, and the exit status is 1 when there are any, else 0.
+
+The set: the six suites at n=1024 with y_min 1e-3 and 0.1; all eight norms
+of one input named with --function and read with --input, and from
+--function again at y_min 1e-3; factorize from --field, --function and
+--input; hankel on four symbols; the input and config errors; and the six
+suites at the default config (L=64, n=4096, 48 levels), which take most of
+the few minutes a run needs.
+"""
+
+from __future__ import annotations
+
+import difflib
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+SMALL = ["--grid-L", "16", "--grid-n", "1024"]
+SUITES = ("lemma31", "prop31", "thm21", "thm11", "cr", "hankel")
+NORMS = ("l1", "llog", "bmo", "bmoplus", "h1", "hlog", "bmoalog", "carleson")
+INPUT = "in/gbump_odd.txt"
+SAVE_INPUT = ("from hardylog.grid import make_grid, save_function\n"
+              "from hardylog.library import named_function\n"
+              "save_function(named_function('gbump_odd', make_grid(16, 1024)),"
+              f" {INPUT!r})\n")
+
+
+def _commands() -> list[tuple[str, list[str], list[str]]]:
+    """(name, global options, command and its options) per hardylog run."""
+    cmds = []
+    for y_min in ("1e-3", "0.1"):
+        cmds += [(f"verify_{s}_y{y_min}", SMALL + ["--y-min", y_min],
+                  ["verify", "--suite", s]) for s in SUITES]
+    for tag, y_min, source in (("function", "0.05", ["--function", "gbump_odd"]),
+                               ("input", "0.05", ["--input", INPUT]),
+                               ("function_low", "1e-3",
+                                ["--function", "gbump_odd"])):
+        cmds += [(f"norm_{n}_{tag}", SMALL + ["--y-min", y_min],
+                  ["norm", *source, "--norm", n]) for n in NORMS]
+    at_005 = SMALL + ["--y-min", "0.05"]
+    cmds += [
+        ("factorize_field", SMALL, ["factorize", "--field", "inv_sq"]),
+        ("factorize_function", at_005,
+         ["factorize", "--function", "gbump_odd"]),
+        ("factorize_input", at_005, ["factorize", "--input", INPUT]),
+    ]
+    cmds += [(f"hankel_{s}", SMALL + ["--seed", "3"],
+              ["hankel", "--function", s, "--trials", "5"])
+             for s in ("exp_ix", "sgn", "one", "logabs")]
+    cmds += [
+        ("err_unknown_function", SMALL,
+         ["norm", "--function", "nope", "--norm", "l1"]),
+        ("err_no_source", SMALL, ["norm", "--norm", "l1"]),
+        ("err_two_sources", SMALL,
+         ["norm", "--function", "gbump_odd", "--input", INPUT, "--norm", "l1"]),
+        ("err_missing_file", SMALL,
+         ["norm", "--input", "in/missing.txt", "--norm", "l1"]),
+        ("err_unknown_field", SMALL, ["factorize", "--field", "nope"]),
+        ("err_negative_seed", SMALL + ["--seed", "-1"],
+         ["hankel", "--function", "exp_ix"]),
+        ("err_infinite_L", ["--grid-L", "inf", "--grid-n", "1024"],
+         ["hankel", "--function", "exp_ix"]),
+    ]
+    cmds += [(f"verify_{s}_rig", [], ["verify", "--suite", s]) for s in SUITES]
+    return cmds
+
+
+def run_tree(tree: Path, work: Path):
+    """Write the input file, then run every command of the set on tree from
+    work; return (exit code, stdout, stderr) per run name and the bytes of
+    every file left in work."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("HARDYLOG_")}
+    env.update(PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    (work / "in").mkdir()
+    argvs = [("save_input", [sys.executable, "-c", SAVE_INPUT])]
+    for index, (name, options, command) in enumerate(_commands()):
+        out = ["--out", f"out/{index:02d}_{name}"]
+        argvs.append((name, [sys.executable, "-m", "hardylog.cli", *options,
+                             *out, *command]))
+    runs = {}
+    for name, argv in argvs:
+        proc = subprocess.run(argv, cwd=work, env=env, capture_output=True,
+                              text=True)
+        runs[name] = (proc.returncode, proc.stdout, proc.stderr)
+    files = {str(p.relative_to(work)): p.read_bytes()
+             for p in sorted(work.rglob("*")) if p.is_file()}
+    return runs, files
+
+
+def _text_diff(a: str, b: str, label: str) -> list[str]:
+    lines = list(difflib.unified_diff(a.splitlines(), b.splitlines(),
+                                      f"parent/{label}", f"change/{label}",
+                                      lineterm="", n=1))
+    return lines[:40] + (["  ..."] if len(lines) > 40 else [])
+
+
+def compare(parent, change) -> list[str]:
+    """Human-readable differences between two run_tree results."""
+    (runs_a, files_a), (runs_b, files_b) = parent, change
+    out = []
+    for name, (rc_a, so_a, se_a) in runs_a.items():
+        rc_b, so_b, se_b = runs_b[name]
+        if rc_a != rc_b:
+            out.append(f"{name}: exit code {rc_a} -> {rc_b}")
+        for stream, a, b in (("stdout", so_a, so_b), ("stderr", se_a, se_b)):
+            if a != b:
+                out.append(f"{name}: {stream} differs")
+                out += _text_diff(a, b, f"{name}.{stream}")
+    for path in sorted(set(files_a) | set(files_b)):
+        a, b = files_a.get(path), files_b.get(path)
+        if a is None or b is None:
+            out.append(f"{path}: only in {'change' if a is None else 'parent'}")
+        elif a != b:
+            out.append(f"{path}: contents differ")
+            out += _text_diff(a.decode(errors="replace"),
+                              b.decode(errors="replace"), path)
+    return out
+
+
+def main(argv: list[str]) -> int:
+    trees = [Path(a).resolve() for a in argv]
+    if len(trees) != 2 or not all((t / "src" / "hardylog").is_dir()
+                                  for t in trees):
+        print("usage: python tools/report_diff.py PARENT_TREE CHANGE_TREE\n"
+              "each tree needs a src/hardylog package", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        works = [Path(tmp) / "parent", Path(tmp) / "change"]
+        for w in works:
+            w.mkdir()
+        with ThreadPoolExecutor(2) as pool:
+            parent, change = pool.map(run_tree, trees, works)
+    diffs = compare(parent, change)
+    for line in diffs:
+        print(line)
+    runs, files = parent
+    verdict = "differences found" if diffs else "no differences"
+    print(f"{len(runs)} commands, {len(files)} files: {verdict}")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
