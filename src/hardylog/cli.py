@@ -163,7 +163,7 @@ def cmd_norm(args, cfg: RunConfig) -> int:
 
 def cmd_factorize(args, cfg: RunConfig) -> int:
     if args.field is not None:
-        h_field = lib.named_field(args.field, cfg.grid(), cfg.ladder())
+        h_field = lib.FIELDS[args.field](cfg.grid(), cfg.ladder())
         label = args.field
     else:
         h_field = holomorphic_extension(args.f0, cfg.ladder())
@@ -209,8 +209,8 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
 
 def cmd_hankel(args, cfg: RunConfig) -> int:
-    _check_symbol(args.f0)  # before the pairs are drawn
-    pairs = trial_pairs(cfg.grid(), args.trials, cfg.seed)
+    _check_symbol(args.f0)  # before the pairs are drawn, on the symbol's grid
+    pairs = trial_pairs(args.f0.grid, args.trials, cfg.seed)
     study = boundedness_study(args.f0, pairs)
     payload = {
         "symbol_id": args.label,
@@ -238,66 +238,52 @@ def build_parser() -> argparse.ArgumentParser:
         description="Half-plane Hardy space toolkit: norms, factorization, "
                     "inequality sweeps, Hankel studies.")
     ap.add_argument("--config", help="flat key=value config file")
-    ap.add_argument("--grid-L", dest="grid_l", type=float)
-    ap.add_argument("--grid-n", dest="grid_n", type=int)
-    ap.add_argument("--y-min", dest="y_min", type=float)
-    ap.add_argument("--y-max", dest="y_max", type=float)
-    ap.add_argument("--levels", type=int)
-    ap.add_argument("--seed", type=int)
-    ap.add_argument("--out", type=str)
+    for f in fields(RunConfig):  # --grid-L keeps its capital L
+        flag = "--" + f.name.replace("_", "-")
+        ap.add_argument("--grid-L" if f.name == "grid_l" else flag,
+                        dest=f.name, type=type(f.default))
     sub = ap.add_subparsers(dest="command", required=True)
-    source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--input", help="columnar function file")
-    source.add_argument("--function", help="named closed-form input")
 
-    p = sub.add_parser("norm", parents=[source],
-                       help="compute one norm of a boundary function")
+    def source(p):  # exactly one input per command
+        group = p.add_mutually_exclusive_group(required=True)
+        group.add_argument("--input", help="columnar function file")
+        group.add_argument("--function", choices=lib.FUNCTIONS,
+                           help="named closed-form input")
+        return group
+
+    p = sub.add_parser("norm", help="compute one norm of a boundary function")
+    source(p)
     p.add_argument("--norm", required=True,
                    choices=[*BOUNDARY_NORMS, *FIELD_NORMS])
     p.set_defaults(run=cmd_norm)
 
-    p = sub.add_parser("factorize", parents=[source],
-                       help="multiplicative splitting h = f*g")
-    p.add_argument("--field", help="named closed-form field")
+    p = sub.add_parser("factorize", help="multiplicative splitting h = f*g")
+    source(p).add_argument("--field", choices=lib.FIELDS,
+                           help="named closed-form field")
     p.set_defaults(run=cmd_factorize)
 
     p = sub.add_parser("verify", help="run a named inequality sweep")
     p.add_argument("--suite", required=True, choices=SUITES)
     p.set_defaults(run=cmd_verify)
 
-    p = sub.add_parser("hankel", parents=[source],
-                       help="randomized symbol boundedness study")
+    p = sub.add_parser("hankel", help="randomized symbol boundedness study")
+    source(p)
     p.add_argument("--trials", type=int, default=50)
     p.set_defaults(run=cmd_hankel)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed its usage (2) or help (0)
+        return exc.code
     try:
         overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
         cfg = load_config(args.config, dict(os.environ), overrides)
         cfg.validate()
     except (PreconditionError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    # only factorize has --field; every command but verify needs a source
-    field = getattr(args, "field", None)
-    needs_input = args.command != "verify" and field is None
-    if needs_input:
-        given = [x for x in (getattr(args, "input", None),
-                             getattr(args, "function", None)) if x]
-        if len(given) != 1:
-            print("exactly one of --input/--function (or --field) required",
-                  file=sys.stderr)
-            return EXIT_PARSE
-        if args.function is not None and args.function not in lib.FUNCTIONS:
-            print(f"unknown function {args.function!r}", file=sys.stderr)
-            return EXIT_PARSE
-    if field is not None and field not in lib.FIELDS:
-        print(f"unknown field {field!r}", file=sys.stderr)
         return EXIT_PARSE
 
     if getattr(args, "input", None) is not None:
@@ -309,7 +295,7 @@ def main(argv=None) -> int:
         args.label = str(args.input)
 
     try:
-        if needs_input and args.function is not None:
+        if getattr(args, "function", None) is not None:
             args.f0 = lib.named_function(args.function, cfg.grid())
             args.label = args.function
         return args.run(args, cfg)

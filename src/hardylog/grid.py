@@ -60,7 +60,7 @@ class DecayClass:
         return self.tag != "log_growth"
 
     def __str__(self) -> str:
-        return f"power:{self.p:g}" if self.tag == "power" else self.tag
+        return f"power:{self.p:.17g}" if self.tag == "power" else self.tag
 
     @classmethod
     def parse(cls, text: str) -> "DecayClass":
@@ -358,5 +358,5 @@ def load_function(path) -> SampledFunction:
     if not dev <= 1e-9 * grid.dx:
         raise PreconditionError(
             f"{path}: x column is off the header's grid nodes by {dev:g}")
-    vals = np.array([r[1] + 1j * r[2] for r in data])
+    vals = np.array([complex(r[1], r[2]) for r in data])  # keeps signed zeros
     return SampledFunction(grid, vals, decay)

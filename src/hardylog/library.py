@@ -203,12 +203,9 @@ FUNCTIONS = {
     "exp_ix": exp_osc,
 }
 
-FIELDS = {
-    "inv_sq": field_inv_square,
-    "exp_iz": field_exp_osc,
-    "blaschke": field_blaschke,
-    "constant": field_constant,
-}
+# coifman_rochberg_symbol needs an integrable field, so of the closed-form
+# fields only inv_sq can be factorized
+FIELDS = {"inv_sq": field_inv_square}
 
 
 def named_function(name: str, grid: Grid1D) -> SampledFunction:
@@ -216,10 +213,3 @@ def named_function(name: str, grid: Grid1D) -> SampledFunction:
         raise PreconditionError(
             f"unknown function {name!r}; choices: {sorted(FUNCTIONS)}")
     return FUNCTIONS[name](grid)
-
-
-def named_field(name: str, grid: Grid1D, ladder: HeightLadder) -> HalfPlaneField:
-    if name not in FIELDS:
-        raise PreconditionError(
-            f"unknown field {name!r}; choices: {sorted(FIELDS)}")
-    return FIELDS[name](grid, ladder)

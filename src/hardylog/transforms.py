@@ -89,16 +89,14 @@ def _is_mean_zero(f0: SampledFunction) -> bool:
 
 
 def _hilbert_out_decay(f0: SampledFunction) -> DecayClass:
-    # Honest tail bookkeeping: the transform of anything integrable picks up
-    # a 1/x^2 tail; a nonzero mean degrades that to 1/x, which is flagged
-    # non-integrable via the log_growth marker.
+    # Honest tail bookkeeping: the transform of mean-free integrable data
+    # picks up a 1/x^2 tail; a nonzero mean degrades that to 1/x, which is
+    # flagged non-integrable via the log_growth marker.
+    if f0.decay.tag == "log_growth" or not _is_mean_zero(f0):
+        return LOG_GROWTH
     if f0.decay.tag == "rapid":
         return power_decay(2.0)
-    if f0.decay.tag == "power":
-        if _is_mean_zero(f0):
-            return power_decay(min(f0.decay.p, 1.5))
-        return LOG_GROWTH
-    return LOG_GROWTH
+    return power_decay(min(f0.decay.p, 1.5))
 
 
 def hilbert_transform(f0: SampledFunction, pad_factor: int = HILBERT_PAD

@@ -1,11 +1,15 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 import hardylog
 from hardylog import cli, suites
@@ -90,6 +94,32 @@ class TestParserAndReports:
 
     def test_suite_choices(self):
         assert list(_choices("verify", "suite")) == list(suites.SUITES)
+
+    def test_global_options(self):
+        opts = [(a.option_strings, a.dest, a.type)
+                for a in cli.build_parser()._actions if a.option_strings]
+        assert opts == [(["-h", "--help"], "help", None),
+                        (["--config"], "config", None),
+                        (["--grid-L"], "grid_l", float),
+                        (["--grid-n"], "grid_n", int),
+                        (["--y-min"], "y_min", float),
+                        (["--y-max"], "y_max", float),
+                        (["--levels"], "levels", int),
+                        (["--seed"], "seed", int),
+                        (["--out"], "out", str)]
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--function", "gbump_odd", "--norm", "nope"],
+        ["verify", "--suite", "nope"],
+        ["--grid-n", "many", "verify", "--suite", "cr"],
+        ["frobnicate"]], ids=["norm", "suite", "grid_n", "command"])
+    def test_parse_errors_return_2(self, tmp_path, argv):
+        assert main(["--out", str(tmp_path), *argv]) == EXIT_PARSE
+        assert not list(tmp_path.iterdir())
+
+    def test_help_returns_0(self, capsys):
+        assert main(["norm", "--help"]) == EXIT_OK
+        assert "--function" in capsys.readouterr().out
 
     def test_write_json_numpy_scalars(self, tmp_path):
         cfg = RunConfig()
@@ -184,6 +214,64 @@ class TestNormCommand:
         assert rc == EXIT_PARSE
 
 
+_MUTATIONS = ("header", "drop_column", "add_column", "token", "off_grid",
+              "row_count", "non_utf8", "nonfinite_row", "nonfinite_L")
+_BAD_HEADERS = ("", "L=16 n=16 decay=rapid", "# L=16 n=16",
+                "# L=16 n=-16 decay=rapid", "# L=16 n=16 decay=bogus",
+                "# L=abc n=16 decay=rapid", "# L=16 n=16 decay=power:0.5",
+                "# L=0 n=16 decay=rapid", "# L=16 n=12 decay=rapid")
+
+
+def _mutate(text: str, kind: str, row: int, col: int, token: str,
+            nonfinite: str, header: str) -> bytes:
+    head, *rows = text.splitlines()
+    cells = rows[row].split()
+    if kind == "header":
+        head = header
+    elif kind == "drop_column":
+        del cells[col]
+    elif kind == "add_column":
+        cells.insert(col, "0")
+    elif kind == "token":
+        cells[col] = token
+    elif kind == "off_grid":
+        cells[0] = repr(float(cells[0]) + 1e-6)
+    elif kind == "row_count":
+        rows = rows[:row] + rows[row + 1:] if col else rows + [rows[row]]
+    elif kind == "nonfinite_row":
+        cells[col] = nonfinite
+    elif kind == "nonfinite_L":
+        head = re.sub(r"L=\S+", f"L={nonfinite}", head)
+    if kind not in ("header", "row_count", "nonfinite_L"):
+        rows[row] = " ".join(cells)
+    data = "\n".join([head, *rows]).encode() + b"\n"
+    if kind == "non_utf8":
+        cut = len(data) * row // 16
+        data = data[:cut] + b"\xff\xfe" + data[cut:]
+    return data
+
+
+class TestInputFileProperties:
+    """Every malformed function file is a parse error, never a traceback."""
+
+    @given(st.sampled_from(_MUTATIONS), st.integers(0, 15), st.integers(0, 2),
+           st.text(alphabet="abcxyz,;%", min_size=1, max_size=4),
+           st.sampled_from(["nan", "inf", "-inf", "NaN"]),
+           st.sampled_from(_BAD_HEADERS))
+    def test_mutated_file_is_parse_error(self, kind, row, col, token,
+                                         nonfinite, header):
+        f = lib.named_function("gbump_odd", make_grid(4, 16))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "f.txt", Path(tmp) / "out"
+            save_function(f, path)
+            path.write_bytes(_mutate(path.read_text(), kind, row, col, token,
+                                     nonfinite, header))
+            rc = main(["--out", str(out), "norm", "--input", str(path),
+                       "--norm", "l1"])
+            assert rc == EXIT_PARSE
+            assert not out.exists()
+
+
 class TestFactorizeCommand:
     def test_named_field(self, tmp_path):
         rc = main(SMALL + ["--out", str(tmp_path), "factorize",
@@ -218,6 +306,24 @@ class TestFactorizeCommand:
         rc = main(SMALL + ["--out", str(tmp_path), "factorize",
                            "--field", "nope"])
         assert rc == EXIT_PARSE
+
+    @pytest.mark.parametrize("field", ["exp_iz", "blaschke", "constant"])
+    def test_unfactorizable_field(self, tmp_path, field):
+        # coifman_rochberg_symbol needs an integrable field: only inv_sq is
+        rc = main(SMALL + ["--out", str(tmp_path), "factorize",
+                           "--field", field])
+        assert rc == EXIT_PARSE
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("other", ["function", "input"])
+    def test_field_with_another_source(self, tmp_path, other):
+        path = write_named(tmp_path, "gbump_odd")
+        source = {"function": "gbump_odd", "input": str(path)}[other]
+        out = tmp_path / "out"
+        rc = main(SMALL + ["--out", str(out), "factorize", "--field",
+                           "inv_sq", f"--{other}", source])
+        assert rc == EXIT_PARSE
+        assert not out.exists()
 
     def test_boundary_function_input(self, tmp_path):
         # boundary data route: project, extend, then factorize
@@ -257,6 +363,20 @@ class TestHankelCommand:
         rep = json.loads((tmp_path / "hankel_study.json").read_text())
         assert rep["trials"] == 2
         assert rep["degenerate"] is False
+
+    def test_input_on_its_own_grid(self, tmp_path):
+        # the file's header grid wins over the config grid, as for norm
+        path = write_named(tmp_path, "gbump_odd")
+        reports = []
+        for flags in ([], SMALL):
+            out = tmp_path / f"out{len(flags)}"
+            rc = main(flags + ["--seed", "3", "--out", str(out), "hankel",
+                               "--input", str(path), "--trials", "3"])
+            assert rc == EXIT_OK
+            reports.append(json.loads((out / "hankel_study.json").read_text()))
+        default, small = reports
+        assert default["seminorm"] == small["seminorm"]
+        assert default["rows"] == small["rows"]
 
     def test_unbounded_symbol_rejected_before_drawing(self, tmp_path,
                                                       monkeypatch):

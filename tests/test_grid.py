@@ -1,5 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from hardylog import library as lib
 from hardylog.grid import (DecayClass, HalfPlaneField, HeightLadder,
@@ -192,6 +196,20 @@ class TestSerialization:
         assert h.grid == f.grid
         assert h.decay == f.decay
         assert np.array_equal(h.values, f.values)
+
+    @given(st.floats(1e-6, 1e6),
+           st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
+                    min_size=16, max_size=16),
+           st.one_of(st.just(RAPID), st.just(LOG_GROWTH),
+                     st.floats(1.0, 1e6, exclude_min=True).map(power_decay)))
+    def test_round_trip_is_bit_exact(self, L, values, decay):
+        f = SampledFunction(make_grid(L, 16), values, decay)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.txt"
+            save_function(f, path)
+            h = load_function(path)
+        assert (h.grid, h.decay) == (f.grid, f.decay)
+        assert h.values.tobytes() == f.values.tobytes()
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "bad.txt"

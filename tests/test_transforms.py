@@ -4,8 +4,9 @@ from scipy.special import dawsn
 
 from conftest import max_abs, rel_l2
 from hardylog import library as lib
-from hardylog.grid import (PreconditionError, SampledFunction, power_decay,
-                           make_ladder)
+from hardylog.grid import (NonIntegrableError, PreconditionError,
+                           SampledFunction, integrate, make_ladder,
+                           power_decay)
 from hardylog.transforms import (boundary_value, hilbert_transform,
                                  poisson_extend, poisson_kernel, poisson_slice,
                                  resolvable, szego_project)
@@ -154,7 +155,9 @@ class TestHilbert:
         assert max_abs(h.values) < 1e-12
 
     def test_output_decay_bookkeeping(self, rig_grid):
-        assert hilbert_transform(lib.gaussian(rig_grid)).decay == power_decay(2.0)
+        # mean-free rapid input keeps a 1/x^2 tail
+        assert hilbert_transform(lib.gaussian_deriv(rig_grid)).decay == \
+            power_decay(2.0)
         # mean-free power input keeps an integrable (conservative) tag
         q = lib.conjugate_bump(rig_grid)
         p = SampledFunction(rig_grid, q.values, power_decay(2.0))
@@ -162,6 +165,14 @@ class TestHilbert:
         # nonzero-mean power input is flagged non-integrable
         p1 = lib.poisson_bump(rig_grid)
         assert hilbert_transform(p1).decay.tag == "log_growth"
+
+    def test_nonzero_mean_rapid_input_is_not_integrable(self, rig_grid):
+        # H(gaussian) = (2/sqrt(pi)) D(x) ~ 1/(sqrt(pi) x): a 1/x tail
+        h = hilbert_transform(lib.gaussian(rig_grid))
+        assert abs(rig_grid.L * h.values.real[-1] - 1 / np.sqrt(np.pi)) < 1e-2
+        assert h.decay.tag == "log_growth"
+        with pytest.raises(NonIntegrableError):
+            integrate(h)
 
 
 class TestSzego:

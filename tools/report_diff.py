@@ -12,10 +12,12 @@ printed, and the exit status is 1 when there are any, else 0.
 
 The set: the six suites at n=1024 with y_min 1e-3 and 0.1; all eight norms
 of one input named with --function and read with --input, and from
---function again at y_min 1e-3; factorize from --field, --function and
---input; hankel on four symbols; the input and config errors; and the six
-suites at the default config (L=64, n=4096, 48 levels), which take most of
-the few minutes a run needs.
+--function again at y_min 1e-3; bmoalog of exp_ix; factorize from --field,
+--function and --input, from --field with --function, and from a field it
+cannot factorize; hankel on four symbols and on the input file at the
+default config; the input and config errors; and the six suites at the
+default config (L=64, n=4096, 48 levels), which take most of the few
+minutes a run needs.
 """
 
 from __future__ import annotations
@@ -56,10 +58,19 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
         ("factorize_function", at_005,
          ["factorize", "--function", "gbump_odd"]),
         ("factorize_input", at_005, ["factorize", "--input", INPUT]),
+        ("factorize_field_and_function", SMALL,
+         ["factorize", "--field", "inv_sq", "--function", "gbump_odd"]),
+        ("factorize_field_exp_iz", SMALL, ["factorize", "--field", "exp_iz"]),
+        # the continuation of exp_ix is kept by holomorphic_extension
+        ("norm_bmoalog_exp_ix", at_005,
+         ["norm", "--function", "exp_ix", "--norm", "bmoalog"]),
     ]
     cmds += [(f"hankel_{s}", SMALL + ["--seed", "3"],
               ["hankel", "--function", s, "--trials", "5"])
              for s in ("exp_ix", "sgn", "one", "logabs")]
+    # a file is read on its header's grid, not on the default config's
+    cmds.append(("hankel_input_default_config", [],
+                 ["hankel", "--input", INPUT, "--trials", "5"]))
     cmds += [
         ("err_unknown_function", SMALL,
          ["norm", "--function", "nope", "--norm", "l1"]),
