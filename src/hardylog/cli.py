@@ -20,15 +20,15 @@ import numpy as np
 
 from . import __version__, library as lib
 from .factor import factorize
-from .grid import (Grid1D, HeightLadder, PreconditionError, SampledFunction,
-                   _atomic_write, integrate, load_function, make_grid,
-                   make_ladder, save_function)
+from .grid import (Grid1D, HeightLadder, PreconditionError, _atomic_write,
+                   integrate, load_function, make_grid, make_ladder,
+                   save_function)
 from .hankel import _check_symbol, boundedness_study, trial_pairs
 from .spaces import (NormReport, THETA, bmo_norm, bmo_plus_norm,
                      bmoa_log_seminorm, carleson_ratio, hlog_norm, hp_norm,
                      luxemburg_norm)
 from .suites import SUITES
-from .transforms import poisson_extend, szego_project
+from .transforms import holomorphic_extension
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -137,16 +137,6 @@ def write_csv(path: Path, rows: list[tuple]) -> None:
 # ---------------------------------------------------------------------------
 # norm and factorize commands
 # ---------------------------------------------------------------------------
-
-def holomorphic_extension(f0: SampledFunction, ladder: HeightLadder):
-    """Szego projection then harmonic extension; if the input is already in
-    the projection's range its closed-form continuation is retained."""
-    proj = szego_project(f0)
-    scale = float(np.max(np.abs(f0.values))) or 1.0
-    if float(np.max(np.abs(proj.values - f0.values))) <= 1e-12 * scale:
-        proj = f0
-    return poisson_extend(proj, ladder)
-
 
 def cmd_norm(args, cfg: RunConfig) -> int:
     if args.norm in BOUNDARY_NORMS:

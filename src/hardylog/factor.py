@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (DecayClass, HalfPlaneField, HeightLadder, LOG_GROWTH,
-                   PreconditionError, RAPID, SampledFunction, integrate,
-                   power_decay)
+from .grid import (HalfPlaneField, HeightLadder, LOG_GROWTH,
+                   PreconditionError, SampledFunction, integrate,
+                   product_decay)
 from .maximal import max_interval_average
 from .spaces import E, bmo_plus_norm
 from .transforms import boundary_value, hilbert_transform, poisson_extend
@@ -56,8 +56,7 @@ def coifman_rochberg_symbol(h0: SampledFunction) -> SampledFunction:
     def cont(u):
         return np.log(E + np.abs(np.asarray(u, dtype=np.float64))) + 1.0
 
-    return SampledFunction(grid, vals, LOG_GROWTH, continuation=cont,
-                           bounded=False)
+    return SampledFunction(grid, vals, LOG_GROWTH, continuation=cont)
 
 
 def build_g(b: SampledFunction, ladder: HeightLadder
@@ -81,8 +80,7 @@ def build_g(b: SampledFunction, ladder: HeightLadder
         # part and its conjugate both decay
         return cont_b(u) + 1j * (np.arctan2(E, u) - np.pi / 2.0)
 
-    g0 = SampledFunction(b.grid, g0_vals, LOG_GROWTH, continuation=cont_g,
-                         bounded=False)
+    g0 = SampledFunction(b.grid, g0_vals, LOG_GROWTH, continuation=cont_g)
     return g0, poisson_extend(g0, ladder)
 
 
@@ -117,18 +115,6 @@ def factorize(h_field: HalfPlaneField) -> FactorizationResult:
         boundary_gap=bv.gap, boundary_flagged=bv.flagged)
 
 
-def _product_decay(a: DecayClass, b: DecayClass) -> DecayClass:
-    if a.tag == "rapid" or b.tag == "rapid":
-        return RAPID
-    if a.tag == "power" and b.tag == "power":
-        return power_decay(a.p + b.p)
-    if a.tag == "power":
-        return a
-    if b.tag == "power":
-        return b
-    return LOG_GROWTH
-
-
 def product(f_field: HalfPlaneField, g_field: HalfPlaneField) -> HalfPlaneField:
     """Pointwise product of two fields on the same grid and ladder."""
     if f_field.grid != g_field.grid:
@@ -137,4 +123,4 @@ def product(f_field: HalfPlaneField, g_field: HalfPlaneField) -> HalfPlaneField:
         raise PreconditionError("product factors live on different ladders")
     return HalfPlaneField(f_field.grid, f_field.ladder,
                           f_field.values * g_field.values,
-                          _product_decay(f_field.decay, g_field.decay))
+                          product_decay(f_field.decay, g_field.decay))

@@ -36,45 +36,67 @@ class DecayClass:
     """Tail behaviour of a sampled function beyond the grid window.
 
     ``rapid``      tails are numerically zero (Gaussians, compact support).
-    ``power``      |f(x)| ~ |f(edge)| * (edge/|x|)**p with p > 1, so tails
-                   integrate to a finite closed-form correction.
+    ``power``      |f(x)| ~ |f(edge)| * (edge/|x|)**p with a finite p > 1, so
+                   tails integrate to a finite closed-form correction.
     ``log_growth`` no decay at all (may grow logarithmically); such functions
                    are never integrated directly and operations requiring
                    integrability reject them.
+
+    ``bounded`` flags sup-norm finiteness over the whole line: forced for the
+    decaying classes, and stated by ``BOUNDED``, written log_growth:bounded.
     """
 
     tag: str
     p: Optional[float] = None
+    bounded: bool = False
 
     def __post_init__(self):
         if self.tag not in _VALID_TAGS:
             raise PreconditionError(f"unknown decay tag {self.tag!r}")
         if self.tag == "power":
-            if self.p is None or not self.p > 1.0:
-                raise PreconditionError("power decay requires p > 1")
+            if self.p is None or not (self.p > 1.0 and np.isfinite(self.p)):
+                raise PreconditionError("power decay requires a finite p > 1")
         elif self.p is not None:
             raise PreconditionError(f"decay tag {self.tag!r} takes no exponent")
+        if self.integrable:
+            object.__setattr__(self, "bounded", True)
 
     @property
     def integrable(self) -> bool:
         return self.tag != "log_growth"
 
     def __str__(self) -> str:
-        return f"power:{self.p:.17g}" if self.tag == "power" else self.tag
+        if self.tag == "power":
+            return f"power:{self.p:.17g}"
+        return "log_growth:bounded" if self == BOUNDED else self.tag
 
     @classmethod
     def parse(cls, text: str) -> "DecayClass":
         if text.startswith("power:"):
             return cls("power", float(text.split(":", 1)[1]))
-        return cls(text)
+        return BOUNDED if text == str(BOUNDED) else cls(text)
 
 
 RAPID = DecayClass("rapid")
 LOG_GROWTH = DecayClass("log_growth")
+BOUNDED = DecayClass("log_growth", bounded=True)
 
 
 def power_decay(p: float) -> DecayClass:
     return DecayClass("power", p)
+
+
+def product_decay(a: DecayClass, b: DecayClass) -> DecayClass:
+    """Tail class of a pointwise product; bounded times bounded is bounded."""
+    if a.tag == "rapid" or b.tag == "rapid":
+        return RAPID
+    if a.tag == "power" and b.tag == "power":
+        return power_decay(a.p + b.p)
+    if a.tag == "power":
+        return a
+    if b.tag == "power":
+        return b
+    return BOUNDED if a.bounded and b.bounded else LOG_GROWTH
 
 
 # ---------------------------------------------------------------------------
@@ -132,8 +154,7 @@ class SampledFunction:
 
     ``continuation``, when given, evaluates the function off-grid in closed
     form; convolution-type operators use it to fill extended windows and
-    analytic tails.  ``bounded`` flags sup-norm finiteness over the whole
-    line (inferred for decaying classes, must be stated for log_growth).
+    analytic tails.
     """
 
     grid: Grid1D
@@ -141,7 +162,6 @@ class SampledFunction:
     decay: DecayClass
     continuation: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False)
-    bounded: Optional[bool] = None
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
@@ -153,23 +173,20 @@ class SampledFunction:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-        if self.bounded is None:
-            object.__setattr__(self, "bounded", self.decay.integrable)
 
     @property
     def is_real(self) -> bool:
         return bool(np.all(self.values.imag == 0.0))
 
     def with_values(self, values: np.ndarray, decay: Optional[DecayClass] = None,
-                    continuation=None, bounded: Optional[bool] = None) -> "SampledFunction":
+                    continuation=None) -> "SampledFunction":
         return SampledFunction(self.grid, values,
                                self.decay if decay is None else decay,
-                               continuation, bounded)
+                               continuation)
 
     def abs(self) -> "SampledFunction":
         """|f| on the grid; integrate reads no continuation, so none is kept."""
-        return SampledFunction(self.grid, np.abs(self.values), self.decay,
-                               bounded=self.bounded)
+        return SampledFunction(self.grid, np.abs(self.values), self.decay)
 
 
 # ---------------------------------------------------------------------------

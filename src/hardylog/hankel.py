@@ -10,16 +10,16 @@ import numpy as np
 
 from . import library as lib
 from .grid import (Grid1D, HalfPlaneField, HeightLadder, PreconditionError,
-                   SampledFunction, line_integral, make_ladder)
-from .factor import _product_decay
+                   SampledFunction, line_integral, make_ladder, product_decay)
 from .spaces import bmoa_log_seminorm, bmo_plus_norm, hp_norm
-from .transforms import poisson_extend, poisson_slice, szego_project
+from .transforms import (holomorphic_extension, poisson_extend, poisson_slice,
+                         szego_project)
 
 _DEGENERATE_SEMINORM = 1e-12
 
 
 def _check_symbol(b0: SampledFunction) -> None:
-    if b0.bounded is not True:
+    if not b0.decay.bounded:
         raise PreconditionError("Hankel symbols must be flagged bounded")
 
 
@@ -45,7 +45,7 @@ def hankel_form(b0: SampledFunction, f0: SampledFunction,
     _check_symbol(b0)
     if not b0.grid == f0.grid == g0.grid:
         raise PreconditionError("form arguments live on different grids")
-    if not _product_decay(f0.decay, g0.decay).integrable:
+    if not product_decay(f0.decay, g0.decay).integrable:
         raise PreconditionError("product boundary value is not integrable")
     # core trapezoid only: oscillatory pairings cancel in the tails, so the
     # coherent-phase power-tail model would overcount
@@ -76,8 +76,8 @@ def trial_pairs(grid: Grid1D, trials: int, seed: int
     for _ in range(trials):
         center = rng.uniform(-grid.L / 4, grid.L / 4)
         width = rng.uniform(0.5, 4.0)
-        f_field = poisson_extend(
-            szego_project(lib.gaussian_deriv(grid, center, width)), pair_ladder)
+        f_field = holomorphic_extension(
+            lib.gaussian_deriv(grid, center, width), pair_ladder)
         scale = 1.0 / hp_norm(f_field, 1.0).value
         f0 = SampledFunction(grid, f_field.values[0] * scale, f_field.decay)
         mixture = lib.bmo_mixture(grid, rng)

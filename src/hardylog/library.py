@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import (Grid1D, HalfPlaneField, HeightLadder, LOG_GROWTH, RAPID,
-                   SampledFunction, PreconditionError, power_decay,
+from .grid import (BOUNDED, Grid1D, HalfPlaneField, HeightLadder, LOG_GROWTH,
+                   RAPID, SampledFunction, PreconditionError, power_decay,
                    sample_field)
 
 # ---------------------------------------------------------------------------
@@ -42,8 +42,7 @@ def conjugate_bump(grid: Grid1D, a: float = 1.0) -> SampledFunction:
         return u / (np.pi * (u * u + a * a))
     # 1/x leading tail is not integrable; the mean is zero so downstream
     # transforms keep honest bookkeeping via the log_growth marker.
-    return SampledFunction(grid, f(grid.nodes), LOG_GROWTH,
-                           continuation=f, bounded=True)
+    return SampledFunction(grid, f(grid.nodes), BOUNDED, continuation=f)
 
 
 def gaussian(grid: Grid1D, center: float = 0.0, width: float = 1.0,
@@ -76,8 +75,8 @@ def windowed_cos(grid: Grid1D, freq: float = 1.0) -> SampledFunction:
 
 
 def sign_step(grid: Grid1D) -> SampledFunction:
-    return SampledFunction(grid, np.sign(grid.nodes), LOG_GROWTH,
-                           continuation=np.sign, bounded=True)
+    return SampledFunction(grid, np.sign(grid.nodes), BOUNDED,
+                           continuation=np.sign)
 
 
 def log_abs(grid: Grid1D) -> SampledFunction:
@@ -85,8 +84,7 @@ def log_abs(grid: Grid1D) -> SampledFunction:
     x = grid.nodes.copy()
     x[np.abs(x) < 0.5 * grid.dx] = 0.5 * grid.dx
     return SampledFunction(grid, np.log(np.abs(x)), LOG_GROWTH,
-                           continuation=lambda u: np.log(np.abs(u)),
-                           bounded=False)
+                           continuation=lambda u: np.log(np.abs(u)))
 
 
 def harmonic_freq(grid: Grid1D, freq: float) -> float:
@@ -105,15 +103,13 @@ def exp_osc(grid: Grid1D, freq: float = 1.0) -> SampledFunction:
 
     def f(u):
         return np.exp(1j * a * np.asarray(u, dtype=np.complex128))
-    return SampledFunction(grid, f(grid.nodes), LOG_GROWTH,
-                           continuation=f, bounded=True)
+    return SampledFunction(grid, f(grid.nodes), BOUNDED, continuation=f)
 
 
 def constant(grid: Grid1D, c: complex = 1.0) -> SampledFunction:
     return SampledFunction(grid, np.full(grid.n, c, dtype=np.complex128),
-                           LOG_GROWTH, continuation=lambda u: np.full_like(
-                               np.asarray(u, dtype=np.float64), c, dtype=np.complex128),
-                           bounded=True)
+                           BOUNDED, continuation=lambda u: np.full_like(
+                               np.asarray(u, dtype=np.float64), c, dtype=np.complex128))
 
 
 def bmo_mixture(grid: Grid1D, rng: np.random.Generator) -> SampledFunction:
@@ -132,8 +128,7 @@ def bmo_mixture(grid: Grid1D, rng: np.random.Generator) -> SampledFunction:
         for s, w, a in zip(shifts, widths, amps):
             out += a * (2.0 / np.pi) * np.arctan((u - s) / w)
         return out + osc_amp * np.cos(osc_freq * u)
-    return SampledFunction(grid, f(grid.nodes), LOG_GROWTH,
-                           continuation=f, bounded=True)
+    return SampledFunction(grid, f(grid.nodes), BOUNDED, continuation=f)
 
 
 # ---------------------------------------------------------------------------

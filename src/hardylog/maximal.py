@@ -64,4 +64,4 @@ def nontangential_max(field: HalfPlaneField, y_max: float | None = None
             row = maximum_filter1d(row, size=2 * half + 1, mode="constant",
                                    cval=-np.inf)
         np.maximum(best, row, out=best)
-    return SampledFunction(grid, best, field.decay, bounded=True)
+    return SampledFunction(grid, best, field.decay)

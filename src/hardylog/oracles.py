@@ -46,7 +46,7 @@ def hilbert_pv_direct(f0: SampledFunction, pad_factor: int = 64
     vals = pv_sum(f0, np.arange(f0.grid.n), pad_factor)
     if f0.is_real:
         vals = vals.real
-    return SampledFunction(f0.grid, vals, f0.decay, bounded=True)
+    return SampledFunction(f0.grid, vals, f0.decay)
 
 
 def periodized_poisson_kernel(u: np.ndarray, y: float, period: float
@@ -84,7 +84,7 @@ def poisson_direct(f0: SampledFunction, y: float, pad_factor: int = 8
     out = poisson_sum(f0, y, np.arange(f0.grid.n), pad_factor)
     if f0.is_real:
         out = out.real
-    return SampledFunction(f0.grid, out, f0.decay, bounded=True)
+    return SampledFunction(f0.grid, out, f0.decay)
 
 
 def bmo_bruteforce(f0: SampledFunction) -> float:

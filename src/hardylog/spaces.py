@@ -29,6 +29,8 @@ E = float(np.e)
 
 _RADIUS_LADDER_STEPS = 16
 _OSC_CHUNK = 1 << 22     # elements per sliding-window chunk
+_GAUGE_TOL = 1e-8        # |phi - 1| at which a Luxemburg bisection stops
+_GAUGE_DOUBLINGS = 200   # bracket steps before a gauge gives up
 
 
 class BracketError(PreconditionError):
@@ -169,7 +171,7 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: Weight,
 
 
 def luxemburg_norm(f0: SampledFunction, w: Weight = THETA,
-                   tol: float = 1e-8, max_doublings: int = 200) -> NormReport:
+                   max_doublings: int = _GAUGE_DOUBLINGS) -> NormReport:
     """Gauge norm inf{lam > 0 : integral of w(x, |f|/lam) <= 1}.
 
     A doubling bracket plus bisection (the one-row case of the solver that
@@ -181,11 +183,11 @@ def luxemburg_norm(f0: SampledFunction, w: Weight = THETA,
     mags = np.abs(f0.values)
     if not mags.any():
         return NormReport(0.0, attaining_parameter=None, iterations=0,
-                          tolerance=tol)
+                          tolerance=_GAUGE_TOL)
     value, its, integral, lo, hi = _gauges(f0.grid, mags[None, :], f0.decay,
-                                           w, tol, max_doublings)
+                                           w, _GAUGE_TOL, max_doublings)
     return NormReport(float(value[0]), attaining_parameter=None,
-                      iterations=int(its[0]), tolerance=tol,
+                      iterations=int(its[0]), tolerance=_GAUGE_TOL,
                       flags={"integral": float(integral[0]),
                              "bracket": [float(lo[0]), float(hi[0])]})
 
@@ -284,10 +286,11 @@ def hlog_norm(field: HalfPlaneField) -> NormReport:
     if not field.decay.integrable:
         raise NonIntegrableError("Luxemburg gauge needs integrable decay")
     value, its, _, _, _ = _gauges(field.grid, np.abs(field.values),
-                                  field.decay, THETA, 1e-8, 200)
+                                  field.decay, THETA, _GAUGE_TOL,
+                                  _GAUGE_DOUBLINGS)
     k = int(np.argmax(value))
     return NormReport(float(value[k]), attaining_parameter=field.ladder.levels[k],
-                      iterations=int(its.sum()), tolerance=1e-8)
+                      iterations=int(its.sum()), tolerance=_GAUGE_TOL)
 
 
 # ---------------------------------------------------------------------------

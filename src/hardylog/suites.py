@@ -13,13 +13,12 @@ import numpy as np
 
 from . import library as lib
 from .factor import coifman_rochberg_symbol, factorize, product
-from .grid import (Grid1D, HalfPlaneField, HeightLadder, SampledFunction,
-                   make_grid)
+from .grid import Grid1D, HalfPlaneField, HeightLadder, make_grid
 from .hankel import boundedness_study, hankel_apply, symbol_ladder, trial_pairs
 from .maximal import max_interval_average, nontangential_max
 from .spaces import E, bmo_plus_norm, hlog_norm, hp_norm, luxemburg_norm
-from .transforms import (boundary_value, poisson_extend, poisson_slice,
-                         resolvable, szego_project)
+from .transforms import (boundary_value, holomorphic_extension,
+                         poisson_slice, resolvable, szego_project)
 
 
 def _lemma31_symbols(grid: Grid1D, seed: int):
@@ -62,8 +61,8 @@ def _szego_gauss(grid: Grid1D, ladder: HeightLadder):
     ladder's lowest height."""
     if not resolvable(grid, ladder.levels[0]):
         return []
-    bound = szego_project(lib.gaussian_deriv(grid, 0.0, 1.0))
-    return [("szego_gauss", poisson_extend(bound, ladder))]
+    return [("szego_gauss", holomorphic_extension(
+        lib.gaussian_deriv(grid, 0.0, 1.0), ladder))]
 
 
 def _h1_family(grid: Grid1D, ladder: HeightLadder):
@@ -214,8 +213,7 @@ def suite_hankel(cfg):
     family = []
     for amp, freq in ((0.5, 2.0), (1.0, 1.0), (2.0, 0.5)):
         base = lib.exp_osc(grid, freq)
-        sym = SampledFunction(grid, amp * base.values, base.decay,
-                              bounded=True)
+        sym = base.with_values(amp * base.values)
         base_field = lib.field_exp_osc(grid, sem_ladder, freq)
         sym_field = HalfPlaneField(grid, sem_ladder, amp * base_field.values,
                                    base_field.decay)

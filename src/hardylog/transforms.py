@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .grid import (DecayClass, Grid1D, HalfPlaneField, HeightLadder,
+from .grid import (BOUNDED, DecayClass, Grid1D, HalfPlaneField, HeightLadder,
                    LOG_GROWTH, PreconditionError, SampledFunction,
                    power_decay)
 
@@ -115,8 +115,7 @@ def hilbert_transform(f0: SampledFunction, pad_factor: int = HILBERT_PAD
     out = np.fft.ifft(spec * mult)[lo:lo + n]
     if f0.is_real:
         out = out.real
-    bounded = f0.bounded if f0.decay.tag == "log_growth" else None
-    return SampledFunction(f0.grid, out, _hilbert_out_decay(f0), bounded=bounded)
+    return SampledFunction(f0.grid, out, _hilbert_out_decay(f0))
 
 
 def szego_project(f0: SampledFunction) -> SampledFunction:
@@ -131,13 +130,13 @@ def szego_project(f0: SampledFunction) -> SampledFunction:
     spec[n // 2:] = 0.0
     out = np.fft.ifft(spec)
     if f0.decay.tag == "log_growth":
-        decay, bounded = LOG_GROWTH, f0.bounded
+        decay = LOG_GROWTH
     elif _is_mean_zero(f0):
-        decay, bounded = _field_decay(f0.decay), None
+        decay = _field_decay(f0.decay)
     else:
         # surviving flat component: no decay at all
-        decay, bounded = LOG_GROWTH, True
-    return SampledFunction(f0.grid, out, decay, bounded=bounded)
+        decay = BOUNDED
+    return SampledFunction(f0.grid, out, decay)
 
 
 # ---------------------------------------------------------------------------
@@ -254,12 +253,13 @@ def _extend_heights(f0: SampledFunction, heights: np.ndarray,
 
 
 def _field_decay(d: DecayClass) -> DecayClass:
-    # kernel tails put a 1/x^2 floor under every slice
+    # kernel tails put a 1/x^2 floor under every slice; averaging keeps a
+    # non-decaying class, bounded or not, as it is
     if d.tag == "rapid":
         return power_decay(2.0)
     if d.tag == "power":
         return power_decay(min(d.p, 2.0))
-    return LOG_GROWTH
+    return d
 
 
 def poisson_extend(f0: SampledFunction, ladder: HeightLadder,
@@ -279,9 +279,17 @@ def poisson_slice(f0: SampledFunction, y: float,
                   pad_factor: int = POISSON_PAD) -> SampledFunction:
     """Single-height harmonic extension, returned as boundary-type samples."""
     vals = _extend_heights(f0, np.asarray([float(y)]), pad_factor)[0]
-    bounded = f0.bounded if f0.decay.tag == "log_growth" else None
-    return SampledFunction(f0.grid, vals, _field_decay(f0.decay),
-                           bounded=bounded)
+    return SampledFunction(f0.grid, vals, _field_decay(f0.decay))
+
+
+def holomorphic_extension(f0: SampledFunction, ladder: HeightLadder):
+    """Szego projection then harmonic extension; if the input is already in
+    the projection's range its closed-form continuation is retained."""
+    proj = szego_project(f0)
+    scale = float(np.max(np.abs(f0.values))) or 1.0
+    if float(np.max(np.abs(proj.values - f0.values))) <= 1e-12 * scale:
+        proj = f0
+    return poisson_extend(proj, ladder)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +302,6 @@ class BoundaryValue:
 
     f0: SampledFunction
     gap: float
-    threshold: float
     flagged: bool
 
 
@@ -304,4 +311,4 @@ def boundary_value(field: HalfPlaneField) -> BoundaryValue:
     f0 = field.slice_at(0)
     gap = float(np.max(np.abs(field.values[1] - field.values[0])))
     threshold = 0.05 * float(np.max(np.abs(field.values[0])) + 1e-300)
-    return BoundaryValue(f0, gap, threshold, gap > threshold)
+    return BoundaryValue(f0, gap, gap > threshold)

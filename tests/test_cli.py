@@ -272,6 +272,18 @@ class TestInputFileProperties:
             assert not out.exists()
 
 
+    def test_infinite_power_tail_is_parse_error(self, tmp_path):
+        # power:inf would drop the tail mass; the exponent must be finite
+        path = write_named(tmp_path, "p1")
+        path.write_text(path.read_text().replace("decay=power:2",
+                                                 "decay=power:inf", 1))
+        out = tmp_path / "out"
+        rc = main(SMALL + ["--out", str(out), "norm", "--input", str(path),
+                           "--norm", "l1"])
+        assert rc == EXIT_PARSE
+        assert not out.exists()
+
+
 class TestFactorizeCommand:
     def test_named_field(self, tmp_path):
         rc = main(SMALL + ["--out", str(tmp_path), "factorize",
@@ -377,6 +389,16 @@ class TestHankelCommand:
         default, small = reports
         assert default["seminorm"] == small["seminorm"]
         assert default["rows"] == small["rows"]
+
+    def test_saved_bounded_symbol_needs_continuation(self, tmp_path, capsys):
+        # the header keeps the bound, but a file has no continuation for
+        # the direct Poisson path
+        path = write_named(tmp_path, "exp_ix")
+        assert "decay=log_growth:bounded" in path.read_text().split("\n")[0]
+        rc = main(SMALL + ["--out", str(tmp_path / "out"), "hankel",
+                           "--input", str(path), "--trials", "1"])
+        assert rc == EXIT_PRECONDITION
+        assert "needs a closed-form continuation" in capsys.readouterr().err
 
     def test_unbounded_symbol_rejected_before_drawing(self, tmp_path,
                                                       monkeypatch):

@@ -30,7 +30,7 @@ class TestSymbol:
     def test_lower_bound_and_marking(self, rig_grid):
         b = coifman_rochberg_symbol(lib.gaussian(rig_grid, amplitude=50.0))
         assert b.values.real.min() >= 1.0
-        assert b.decay.tag == "log_growth" and b.bounded is False
+        assert b.decay.tag == "log_growth" and b.decay.bounded is False
         assert b.continuation is not None
 
     def test_rejects_non_integrable(self, rig_grid):
@@ -54,8 +54,8 @@ class TestBuildG:
         def cont(u):
             u = np.asarray(u, dtype=np.float64)
             return 1.0 + 1.0 / (np.pi * (1.0 + u * u))
-        b = SampledFunction(rig_grid, 1.0 + p1, lib.LOG_GROWTH,
-                            continuation=cont, bounded=True)
+        b = SampledFunction(rig_grid, 1.0 + p1, lib.BOUNDED,
+                            continuation=cont)
         g0, g_field = build_g(b, lad)
         q1 = x / (np.pi * (1.0 + x * x))
         assert max_abs(g0.values.imag - q1) <= 2e-4

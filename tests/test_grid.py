@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from hardylog import library as lib
-from hardylog.grid import (DecayClass, HalfPlaneField, HeightLadder,
+from hardylog.grid import (BOUNDED, DecayClass, HalfPlaneField, HeightLadder,
                            LOG_GROWTH, NonIntegrableError, PreconditionError,
                            RAPID, SampledFunction, integrate, integrate_window,
                            load_function, make_grid, make_ladder, power_decay,
-                           save_function)
+                           product_decay, save_function)
 
 
 class TestMakeGrid:
@@ -50,6 +50,40 @@ class TestDecayClass:
         with pytest.raises(PreconditionError):
             DecayClass("fast")
 
+    @pytest.mark.parametrize("text", ["power:inf", "power:nan", "power:-inf"])
+    def test_power_requires_finite_p(self, text):
+        # an infinite exponent would drop the tail mass from every integral
+        with pytest.raises(PreconditionError):
+            DecayClass.parse(text)
+
+    def test_decaying_classes_are_bounded(self):
+        assert DecayClass("rapid", bounded=False) == RAPID
+        assert RAPID.bounded and power_decay(1.5).bounded
+        assert not LOG_GROWTH.bounded and BOUNDED.bounded
+
+    def test_bounded_keeps_the_log_growth_tag(self):
+        # every non-decaying class takes the direct Poisson path by its tag
+        assert BOUNDED.tag == "log_growth" and not BOUNDED.integrable
+        assert (str(BOUNDED), str(LOG_GROWTH)) == ("log_growth:bounded",
+                                                   "log_growth")
+        assert DecayClass.parse("log_growth:bounded") == BOUNDED
+        with pytest.raises(PreconditionError):
+            DecayClass.parse("rapid:bounded")
+
+    @pytest.mark.parametrize("a,b,expected", [
+        (RAPID, LOG_GROWTH, RAPID),
+        (BOUNDED, RAPID, RAPID),
+        (power_decay(2.0), power_decay(1.5), power_decay(3.5)),
+        (power_decay(2.0), LOG_GROWTH, power_decay(2.0)),
+        (BOUNDED, power_decay(1.5), power_decay(1.5)),
+        (BOUNDED, BOUNDED, BOUNDED),
+        (BOUNDED, LOG_GROWTH, LOG_GROWTH),
+        (LOG_GROWTH, BOUNDED, LOG_GROWTH),
+        (LOG_GROWTH, LOG_GROWTH, LOG_GROWTH),
+    ])
+    def test_product_rule(self, a, b, expected):
+        assert product_decay(a, b) == expected
+
 
 class TestSampledFunction:
     def test_length_mismatch(self, small_grid):
@@ -72,9 +106,9 @@ class TestSampledFunction:
 
     def test_bounded_inferred(self, small_grid):
         f = SampledFunction(small_grid, np.zeros(small_grid.n), RAPID)
-        assert f.bounded is True
+        assert f.decay.bounded is True
         h = SampledFunction(small_grid, np.zeros(small_grid.n), LOG_GROWTH)
-        assert h.bounded is False
+        assert h.decay.bounded is False
 
 
 class TestIntegrate:
@@ -200,7 +234,7 @@ class TestSerialization:
     @given(st.floats(1e-6, 1e6),
            st.lists(st.complex_numbers(allow_nan=False, allow_infinity=False),
                     min_size=16, max_size=16),
-           st.one_of(st.just(RAPID), st.just(LOG_GROWTH),
+           st.one_of(st.just(RAPID), st.just(LOG_GROWTH), st.just(BOUNDED),
                      st.floats(1.0, 1e6, exclude_min=True).map(power_decay)))
     def test_round_trip_is_bit_exact(self, L, values, decay):
         f = SampledFunction(make_grid(L, 16), values, decay)
@@ -210,6 +244,16 @@ class TestSerialization:
             h = load_function(path)
         assert (h.grid, h.decay) == (f.grid, f.decay)
         assert h.values.tobytes() == f.values.tobytes()
+
+    def test_bounded_header(self, tmp_path, small_grid):
+        path = tmp_path / "sgn.txt"
+        save_function(lib.sign_step(small_grid), path)
+        head, body = path.read_text().split("\n", 1)
+        assert head.endswith(" decay=log_growth:bounded")
+        assert load_function(path).decay == BOUNDED
+        # a plain log_growth header states no bound
+        path.write_text(head.replace(":bounded", "") + "\n" + body)
+        assert load_function(path).decay == LOG_GROWTH
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "bad.txt"

@@ -7,7 +7,8 @@ from hardylog import hankel
 from hardylog.cli import RunConfig
 from hardylog.suites import suite_hankel
 from hardylog.grid import (HalfPlaneField, PreconditionError, SampledFunction,
-                           make_grid, make_ladder, power_decay)
+                           load_function, make_grid, make_ladder, power_decay,
+                           save_function)
 from hardylog.hankel import (boundedness_study, hankel_apply, hankel_form,
                              symbol_ladder, trial_pairs)
 from hardylog.spaces import bmoa_log_seminorm
@@ -52,6 +53,11 @@ class TestHankelApply:
         lhs = hankel_apply(b0, fi).values
         rhs = -1j * hankel_apply(b0, f0).values
         assert max_abs(lhs, rhs) <= 1e-12 * max_abs(rhs)
+
+    def test_saved_bounded_symbol_is_accepted(self, tmp_path, rig_grid):
+        path = tmp_path / "exp_ix.txt"
+        save_function(lib.exp_osc(rig_grid, 1.0), path)
+        hankel._check_symbol(load_function(path))
 
     def test_rejects_unbounded_symbol(self, rig_grid):
         la = lib.log_abs(rig_grid)
@@ -98,7 +104,7 @@ class TestHankelForm:
     def test_linear_in_symbol(self, rig_grid, pair_ladder):
         b1 = lib.exp_osc(rig_grid, 1.0)
         b2 = SampledFunction(rig_grid, 2.0 * b1.values, b1.decay,
-                             continuation=None, bounded=True)
+                             continuation=None)
         f = boundary_f(rig_grid, pair_ladder)
         g = lib.field_blaschke(rig_grid, pair_ladder).slice_at(0)
         assert abs(hankel_form(b2, f, g) -
@@ -166,7 +172,7 @@ class TestStudy:
         lad = make_ladder(0.5 * rig_grid.dx, 2 * rig_grid.L, 16)
         b1 = lib.exp_osc(rig_grid, 1.0)
         b2 = SampledFunction(rig_grid, 2.0 * b1.values, b1.decay,
-                             continuation=b1.continuation, bounded=True)
+                             continuation=b1.continuation)
         bf1 = lib.field_exp_osc(rig_grid, lad, 1.0)
         bf2 = HalfPlaneField(rig_grid, lad, 2.0 * bf1.values, bf1.decay)
         pairs = trial_pairs(rig_grid, 3, 5)

@@ -292,7 +292,7 @@ class TestBmo:
         mix = lib.bmo_mixture(rig_grid, np.random.default_rng(13))
         shifted = SampledFunction(
             rig_grid, mix.continuation(rig_grid.nodes - rig_grid.L / 4),
-            mix.decay, bounded=True)
+            mix.decay)
         v0 = bmo_norm(mix).value
         v1 = bmo_norm(shifted).value
         assert abs(v0 - v1) <= 0.05 * v0

@@ -4,9 +4,9 @@ from scipy.special import dawsn
 
 from conftest import max_abs, rel_l2
 from hardylog import library as lib
-from hardylog.grid import (NonIntegrableError, PreconditionError,
-                           SampledFunction, integrate, make_ladder,
-                           power_decay)
+from hardylog.grid import (BOUNDED, LOG_GROWTH, NonIntegrableError,
+                           PreconditionError, SampledFunction, integrate,
+                           make_grid, make_ladder, power_decay)
 from hardylog.transforms import (boundary_value, hilbert_transform,
                                  poisson_extend, poisson_kernel, poisson_slice,
                                  resolvable, szego_project)
@@ -50,8 +50,8 @@ class TestPoissonExtend:
         # log_growth input: the direct path, which ignores pad_factor
         a = lib.harmonic_freq(rig_grid, 1.0)
         x = rig_grid.nodes
-        f0 = SampledFunction(rig_grid, np.cos(a * x), lib.LOG_GROWTH,
-                             continuation=lambda u: np.cos(a * u), bounded=True)
+        f0 = SampledFunction(rig_grid, np.cos(a * x), lib.BOUNDED,
+                             continuation=lambda u: np.cos(a * u))
         out = poisson_slice(f0, 1.0, pad_factor=1)
         # direct path handles log_growth; compare against the exact damping
         assert max_abs(out.values.real, np.exp(-a) * np.cos(a * x)) < 5e-4
@@ -80,9 +80,14 @@ class TestPoissonExtend:
         with pytest.raises(PreconditionError):
             poisson_slice(f, below)
 
+    def test_slice_keeps_the_bound(self, rig_grid):
+        # averaging a bounded function keeps it bounded, and log|x| unbounded
+        assert poisson_slice(lib.sign_step(rig_grid), 1.0).decay == BOUNDED
+        assert poisson_slice(lib.log_abs(rig_grid), 1.0).decay == LOG_GROWTH
+
     def test_log_growth_needs_continuation(self, rig_grid):
         vals = np.sign(rig_grid.nodes)
-        bare = SampledFunction(rig_grid, vals, lib.LOG_GROWTH, bounded=True)
+        bare = SampledFunction(rig_grid, vals, lib.BOUNDED)
         with pytest.raises(PreconditionError):
             poisson_slice(bare, 1.0)
 
@@ -118,8 +123,8 @@ class TestPoissonExtend:
             def counted(u):
                 seen.append(np.size(u))
                 return np.sign(u)
-            f0 = SampledFunction(rig_grid, sg.values, lib.LOG_GROWTH,
-                                 continuation=counted, bounded=True)
+            f0 = SampledFunction(rig_grid, sg.values, lib.BOUNDED,
+                                 continuation=counted)
             poisson_extend(f0, make_ladder(1e-3, 1e3, count))
             assert sum(seen) <= 9 * n + 1 + 2 * 256
 
@@ -175,14 +180,31 @@ class TestHilbert:
             integrate(h)
 
 
+class TestUnboundedOutputs:
+    """H and the Szego projection do not map bounded functions to bounded
+    ones: H(sgn) = (2/pi) log|x| grows without bound."""
+
+    def test_hilbert_of_sign_step(self):
+        h = hilbert_transform(lib.sign_step(make_grid(16, 1024)))
+        assert np.max(np.abs(h.values)) > 7.0
+        assert h.decay == LOG_GROWTH
+
+    def test_szego_of_sign_step(self):
+        p = szego_project(lib.sign_step(make_grid(16, 1024)))
+        assert p.decay == LOG_GROWTH
+
+    def test_szego_flat_component_is_bounded(self, rig_grid):
+        # a nonzero mean leaves a constant, which is bounded
+        assert szego_project(lib.gaussian(rig_grid)).decay == BOUNDED
+
+
 class TestSzego:
     def test_fixes_nonnegative_spectrum(self, rig_grid):
         rng = np.random.default_rng(3)
         n = rig_grid.n
         spec = np.zeros(n, dtype=np.complex128)
         spec[: n // 2] = rng.normal(size=n // 2) + 1j * rng.normal(size=n // 2)
-        f0 = SampledFunction(rig_grid, np.fft.ifft(spec), lib.LOG_GROWTH,
-                             bounded=True)
+        f0 = SampledFunction(rig_grid, np.fft.ifft(spec), lib.BOUNDED)
         p = szego_project(f0)
         assert rel_l2(p.values, f0.values) <= 1e-10
 
@@ -190,7 +212,7 @@ class TestSzego:
         rng = np.random.default_rng(4)
         f0 = SampledFunction(
             rig_grid, rng.normal(size=rig_grid.n) +
-            1j * rng.normal(size=rig_grid.n), lib.LOG_GROWTH, bounded=True)
+            1j * rng.normal(size=rig_grid.n), lib.BOUNDED)
         p1 = szego_project(f0)
         p2 = szego_project(p1)
         assert rel_l2(p2.values, p1.values) <= 1e-10
@@ -205,9 +227,8 @@ class TestSzego:
     def test_conjugate_identity(self, rig_grid):
         rng = np.random.default_rng(5)
         vals = rng.normal(size=rig_grid.n) + 1j * rng.normal(size=rig_grid.n)
-        f0 = SampledFunction(rig_grid, vals, lib.LOG_GROWTH, bounded=True)
-        conj_f0 = SampledFunction(rig_grid, np.conj(vals), lib.LOG_GROWTH,
-                                  bounded=True)
+        f0 = SampledFunction(rig_grid, vals, lib.BOUNDED)
+        conj_f0 = SampledFunction(rig_grid, np.conj(vals), lib.BOUNDED)
         lhs = szego_project(f0).values + np.conj(szego_project(conj_f0).values)
         # flat (zero-frequency) component appears twice; Nyquist is dropped
         spec = np.fft.fft(vals)

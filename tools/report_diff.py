@@ -15,9 +15,10 @@ of one input named with --function and read with --input, and from
 --function again at y_min 1e-3; bmoalog of exp_ix; factorize from --field,
 --function and --input, from --field with --function, and from a field it
 cannot factorize; hankel on four symbols and on the input file at the
-default config; the input and config errors; and the six suites at the
-default config (L=64, n=4096, 48 levels), which take most of the few
-minutes a run needs.
+default config; the input and config errors; hankel on a saved exp_ix,
+which has no continuation, and norm on a copy of the input whose header
+says power:inf; and the six suites at the default config (L=64, n=4096, 48
+levels), which take most of the few minutes a run needs.
 """
 
 from __future__ import annotations
@@ -34,10 +35,17 @@ SMALL = ["--grid-L", "16", "--grid-n", "1024"]
 SUITES = ("lemma31", "prop31", "thm21", "thm11", "cr", "hankel")
 NORMS = ("l1", "llog", "bmo", "bmoplus", "h1", "hlog", "bmoalog", "carleson")
 INPUT = "in/gbump_odd.txt"
-SAVE_INPUT = ("from hardylog.grid import make_grid, save_function\n"
+SYMBOL_INPUT = "in/exp_ix.txt"
+POWER_INF_INPUT = "in/gbump_odd_power_inf.txt"
+SAVE_INPUT = ("from pathlib import Path\n"
+              "from hardylog.grid import make_grid, save_function\n"
               "from hardylog.library import named_function\n"
-              "save_function(named_function('gbump_odd', make_grid(16, 1024)),"
-              f" {INPUT!r})\n")
+              "grid = make_grid(16, 1024)\n"
+              f"save_function(named_function('gbump_odd', grid), {INPUT!r})\n"
+              f"save_function(named_function('exp_ix', grid), {SYMBOL_INPUT!r})\n"
+              f"text = Path({INPUT!r}).read_text()\n"
+              f"Path({POWER_INF_INPUT!r}).write_text("
+              "text.replace('decay=rapid', 'decay=power:inf', 1))\n")
 
 
 def _commands() -> list[tuple[str, list[str], list[str]]]:
@@ -84,6 +92,10 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
          ["hankel", "--function", "exp_ix"]),
         ("err_infinite_L", ["--grid-L", "inf", "--grid-n", "1024"],
          ["hankel", "--function", "exp_ix"]),
+        ("hankel_input_exp_ix", SMALL + ["--seed", "3"],
+         ["hankel", "--input", SYMBOL_INPUT, "--trials", "1"]),
+        ("norm_l1_input_power_inf", SMALL,
+         ["norm", "--input", POWER_INF_INPUT, "--norm", "l1"]),
     ]
     cmds += [(f"verify_{s}_rig", [], ["verify", "--suite", s]) for s in SUITES]
     return cmds
