@@ -4,13 +4,11 @@ seminorm of the symbol."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from . import library as lib
-from .grid import (Grid1D, HalfPlaneField, HeightLadder, PreconditionError,
-                   SampledFunction, line_integral, make_ladder, product_decay)
+from .grid import (Grid1D, HeightLadder, PreconditionError, SampledFunction,
+                   line_integral, make_ladder, product_decay)
 from .spaces import bmoa_log_seminorm, bmo_plus_norm, hp_norm
 from .transforms import (holomorphic_extension, poisson_extend, poisson_slice,
                          szego_project)
@@ -86,20 +84,18 @@ def trial_pairs(grid: Grid1D, trials: int, seed: int
     return pairs
 
 
-def boundedness_study(b0: SampledFunction, pairs: list,
-                      b_field: Optional[HalfPlaneField] = None) -> dict:
+def boundedness_study(b0: SampledFunction, pairs: list) -> dict:
     """Sweep of |<b, fg>| over the given test pairs (see trial_pairs).
 
-    The reported ratio divides by sqrt(seminorm) * ||g||, f being
-    normalized already; a symbol with vanishing tent seminorm (constants)
-    is flagged degenerate instead of ratioed.  Without b_field the symbol
-    is extended over symbol_ladder.
+    The symbol's tent seminorm is read from its extension over
+    symbol_ladder.  The reported ratio divides by sqrt(seminorm) * ||g||, f
+    being normalized already; a symbol with vanishing tent seminorm
+    (constants) is flagged degenerate instead of ratioed.
     """
     if not pairs:
         raise PreconditionError("need at least one trial")
-    if b_field is None:
-        b_field = poisson_extend(b0, symbol_ladder(b0.grid))
-    seminorm = bmoa_log_seminorm(b_field).value
+    seminorm = bmoa_log_seminorm(
+        poisson_extend(b0, symbol_ladder(b0.grid))).value
     degenerate = seminorm < _DEGENERATE_SEMINORM
 
     rows = []

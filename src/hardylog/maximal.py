@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
-from .grid import HalfPlaneField, PreconditionError, SampledFunction
+from .grid import HalfPlaneField, SampledFunction
 
 
 def _trailing_window_max(a: np.ndarray, size: int) -> np.ndarray:
@@ -40,23 +40,13 @@ def max_interval_average(values: np.ndarray) -> np.ndarray:
     return best
 
 
-def nontangential_max(field: HalfPlaneField, y_max: float | None = None
-                      ) -> SampledFunction:
+def nontangential_max(field: HalfPlaneField) -> SampledFunction:
     """Cone maximal function f*(x_j) = sup |field| over ladder points in the
-    aperture-one cone above x_j, truncated at y_max (default: ladder top)."""
+    aperture-one cone above x_j."""
     grid, ladder = field.grid, field.ladder
-    if y_max is None:
-        y_max = ladder.levels[-1]
-    if not y_max > 0:
-        raise PreconditionError("y_max must be positive")
-    if y_max * (1.0 + 1e-12) < ladder.levels[0]:
-        raise PreconditionError("y_max truncates below the lowest ladder level")
     mags = np.abs(field.values)
     best = np.full(grid.n, -np.inf)
-    tol = 1.0 + 1e-12
     for k, y in enumerate(ladder.levels):
-        if y > y_max * tol:
-            break
         # offsets with |i|*dx < y, strictly
         half = int(np.ceil(y / grid.dx - 1e-12)) - 1
         row = mags[k]

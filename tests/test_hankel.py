@@ -1,14 +1,15 @@
+import json
+
 import numpy as np
 import pytest
 
 from conftest import max_abs
 from hardylog import library as lib
 from hardylog import hankel
-from hardylog.cli import RunConfig
+from hardylog.cli import EXIT_OK, RunConfig, main
 from hardylog.suites import suite_hankel
-from hardylog.grid import (HalfPlaneField, PreconditionError, SampledFunction,
-                           load_function, make_grid, make_ladder, power_decay,
-                           save_function)
+from hardylog.grid import (PreconditionError, SampledFunction, load_function,
+                           make_grid, make_ladder, power_decay, save_function)
 from hardylog.hankel import (boundedness_study, hankel_apply, hankel_form,
                              symbol_ladder, trial_pairs)
 from hardylog.spaces import bmoa_log_seminorm
@@ -162,23 +163,21 @@ class TestTrialPairs:
 class TestStudy:
     def test_deterministic(self, rig_grid):
         b0 = lib.exp_osc(rig_grid, 1.0)
-        lad = make_ladder(0.5 * rig_grid.dx, 2 * rig_grid.L, 16)
-        bf = lib.field_exp_osc(rig_grid, lad, 1.0)
-        s1 = boundedness_study(b0, trial_pairs(rig_grid, 3, 77), bf)
-        s2 = boundedness_study(b0, trial_pairs(rig_grid, 3, 77), bf)
+        s1 = boundedness_study(b0, trial_pairs(rig_grid, 3, 77))
+        s2 = boundedness_study(b0, trial_pairs(rig_grid, 3, 77))
         assert s1 == s2
 
     def test_symbol_doubling_doubles_forms(self, rig_grid):
-        lad = make_ladder(0.5 * rig_grid.dx, 2 * rig_grid.L, 16)
+        # doubling is exact in floating point, so the form doubles and the
+        # quadratic tent seminorm quadruples to rounding
         b1 = lib.exp_osc(rig_grid, 1.0)
         b2 = SampledFunction(rig_grid, 2.0 * b1.values, b1.decay,
-                             continuation=b1.continuation)
-        bf1 = lib.field_exp_osc(rig_grid, lad, 1.0)
-        bf2 = HalfPlaneField(rig_grid, lad, 2.0 * bf1.values, bf1.decay)
+                             continuation=lambda u: 2.0 * b1.continuation(u))
         pairs = trial_pairs(rig_grid, 3, 5)
-        s1 = boundedness_study(b1, pairs, bf1)
-        s2 = boundedness_study(b2, pairs, bf2)
+        s1 = boundedness_study(b1, pairs)
+        s2 = boundedness_study(b2, pairs)
         assert abs(s2["max_form"] - 2.0 * s1["max_form"]) <= 1e-12
+        assert abs(s2["seminorm"] / (4.0 * s1["seminorm"]) - 1.0) <= 1e-12
 
     def test_constant_symbol_degenerate(self, rig_grid):
         study = boundedness_study(lib.constant(rig_grid, 2.0),
@@ -201,3 +200,41 @@ class TestStudy:
             poisson_extend(lib.exp_osc(grid, freq), lad)).value
         exact = bmoa_log_seminorm(lib.field_exp_osc(grid, lad, freq)).value
         assert abs(extended / exact - 1.0) <= 0.01
+
+
+class TestSuiteStudy:
+    """verify --suite hankel runs the study of hankel --function exp_ix."""
+
+    SMALL = ["--grid-L", "16", "--grid-n", "1024", "--seed", "3"]
+
+    def test_suite_equals_command(self, tmp_path):
+        rows, summary = suite_hankel(RunConfig(grid_l=16.0, grid_n=1024,
+                                               y_min=0.1, seed=3))
+        rc = main(self.SMALL + ["--y-min", "0.1", "--out", str(tmp_path),
+                                "hankel", "--function", "exp_ix",
+                                "--trials", "50"])
+        assert rc == EXIT_OK
+        rep = json.loads((tmp_path / "hankel_study.json").read_text())
+        # in memory: the CSV rounds to 12 digits
+        assert summary["seminorm"] == rep["seminorm"]
+        assert summary["max_ratio"] == rep["ratio"]
+        trials = rows[1:]
+        assert len(trials) == len(rep["rows"]) == 50
+        for (case, form, _, ratio), r in zip(trials, rep["rows"]):
+            assert case == f"trial{r['trial']}"
+            assert (form, ratio) == (r["form"], r["ratio"])
+
+    def test_reports_do_not_depend_on_the_ladder(self, tmp_path):
+        reports = []
+        for y_min in ("1e-3", "0.1"):
+            out = tmp_path / y_min
+            rc = main(self.SMALL + ["--y-min", y_min, "--out", str(out),
+                                    "verify", "--suite", "hankel"])
+            assert rc == EXIT_OK
+            summary = json.loads((out / "verify_hankel.json").read_text())
+            reports.append(((out / "verify_hankel.csv").read_bytes(),
+                            summary.pop("config_hash"), summary))
+        (csv_lo, hash_lo, json_lo), (csv_hi, hash_hi, json_hi) = reports
+        assert csv_lo == csv_hi
+        assert json_lo == json_hi
+        assert hash_lo != hash_hi

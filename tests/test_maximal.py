@@ -3,8 +3,8 @@ import pytest
 
 from conftest import max_abs
 from hardylog import library as lib
-from hardylog.grid import (PreconditionError, SampledFunction, make_grid,
-                           make_ladder, power_decay, sample_field)
+from hardylog.grid import (SampledFunction, make_grid, make_ladder,
+                           power_decay, sample_field)
 from hardylog.maximal import max_interval_average, nontangential_max
 from hardylog.transforms import poisson_extend
 
@@ -88,14 +88,6 @@ class TestNontangentialMax:
         star = nontangential_max(fld)
         assert np.all(star.values.real >= np.abs(fld.values[0]) - 1e-14)
 
-    def test_monotone_in_truncation(self, small_grid):
-        lad = make_ladder(0.05, 4.0, 12)
-        fld = sample_field(small_grid, lad,
-                           lambda z: np.exp(1j * z), lib.LOG_GROWTH)
-        lo = nontangential_max(fld, y_max=1.0)
-        hi = nontangential_max(fld)
-        assert np.all(hi.values.real >= lo.values.real - 1e-15)
-
     def test_matches_brute_cone_scan(self):
         g = make_grid(2, 64)
         lad = make_ladder(0.05, 2.0, 9)
@@ -103,20 +95,14 @@ class TestNontangentialMax:
         from hardylog.grid import HalfPlaneField, RAPID
         vals = rng.normal(size=(9, g.n)) + 1j * rng.normal(size=(9, g.n))
         fld = HalfPlaneField(g, lad, vals, RAPID)
-        star = nontangential_max(fld, y_max=1.5)
+        star = nontangential_max(fld)
         mags = np.abs(vals)
         for j in (0, 7, 31, 40, 63):
             apex = g.nodes[j]
             best = -np.inf
             for k, y in enumerate(lad.levels):
                 for i in range(g.n):
-                    # aperture-one cone truncated at 1.5
-                    if abs(g.nodes[i] - apex) < y <= 1.5:
+                    # aperture-one cone over the whole ladder
+                    if abs(g.nodes[i] - apex) < y:
                         best = max(best, mags[k, i])
             assert abs(star.values.real[j] - best) < 1e-14
-
-    def test_truncation_below_ladder_rejected(self, small_grid):
-        lad = make_ladder(0.5, 10.0, 8)
-        fld = lib.field_constant(small_grid, lad, 1.0)
-        with pytest.raises(PreconditionError):
-            nontangential_max(fld, y_max=0.1)

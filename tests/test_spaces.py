@@ -303,6 +303,46 @@ class TestBmo:
         assert 0.0 < rep.value < 2.0
 
 
+_BMO_GRID = make_grid(4, 256)
+_seeds = st.integers(0, 2 ** 32 - 1)
+# +-10**e: a factor that keeps the scaled samples clear of underflow
+_factors = st.tuples(st.sampled_from([-1.0, 1.0]),
+                     st.floats(-3.0, 3.0)).map(lambda t: t[0] * 10.0 ** t[1])
+
+
+def _random_real(seed):
+    """Seeded real samples on _BMO_GRID: Gaussian noise at a random scale."""
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=_BMO_GRID.n) * 10.0 ** rng.uniform(-3.0, 3.0)
+    return SampledFunction(_BMO_GRID, vals, RAPID)
+
+
+class TestBmoInvariances:
+    """Laws of the mean-oscillation seminorm on real data, which any faster
+    per-window scorer must keep."""
+
+    @given(_seeds, st.floats(-1e3, 1e3))
+    def test_constant_shift(self, seed, c):
+        f = _random_real(seed)
+        shifted = f.with_values(f.values + c)
+        sup = float(np.max(np.abs(f.values)))
+        assert abs(bmo_norm(shifted).value - bmo_norm(f).value) \
+            <= 1e-12 * (sup + abs(c))
+
+    @given(_seeds, _factors)
+    def test_homogeneous(self, seed, a):
+        f = _random_real(seed)
+        scaled = f.with_values(a * f.values)
+        sup = float(np.max(np.abs(f.values)))
+        assert abs(bmo_norm(scaled).value - abs(a) * bmo_norm(f).value) \
+            <= 1e-12 * abs(a) * sup
+
+    @given(_seeds)
+    def test_at_most_twice_the_sup(self, seed):
+        f = _random_real(seed)
+        assert bmo_norm(f).value <= 2.0 * float(np.max(np.abs(f.values)))
+
+
 class TestBmoPlus:
     def test_zero(self, small_grid):
         z = SampledFunction(small_grid, np.zeros(small_grid.n), RAPID)

@@ -14,11 +14,13 @@ The set: the six suites at n=1024 with y_min 1e-3 and 0.1; all eight norms
 of one input named with --function and read with --input, and from
 --function again at y_min 1e-3; bmoalog of exp_ix; factorize from --field,
 --function and --input, from --field with --function, and from a field it
-cannot factorize; hankel on four symbols and on the input file at the
-default config; the input and config errors; hankel on a saved exp_ix,
-which has no continuation, and norm on a copy of the input whose header
-says power:inf; and the six suites at the default config (L=64, n=4096, 48
-levels), which take most of the few minutes a run needs.
+cannot factorize; hankel on four symbols, on exp_ix with the hankel
+suite's 50 trials at y_min 0.1 (the study that suite reports), and on the
+input file at the default config; the input and config errors; hankel on
+a saved exp_ix, which has no continuation, and norm on a copy of the input
+whose header says power:inf; and the six suites at the default config
+(L=64, n=4096, 48 levels), which take most of the few minutes a run
+needs.
 """
 
 from __future__ import annotations
@@ -76,6 +78,9 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
     cmds += [(f"hankel_{s}", SMALL + ["--seed", "3"],
               ["hankel", "--function", s, "--trials", "5"])
              for s in ("exp_ix", "sgn", "one", "logabs")]
+    # the study verify --suite hankel reports, as the command prints it
+    cmds.append(("hankel_exp_ix_suite_trials", SMALL + ["--y-min", "0.1"],
+                 ["hankel", "--function", "exp_ix", "--trials", "50"]))
     # a file is read on its header's grid, not on the default config's
     cmds.append(("hankel_input_default_config", [],
                  ["hankel", "--input", INPUT, "--trials", "5"]))
