@@ -12,6 +12,20 @@ Suprema over intervals run over a finite two-part family: every window whose
 sample count is a power of two at every offset, plus node-centered windows
 with radii from a 16-step logarithmic ladder.  The family is fixed and the
 sweeps reduce in a deterministic order.
+
+The mean-oscillation sweep scores a window as the average of |f - m| over
+its samples, m the window mean from a prefix difference, and scores only
+the windows that can win.  For every window it first bounds that computed
+score, rounding included: by Cauchy-Schwarz, mean|f - m| is at most the
+window's standard deviation plus |m - exact mean|, and the deviation comes
+from prefix sums of scaled, centered samples with their rounding envelopes
+added.  LB, the best score among each count's highest-bound window, is a
+score some window attains.  A window whose bound is below LB cannot reach
+the sup, so it gets -inf; every other window gets the same formula as an
+exhaustive sweep, and the first-index maximum picks the same value, the
+same attaining {x0, r} and the same window count, bit for bit.  Overflow
+leaves inf or NaN bounds, which keep their windows, so the same error is
+raised.
 """
 
 from __future__ import annotations
@@ -29,6 +43,9 @@ E = float(np.e)
 
 _RADIUS_LADDER_STEPS = 16
 _OSC_CHUNK = 1 << 22     # elements per sliding-window chunk
+_U = 2.0 ** -53          # unit roundoff of float64
+_TINY = 4.0 * np.finfo(float).tiny   # squares lost to underflow
+_ABS_SLACK = 2.0 ** -1060            # rounding of subnormal scores and bounds
 _GAUGE_TOL = 1e-8        # |phi - 1| at which a Luxemburg bisection stops
 _GAUGE_DOUBLINGS = 200   # bracket steps before a gauge gives up
 
@@ -229,21 +246,84 @@ def _family_sup(grid: Grid1D, scores) -> NormReport:
     return NormReport(best, attaining_parameter=best_iv, iterations=scanned)
 
 
+def _prefix(x: np.ndarray) -> np.ndarray:
+    return np.concatenate((np.zeros(1, dtype=x.dtype), np.cumsum(x)))
+
+
+def _oscillation_bounds(vals: np.ndarray, counts: list[int]) -> dict:
+    """Per count, an upper bound on every window's score as `bmo_norm`
+    computes it, rounding included; NaN or inf where that score may be.
+
+    Cauchy-Schwarz bounds mean|f - m| by the window's standard deviation
+    plus the error of the rounded mean m.  The deviation comes from prefix
+    sums of u = (f - mean f)/s, where the power of two s puts |u| below 1
+    exactly, so tiny data cannot underflow.  g (2n+8 unit roundoffs) times
+    the sum of a window's two end prefixes of |terms| bounds the rounding of
+    its window sum; it is at least 8 roundoffs of the window sum itself,
+    which covers the subtractions, squares and divisions around it."""
+    n = vals.size
+    g = 2.0 * (n + 4) * _U
+    bounds = {}
+    with np.errstate(all="ignore"):     # overflow gives inf or NaN bounds
+        dev = vals - vals.mean()
+        scale = np.ldexp(1.0, np.frexp(np.max(np.abs(dev)))[1])
+        u = dev / scale
+        mag = np.abs(u)
+        p1, q1, p2, raw = (_prefix(x) for x in (
+            u, mag, mag * mag, np.abs(vals)))
+        for c in counts:
+            s1 = np.abs(p1[c:] - p1[:-c])
+            e1 = g * (q1[c:] + q1[:-c])
+            s2 = p2[c:] - p2[:-c]
+            e2 = g * (p2[c:] + p2[:-c])
+            # e2 twice: once for the prefix sums, once for this difference
+            var = (s2 + 2.0 * e2 - np.maximum(s1 - e1, 0.0) ** 2 / c) / c
+            # 2u: the rounding of f - mean f, at most u|u_j| < u
+            sigma = np.sqrt(np.maximum(var, 0.0) + _TINY) + 2.0 * _U
+            mean_err = g * (raw[c:] + raw[:-c]) / c
+            bound = (scale * sigma + mean_err) * (1.0 + 4.0 * (c + 8) * _U)
+            # a score overflows in its window sum, so c * bound must too
+            bounds[c] = bound * c / c + _ABS_SLACK
+    return bounds
+
+
 def bmo_norm(f0: SampledFunction) -> NormReport:
     """Mean-oscillation seminorm: sup over the interval family of the window
     average of |f - window mean|.  Vanishes exactly on constants."""
     vals = f0.values.real if f0.is_real else f0.values
-    prefix = np.concatenate((np.zeros(1, dtype=vals.dtype), np.cumsum(vals)))
+    prefix = _prefix(vals)
+    counts = _window_counts(f0.grid)
+    bounds = _oscillation_bounds(vals, counts)
 
-    def oscillation(count):
-        means = (prefix[count:] - prefix[:-count]) / count
+    def oscillation(count, offsets):
         windows = np.lib.stride_tricks.sliding_window_view(vals, count)
+        means = (prefix[offsets + count] - prefix[offsets]) / count
         chunk = max(1, _OSC_CHUNK // count)
-        return np.concatenate([
-            np.abs(windows[a:a + chunk] - means[a:a + chunk, None]).mean(axis=1)
-            for a in range(0, means.size, chunk)])
+        out = np.empty(offsets.size)
+        for a in range(0, offsets.size, chunk):
+            dev = windows[offsets[a:a + chunk]]
+            dev -= means[a:a + chunk, None]
+            out[a:a + chunk] = np.abs(dev).mean(axis=1)
+        return out
 
-    return _family_sup(f0.grid, oscillation)
+    # LB tries each count's highest-bound window, highest first, until no
+    # count is left whose top bound could raise it
+    lb = -np.inf
+    for top, count, k in sorted(((b.max(), c, int(np.argmax(b)))
+                                 for c, b in bounds.items()), reverse=True):
+        if top < lb:
+            break
+        lb = max(lb, oscillation(count, np.array([k]))[0])
+
+    def scores(count):
+        b = bounds[count]
+        keep = np.flatnonzero(~(b < lb))      # NaN bounds are kept
+        s = np.full(b.size, -np.inf)
+        if keep.size:
+            s[keep] = oscillation(count, keep)
+        return s
+
+    return _family_sup(f0.grid, scores)
 
 
 def bmo_plus_norm(f0: SampledFunction) -> NormReport:

@@ -272,6 +272,17 @@ class TestInputFileProperties:
             assert not out.exists()
 
 
+    def test_overflowing_bmo_is_precondition_error(self, tmp_path):
+        # prefix sums of a 1e306 constant overflow; the sweep must not
+        # prune the inf scores away and print a finite norm
+        g = make_grid(16, 1024)
+        path = tmp_path / "big.txt"
+        save_function(lib.constant(g, 1e306), path)
+        with np.errstate(all="ignore"):
+            rc = main(SMALL + ["--out", str(tmp_path / "out"), "norm",
+                               "--input", str(path), "--norm", "bmo"])
+        assert rc == EXIT_PRECONDITION
+
     def test_infinite_power_tail_is_parse_error(self, tmp_path):
         # power:inf would drop the tail mass; the exponent must be finite
         path = write_named(tmp_path, "p1")

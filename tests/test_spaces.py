@@ -514,6 +514,44 @@ def _as_tuple(rep):
     return rep.value, rep.attaining_parameter, rep.iterations
 
 
+# Samples whose rounding stresses a pruned sweep: each maps (n, rng) to
+# real or complex values.  On the constants the rounded window means leave
+# scores near 1e-15, and those are the sup.
+_ADVERSARIAL = {
+    "const_0.1": lambda n, rng: np.full(n, 0.1),
+    "const_third": lambda n, rng: np.full(n, 1.0 / 3.0),
+    "zeros": lambda n, rng: np.zeros(n),
+    "noise_1e-300": lambda n, rng: 1e-300 * rng.standard_normal(n),
+    "noise_1e-310": lambda n, rng: 1e-310 * rng.standard_normal(n),
+    "1e8_plus_noise": lambda n, rng: 1e8 + rng.standard_normal(n),
+    "1e3_plus_ripple": lambda n, rng: 1e3 + 1e-12 * np.sin(np.arange(n)),
+    "complex_1e6_offset": lambda n, rng: (1e6 + rng.standard_normal(n)
+                                          + 1j * rng.standard_normal(n)),
+    "period_16": lambda n, rng: np.where(np.arange(n) // 8 % 2 == 0, 1.0, -1.0),
+    "random_signs": lambda n, rng: rng.choice([-1.0, 1.0], n),
+    "step_plus_1e-10_noise": lambda n, rng: (
+        np.where(np.arange(n) < n // 2, -1.0, 1.0)
+        + 1e-10 * rng.standard_normal(n)),
+    "mixture": lambda n, rng: lib.bmo_mixture(make_grid(8, n), rng).values,
+}
+
+# prefix or window sums of these overflow, so the sweep meets inf or NaN
+# scores; a window that holds both 8e307 spikes has a finite bound on its
+# mean deviation but a window sum above the float range
+_OVERFLOWING = {
+    "two_spikes_8e307": lambda n: np.where(
+        np.isin(np.arange(n), [n // 3, n // 3 + 4]), 8e307, 0.0),
+    "spike_1e308": lambda n: np.where(np.arange(n) == n // 3, 1e308, 0.0),
+    "spike_-1e308": lambda n: np.where(np.arange(n) == n // 3, -1e308, 0.0),
+    "spikes_pm_1e308": lambda n: np.where(
+        np.arange(n) == n // 3, 1e308,
+        np.where(np.arange(n) == n // 2, -1e308, 0.0)),
+    "const_1e306": lambda n: np.full(n, 1e306),
+    "noise_1e307": lambda n: 1e307 * np.random.default_rng(n)
+    .standard_normal(n),
+}
+
+
 class TestSharedSweep:
     """Every interval-family norm reports the value, attaining {x0, r} and
     window count of one first-index sweep over _window_counts."""
@@ -541,6 +579,23 @@ class TestSharedSweep:
         f = SampledFunction(grid, vals, RAPID)
         assert _as_tuple(bmo_norm(f)) == _scan(grid, _oscillations(f.values))
 
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("name", sorted(_ADVERSARIAL))
+    def test_bmo_rounding_adversarial(self, name, n):
+        grid = make_grid(8, n)
+        f = SampledFunction(grid, _ADVERSARIAL[name](
+            n, np.random.default_rng(n)), RAPID)
+        vals = f.values.real if f.is_real else f.values
+        assert _as_tuple(bmo_norm(f)) == _scan(grid, _oscillations(vals))
+
+    @pytest.mark.parametrize("name", sorted(_OVERFLOWING))
+    def test_bmo_overflow_fails_loudly(self, name):
+        grid = make_grid(8, 256)
+        f = SampledFunction(grid, _OVERFLOWING[name](grid.n), RAPID)
+        with np.errstate(all="ignore"), pytest.raises(
+                PreconditionError, match="finite and nonnegative"):
+            bmo_norm(f)
+
     def test_tent_norms(self, grid):
         lad = make_ladder(0.5 * grid.dx, 2.0 * grid.L, 16)
         for fld in (lib.field_exp_osc(grid, lad, 1.0),
@@ -553,3 +608,41 @@ class TestSharedSweep:
             assert _as_tuple(bmoa_log_seminorm(fld)) == _scan(
                 grid, _tent_scores(fld, energy, lambda boxes, x0s, r: boxes * (
                     abs(np.log(r)) + np.log(E + np.abs(x0s))) / r))
+
+
+class TestOscillationBounds:
+    """The per-window bounds that let bmo_norm skip windows."""
+
+    @pytest.mark.parametrize("name", sorted(_ADVERSARIAL))
+    def test_bound_every_computed_score(self, name):
+        grid = make_grid(8, 256)
+        f = SampledFunction(grid, _ADVERSARIAL[name](
+            grid.n, np.random.default_rng(3)), RAPID)
+        vals = f.values.real if f.is_real else f.values
+        scores = _oscillations(vals)
+        counts = _window_counts(grid)
+        bounds = spaces._oscillation_bounds(vals, counts)
+        for count in counts:
+            assert np.all(bounds[count] >= scores(count))
+
+    @pytest.mark.parametrize("name", sorted(_OVERFLOWING))
+    def test_overflowing_windows_keep_unbounded_bounds(self, name):
+        # a window whose score may be inf or NaN keeps an inf or NaN bound
+        grid = make_grid(8, 256)
+        vals = _OVERFLOWING[name](grid.n)
+        with np.errstate(all="ignore"):
+            scores = _oscillations(vals)
+            for count, b in spaces._oscillation_bounds(
+                    vals, _window_counts(grid)).items():
+                s = scores(count)
+                assert not np.any(np.isfinite(b) & ~np.isfinite(s))
+
+    def test_few_windows_can_win_on_a_mixture(self):
+        grid = make_grid(64, 4096)
+        f = lib.bmo_mixture(grid, np.random.default_rng(0))
+        sup = bmo_norm(f).value
+        bounds = spaces._oscillation_bounds(f.values.real,
+                                            _window_counts(grid))
+        reach = sum(int(np.sum(b >= sup)) for b in bounds.values())
+        total = sum(b.size for b in bounds.values())
+        assert reach <= 0.05 * total
