@@ -289,7 +289,9 @@ def _oscillation_bounds(vals: np.ndarray, counts: list[int]) -> dict:
 
 def bmo_norm(f0: SampledFunction) -> NormReport:
     """Mean-oscillation seminorm: sup over the interval family of the window
-    average of |f - window mean|.  Vanishes exactly on constants."""
+    average of |f - window mean|.  On a constant c it is rounding noise of
+    order n*eps*|c|, not exactly zero: each window mean is a rounded
+    difference of prefix sums of the samples."""
     vals = f0.values.real if f0.is_real else f0.values
     prefix = _prefix(vals)
     counts = _window_counts(f0.grid)

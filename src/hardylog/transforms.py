@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import irfft, next_fast_len, rfft
 
 from .grid import (BOUNDED, DecayClass, Grid1D, HalfPlaneField, HeightLadder,
                    LOG_GROWTH, PreconditionError, SampledFunction,
@@ -164,6 +163,21 @@ def _cheb_interpolation(x: np.ndarray, half: float):
     return nodes, q / q.sum(axis=1, keepdims=True)
 
 
+def _smooth_len(target: int) -> int:
+    """Smallest 2^a 3^b 5^c >= target: the 5-smooth lengths that pocketfft
+    runs real FFTs fastest at."""
+    best = 1 << (target - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # least power-of-two multiple of p35 reaching target
+            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _direct_heights(f0: SampledFunction, heights: np.ndarray) -> np.ndarray:
     """Poisson quadrature split at |u| = W = 9L in absolute coordinates.
 
@@ -191,10 +205,10 @@ def _direct_heights(f0: SampledFunction, heights: np.ndarray) -> np.ndarray:
     near = dx * np.append(ext, f0.continuation(np.array([split])))
     near[[0, -1]] *= 0.5
     span = _DIRECT_WINDOW * n
-    size = next_fast_len(span + n, real=True)
+    size = _smooth_len(span + n)
     real = f0.is_real
     parts = [near.real] if real else [near.real, near.imag]
-    near_spec = rfft(np.array(parts), size)
+    near_spec = np.fft.rfft(np.array(parts), size)
     # x_j - u_m = (j - m + (span - n)/2) dx sits at tap index j - m + span
     taps_x = dx * (np.arange(span + n) - (span + n) // 2)
 
@@ -209,20 +223,23 @@ def _direct_heights(f0: SampledFunction, heights: np.ndarray) -> np.ndarray:
     w_far = np.tile(w_s * u, 2)                # jacobian of u = W e^s
     cont_far = f0.continuation(u_far)
     cheb, interp = _cheb_interpolation(grid.nodes, L)
+    far_x = cheb[:, None] - u_far[None, :]
 
     near_val = np.empty((heights.size, n), dtype=np.complex128)
     near_mass = np.empty((heights.size, n))
     far_val = np.empty((_FAR_CHEB, heights.size), dtype=np.complex128)
     far_mass = np.empty((_FAR_CHEB, heights.size))
+    cum = np.zeros(span + n + 1)
     for k, y in enumerate(heights):
         taps = poisson_kernel(y, taps_x)
-        conv = irfft(near_spec * rfft(taps, size), size)[:, span:span + n]
+        conv = np.fft.irfft(near_spec * np.fft.rfft(taps, size),
+                           size)[:, span:span + n]
         near_val[k] = conv[0] if real else conv[0] + 1j * conv[1]
         # near-trapezoid kernel mass at each node, from running tap sums
-        cum = np.concatenate(([0.0], np.cumsum(taps)))
+        np.cumsum(taps, out=cum[1:])
         near_mass[k] = dx * (cum[span + 1:span + n + 1] - cum[:n]
                              - 0.5 * (taps[:n] + taps[span:span + n]))
-        kern = poisson_kernel(y, cheb[:, None] - u_far[None, :]) * w_far
+        kern = poisson_kernel(y, far_x) * w_far
         far_val[:, k] = kern @ cont_far
         far_mass[:, k] = kern.sum(axis=1)
     # discrete partition of unity: constants are reproduced exactly

@@ -432,3 +432,15 @@ class TestImportCost:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "False"
+
+    @pytest.mark.parametrize("module", ["hardylog.cli", "hardylog.oracles"])
+    def test_import_loads_no_scipy(self, module):
+        # the runtime needs NumPy alone; SciPy's import was most of the
+        # start-up of a one-shot command
+        src = os.path.dirname(os.path.dirname(hardylog.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        code = (f"import sys, {module}; print(sorted(m for m in sys.modules "
+                "if m == 'scipy' or m.startswith('scipy.')))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"

@@ -3,8 +3,9 @@ import pytest
 
 from conftest import max_abs
 from hardylog import library as lib
-from hardylog.grid import (SampledFunction, make_grid, make_ladder,
-                           power_decay, sample_field)
+from hardylog import maximal
+from hardylog.grid import (HalfPlaneField, RAPID, SampledFunction, make_grid,
+                           make_ladder, power_decay, sample_field)
 from hardylog.maximal import max_interval_average, nontangential_max
 from hardylog.transforms import poisson_extend
 
@@ -20,6 +21,43 @@ def brute_max_average(values):
             avg = (pref[hi + 1] - pref[lo]) / (hi + 1 - lo)
             out[lo:hi + 1] = np.maximum(out[lo:hi + 1], avg)
     return out
+
+
+def brute_power_of_two_average(values):
+    """Every power-of-two window at every offset, O(n^2)."""
+    a = np.abs(values)
+    n = a.size
+    pref = np.concatenate(([0.0], np.cumsum(a)))
+    out = a.copy()
+    size = 2
+    while size <= n:
+        for lo in range(n - size + 1):
+            avg = (pref[lo + size] - pref[lo]) / size
+            out[lo:lo + size] = np.maximum(out[lo:lo + size], avg)
+        size *= 2
+    return out
+
+
+def brute_window_max(a, before, after):
+    padded = np.concatenate((np.full(before, -np.inf), a,
+                             np.full(after, -np.inf)))
+    windows = np.lib.stride_tricks.sliding_window_view(padded,
+                                                       before + after + 1)
+    return windows.max(axis=-1)
+
+
+class TestWindowMax:
+    @pytest.mark.parametrize("centred", [False, True])
+    @pytest.mark.parametrize("n", [1, 2, 7, 1024])
+    def test_matches_sliding_window_scan(self, n, centred):
+        # sizes past n: windows wider than the data see only -inf beyond it
+        a = np.random.default_rng(n).normal(size=n)
+        for size in range(1, n + 3):
+            before, after = ((size // 2, (size - 1) // 2) if centred
+                             else (size - 1, 0))
+            got = maximal._window_max(a, before, after)
+            assert got.tobytes() == brute_window_max(a, before,
+                                                     after).tobytes()
 
 
 class TestHlMaximal:
@@ -65,6 +103,12 @@ class TestHlMaximal:
         assert np.all(fast <= brute + 1e-12)
         assert np.all(brute <= 2.0 * fast + 1e-12)
 
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_equals_power_of_two_window_scan(self, n):
+        v = np.random.default_rng(n).normal(size=n)
+        assert (max_interval_average(v).tobytes()
+                == brute_power_of_two_average(v).tobytes())
+
 
 class TestNontangentialMax:
     def test_constant_field(self, small_grid):
@@ -92,7 +136,6 @@ class TestNontangentialMax:
         g = make_grid(2, 64)
         lad = make_ladder(0.05, 2.0, 9)
         rng = np.random.default_rng(8)
-        from hardylog.grid import HalfPlaneField, RAPID
         vals = rng.normal(size=(9, g.n)) + 1j * rng.normal(size=(9, g.n))
         fld = HalfPlaneField(g, lad, vals, RAPID)
         star = nontangential_max(fld)
@@ -106,3 +149,12 @@ class TestNontangentialMax:
                     if abs(g.nodes[i] - apex) < y:
                         best = max(best, mags[k, i])
             assert abs(star.values.real[j] - best) < 1e-14
+
+    def test_cone_wider_than_window(self, rig_grid):
+        # only the y=1000 row is nonzero; its cone half-width of 32000
+        # samples covers all 4096 nodes from every apex
+        lad = make_ladder(0.5 * rig_grid.dx, 1000.0, 8)
+        vals = np.zeros((lad.count, rig_grid.n), dtype=np.complex128)
+        vals[-1] = np.random.default_rng(9).normal(size=rig_grid.n)
+        star = nontangential_max(HalfPlaneField(rig_grid, lad, vals, RAPID))
+        assert np.all(star.values.real == np.abs(vals[-1]).max())

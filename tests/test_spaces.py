@@ -260,6 +260,14 @@ class TestBmo:
         c = lib.constant(small_grid, 5.0 - 2.0j)
         assert bmo_norm(c).value == 0.0
 
+    @pytest.mark.parametrize("n", [256, 4096])
+    @pytest.mark.parametrize("c", [0.1, 1.0 / 3.0, 1e3])
+    def test_constant_scores_rounding_noise(self, c, n):
+        # window means are rounded prefix differences: 0.1 scores 2.3e-14
+        # at n=4096, a quarter of the bound; 1e3 sums exactly and scores 0
+        value = bmo_norm(lib.constant(make_grid(8, n), c)).value
+        assert 0.0 <= value <= n * np.finfo(float).eps * abs(c)
+
     def test_sign_step(self, rig_grid):
         rep = bmo_norm(lib.sign_step(rig_grid))
         assert abs(rep.value - 1.0) <= 0.01

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.fft import next_fast_len
 from scipy.special import dawsn
 
 from conftest import max_abs, rel_l2
 from hardylog import library as lib
+from hardylog import transforms
 from hardylog.grid import (BOUNDED, LOG_GROWTH, NonIntegrableError,
                            PreconditionError, SampledFunction, integrate,
                            make_grid, make_ladder, power_decay)
@@ -31,6 +33,17 @@ class TestPoissonKernel:
     def test_rejects_nonpositive_height(self):
         with pytest.raises(PreconditionError):
             poisson_kernel(0.0, 1.0)
+
+
+def test_smooth_len_matches_next_fast_len():
+    for t in range(1, 50001):
+        got = transforms._smooth_len(t)
+        assert got == next_fast_len(t, real=True)
+        assert got >= t
+        for p in (2, 3, 5):
+            while got % p == 0:
+                got //= p
+        assert got == 1
 
 
 class TestPoissonExtend:
