@@ -13,6 +13,7 @@ from .spaces import THETA, Weight, weight_eval
 from .transforms import extended_window
 
 _BRUTE_CAP = 4096
+_LINE_WINDOW = 64
 
 
 def pv_sum(f0: SampledFunction, out_idx: np.ndarray,
@@ -49,39 +50,35 @@ def hilbert_pv_direct(f0: SampledFunction, pad_factor: int = 64
     return SampledFunction(f0.grid, vals, f0.decay)
 
 
-def periodized_poisson_kernel(u: np.ndarray, y: float, period: float
-                              ) -> np.ndarray:
-    """Closed form of sum_m P_y(u + m*period):
-    (1/P) sinh(2 pi y/P) / (cosh(2 pi y/P) - cos(2 pi u/P))."""
-    a = 2.0 * np.pi * y / period
-    b = 2.0 * np.pi * u / period
-    return np.sinh(a) / ((np.cosh(a) - np.cos(b)) * period)
-
-
-def poisson_sum(f0: SampledFunction, y: float, out_idx: np.ndarray,
-                pad_factor: int = 8) -> np.ndarray:
-    """Riemann sum of the image-summed kernel at chosen output nodes."""
+def poisson_sum(f0: SampledFunction, y: float, out_idx: np.ndarray
+                ) -> np.ndarray:
+    """Riemann sum of the line kernel P_y against the samples of
+    extended_window(f0, 64) at chosen output nodes.  Nothing is periodised:
+    the closed-form kernel mass beyond each end of the summed cells, times
+    the held edge value, stands in for the rest of the line, so constants
+    are reproduced exactly."""
     if not y > 0:
         raise PreconditionError("height must be positive")
-    ext, x_ext, _ = extended_window(f0, pad_factor)
-    period = 2.0 * pad_factor * f0.grid.L
-    xs = f0.grid.nodes[out_idx]
+    ext, x_ext, _ = extended_window(f0, _LINE_WINDOW)
     dx = f0.grid.dx
-    out = np.empty(xs.size, dtype=np.complex128)
-    chunk = max(1, (1 << 23) // ext.size)
+    xs = f0.grid.nodes[out_idx]
+    # the cells [u - dx/2, u + dx/2] of the samples cover [lo, hi]
+    lo, hi = x_ext[0] - 0.5 * dx, x_ext[-1] + 0.5 * dx
+    out = (ext[0] * (0.5 - np.arctan((xs - lo) / y) / np.pi)
+           + ext[-1] * (0.5 - np.arctan((hi - xs) / y) / np.pi))
+    chunk = max(1, (1 << 21) // ext.size)
     for start in range(0, xs.size, chunk):
         stop = min(start + chunk, xs.size)
-        kern = periodized_poisson_kernel(
-            xs[start:stop, None] - x_ext[None, :], y, period)
-        out[start:stop] = (kern * ext[None, :]).sum(axis=1) * dx
+        diffs = xs[start:stop, None] - x_ext[None, :]
+        kern = (dx * y / np.pi) / (diffs * diffs + y * y)
+        out[start:stop] += kern @ ext.real + 1j * (kern @ ext.imag)
     return out
 
 
-def poisson_direct(f0: SampledFunction, y: float, pad_factor: int = 8
-                   ) -> SampledFunction:
-    """Direct quadrature of the harmonic extension at one height: Riemann sum
-    of the image-summed kernel against the extended-window samples."""
-    out = poisson_sum(f0, y, np.arange(f0.grid.n), pad_factor)
+def poisson_direct(f0: SampledFunction, y: float) -> SampledFunction:
+    """Direct quadrature of the harmonic extension at one height: the line
+    kernel summed against the extended-window samples (see poisson_sum)."""
+    out = poisson_sum(f0, y, np.arange(f0.grid.n))
     if f0.is_real:
         out = out.real
     return SampledFunction(f0.grid, out, f0.decay)

@@ -1,14 +1,15 @@
 """Poisson extension, Hilbert transform, Szego projection, boundary recovery.
 
-All fast paths are FFT multipliers.  Slowly decaying inputs are handled by
-extending the grid window before transforming: the window is padded by a
-power-of-two factor and filled from the function's closed-form continuation
-when available, otherwise from its declared decay class.  Poisson extension
-of non-decaying (BMO-type) data takes a direct quadrature path instead, since
-periodisation would corrupt growth.  It splits the line at |u| = 9L: the
-trapezoid on [-9L, 9L] is convolved with the kernel taps by real FFTs, and
-the far line uses log-spaced nodes in |u|, where the kernel is analytic in x
-and is interpolated to the grid from 16 Chebyshev nodes.
+The Hilbert transform and the Szego projection are FFT multipliers; the
+Hilbert transform runs on the grid window padded HILBERT_PAD times.  Poisson
+extension is one direct quadrature for every input, which never periodises
+the data.  It splits the line at |u| = W: the trapezoid on [-W, W] is
+convolved with band-limited kernel taps by real FFTs, and the far line uses
+log-spaced nodes in |u|, where the kernel is analytic in x and is
+interpolated to the grid from 16 Chebyshev nodes.  The Hilbert pad and the
+Poisson near window and far nodes read one off-window fill rule
+(``_off_window``): the closed-form continuation when available, otherwise
+the declared decay class.
 """
 
 from __future__ import annotations
@@ -17,18 +18,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (BOUNDED, DecayClass, Grid1D, HalfPlaneField, HeightLadder,
+from .grid import (BOUNDED, DecayClass, HalfPlaneField, HeightLadder,
                    LOG_GROWTH, PreconditionError, SampledFunction,
                    power_decay)
 
 HILBERT_PAD = 64
-POISSON_PAD = 8
-_DIRECT_WINDOW = 9       # near/far split of the direct path, |u| = 9L
+# near/far split of the Poisson quadrature, W = factor * L, by decay class.
+# The far kernel P_y(x-u), |u| >= W, has its poles outside the Bernstein
+# ellipse of [-L, L] with rho = w + sqrt(w^2 - 1), w = W/L, so 16 Chebyshev
+# nodes interpolate it to rho**-16: 5.8**-16 (6e-13) at 3L, 17.9**-16 at 9L.
+# BMO-type data keep 9L: at 3L the far nodes alias P_1*e^{ix} on the rig
+# grid by 5e-4, against 4e-5 at 9L.
+_SPLIT_DECAYING = 3
+_SPLIT_LOG_GROWTH = 9
 _TAIL_NODES = 256
-# Chebyshev nodes of [-L, L] for the far kernel P_y(x-u), |u| >= 9L: its
-# poles lie outside the Bernstein ellipse rho = 9 + sqrt(80) = 17.9, so 16
-# nodes interpolate it to about 17.9**-16 (1e-20) relative error
 _FAR_CHEB = 16
+# fourth-order Gregory end weights of the far trapezoid, in units of the step
+_GREGORY_ENDS = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 # relative to max|f| * window; odd decaying data lands near edge*dx/window
 # (~1e-5), genuinely nonzero means two decades higher
 _MEAN_ZERO_REL = 1e-4
@@ -46,13 +52,27 @@ def poisson_kernel(y: float, x) -> np.ndarray:
 # window extension
 # ---------------------------------------------------------------------------
 
-def extended_window(f0: SampledFunction, factor: int):
-    """Samples of f0 on [-factor*L, factor*L), core values in the middle.
+def _off_window(f0: SampledFunction, u: np.ndarray) -> np.ndarray:
+    """Values of f0 at points u off the grid window: the closed-form
+    continuation if present, else zeros for rapid decay, else the power law
+    f(edge)*(edge/|u|)**p from the nearer edge.  Functions with log_growth
+    decay and no continuation cannot be extended honestly."""
+    if f0.continuation is not None:
+        return f0.continuation(u)
+    if f0.decay.tag == "rapid":
+        return np.zeros(u.shape)
+    if f0.decay.tag == "power":
+        nodes, vals, left = f0.grid.nodes, f0.values, u < 0
+        edge = np.where(left, np.abs(nodes[0]), np.abs(nodes[-1]))
+        p = f0.decay.p
+        return np.where(left, vals[0], vals[-1]) * (edge / np.abs(u)) ** p
+    raise PreconditionError(
+        "log_growth input needs a closed-form continuation to extend")
 
-    Fill order: closed-form continuation if present, else zeros for rapid
-    decay, else the power-law extrapolation |f(edge)|*(edge/x)**p.  Functions
-    with log_growth decay and no continuation cannot be extended honestly.
-    """
+
+def extended_window(f0: SampledFunction, factor: int):
+    """Samples of f0 on [-factor*L, factor*L), core values in the middle and
+    the rest filled by the off-window rule of ``_off_window``."""
     if factor < 1:
         raise PreconditionError("window factor must be >= 1")
     grid, n = f0.grid, f0.grid.n
@@ -63,19 +83,8 @@ def extended_window(f0: SampledFunction, factor: int):
     ext[lo:lo + n] = f0.values
     if factor == 1:
         return ext, x, lo
-    left, right = x[:lo], x[lo + n:]
-    if f0.continuation is not None:
-        ext[:lo] = f0.continuation(left)
-        ext[lo + n:] = f0.continuation(right)
-    elif f0.decay.tag == "rapid":
-        pass
-    elif f0.decay.tag == "power":
-        p = f0.decay.p
-        ext[:lo] = f0.values[0] * (np.abs(grid.nodes[0]) / np.abs(left)) ** p
-        ext[lo + n:] = f0.values[-1] * (np.abs(grid.nodes[-1]) / right) ** p
-    else:
-        raise PreconditionError(
-            "log_growth input needs a closed-form continuation to extend")
+    ext[:lo] = _off_window(f0, x[:lo])
+    ext[lo + n:] = _off_window(f0, x[lo + n:])
     return ext, x, lo
 
 
@@ -98,14 +107,13 @@ def _hilbert_out_decay(f0: SampledFunction) -> DecayClass:
     return power_decay(min(f0.decay.p, 1.5))
 
 
-def hilbert_transform(f0: SampledFunction, pad_factor: int = HILBERT_PAD
-                      ) -> SampledFunction:
+def hilbert_transform(f0: SampledFunction) -> SampledFunction:
     """Hilbert transform as the -i*sign(xi) multiplier on the extended window.
 
     Conventions: H(cos) = sin, the flat (zero-frequency) component of the
     window is annihilated, and so is the unresolved Nyquist bin.
     """
-    ext, _, lo = extended_window(f0, pad_factor)
+    ext, _, lo = extended_window(f0, HILBERT_PAD)
     m, n = ext.size, f0.grid.n
     spec = np.fft.fft(ext)
     xi = np.fft.fftfreq(m)
@@ -142,18 +150,6 @@ def szego_project(f0: SampledFunction) -> SampledFunction:
 # Poisson extension
 # ---------------------------------------------------------------------------
 
-def _fft_heights(f0: SampledFunction, heights: np.ndarray, pad_factor: int
-                 ) -> np.ndarray:
-    ext, _, lo = extended_window(f0, pad_factor)
-    n = f0.grid.n
-    spec = np.fft.fft(ext)
-    xi = np.abs(2.0 * np.pi * np.fft.fftfreq(ext.size, d=f0.grid.dx))
-    out = np.empty((heights.size, n), dtype=np.complex128)
-    for k, y in enumerate(heights):
-        out[k] = np.fft.ifft(spec * np.exp(-y * xi))[lo:lo + n]
-    return out
-
-
 def _cheb_interpolation(x: np.ndarray, half: float):
     """Chebyshev nodes of [-half, half] and the barycentric matrix taking
     values there to values at the points x (no x may equal a node)."""
@@ -179,94 +175,83 @@ def _smooth_len(target: int) -> int:
 
 
 def _direct_heights(f0: SampledFunction, heights: np.ndarray) -> np.ndarray:
-    """Poisson quadrature split at |u| = W = 9L in absolute coordinates.
+    """Poisson quadrature split at |u| = W in absolute coordinates, with
+    W = 3L for integrable decay and W = 9L for BMO-type data.
 
     Near part: the trapezoid on [-W, W] (window samples plus the node at +W,
-    half weights at both ends) convolved with the P_y taps by real FFTs.  The
+    half weights at both ends) convolved by real FFTs with the taps of P_y
+    convolved with the sampling sinc, dx*P_y(k dx)*(1 - (-1)^k e^{-pi y/dx})
+    ((dx/2pi) times the integral of e^{-y|xi|} e^{i xi k dx} over |xi| <
+    pi/dx), which stay a consistent quadrature at heights below dx.  The
     window is transformed once; each height costs one kernel transform and
-    one inverse.  Far part: log-spaced trapezoid nodes in |u| on [W, v_max],
-    so the continuation is sampled once, at 2*_TAIL_NODES points.  There
-    P_y(x-u) is analytic in x with its poles at least 8L from the window, so
-    it is evaluated on _FAR_CHEB = 16 Chebyshev nodes of [-L, L] and
-    interpolated to the grid, to about 17.9**-16 relative.  Each node is
-    divided by its discrete kernel mass, which makes the path exact on
-    constants at every height and correct in the small-y delta limit.
-    Sampling in relative offsets x-u instead would carry f's oscillation
-    into the far part, which then could not be interpolated in x."""
-    if f0.continuation is None:
-        raise PreconditionError(
-            "BMO-type Poisson extension needs a closed-form continuation")
+    one inverse.  Far part: log-spaced nodes in |u| on [W, v_max] with
+    fourth-order Gregory end weights, so the off-window values are sampled
+    once, at 2*_TAIL_NODES points.  There P_y(x-u) is analytic in x with
+    its poles at least 2L from the window, so it is evaluated on _FAR_CHEB =
+    16 Chebyshev nodes of [-L, L] and interpolated to the grid, one product
+    per height, so a slice equals its row of any ladder topping out below
+    y = 1e4 (the far nodes reach max(1e8, 1e4 * y_top)) bit for bit.
+    Each node is divided by its discrete kernel mass (near taps plus far
+    weights), which makes the path exact on constants at every height and
+    correct in the small-y delta limit.  Sampling in relative offsets x-u
+    instead would carry f's oscillation into the far part, which then could
+    not be interpolated in x."""
+    if not np.all(np.isfinite(heights)) or np.any(heights <= 0):
+        raise PreconditionError("extension heights must be positive and finite")
     grid = f0.grid
     dx, L, n = grid.dx, grid.L, grid.n
-    split = _DIRECT_WINDOW * L
-
-    # near trapezoid: samples at u_m = -W + m*dx, m = 0..9n, times weights
-    ext, _, _ = extended_window(f0, _DIRECT_WINDOW)
-    near = dx * np.append(ext, f0.continuation(np.array([split])))
-    near[[0, -1]] *= 0.5
-    span = _DIRECT_WINDOW * n
-    size = _smooth_len(span + n)
+    factor = _SPLIT_DECAYING if f0.decay.integrable else _SPLIT_LOG_GROWTH
+    split = factor * L
     real = f0.is_real
-    parts = [near.real] if real else [near.real, near.imag]
-    near_spec = np.fft.rfft(np.array(parts), size)
-    # x_j - u_m = (j - m + (span - n)/2) dx sits at tap index j - m + span
-    taps_x = dx * (np.arange(span + n) - (span + n) // 2)
 
     # far trapezoid in s, u = W e^s, on |u| in [W, v_max]
-    y_top = float(heights[-1])
-    v_max = max(1e8, 1e4 * y_top)
+    v_max = max(1e8, 1e4 * float(heights[-1]))
     s = np.linspace(0.0, np.log(v_max / split), _TAIL_NODES)
     u = split * np.exp(s)
     w_s = np.full(_TAIL_NODES, s[1] - s[0])
-    w_s[[0, -1]] *= 0.5
+    w_s[:3] *= _GREGORY_ENDS
+    w_s[-3:] *= _GREGORY_ENDS[::-1]
     u_far = np.concatenate([u, -u])
-    w_far = np.tile(w_s * u, 2)                # jacobian of u = W e^s
-    cont_far = f0.continuation(u_far)
+    off = _off_window(f0, np.concatenate([[split], u_far]))
+    # weighted values and weights (the kernel mass) of the far nodes, one
+    # column each, so one product per height yields both
+    cont = off[1:]
+    cols = [cont.real] if real else [cont.real, cont.imag]
+    far_cols = np.column_stack(cols + [np.ones(u_far.size)]) \
+        * np.tile(w_s * u, 2)[:, None]             # jacobian of u = W e^s
     cheb, interp = _cheb_interpolation(grid.nodes, L)
-    far_x = cheb[:, None] - u_far[None, :]
+    far_x2 = (cheb[:, None] - u_far[None, :]) ** 2
 
-    near_val = np.empty((heights.size, n), dtype=np.complex128)
-    near_mass = np.empty((heights.size, n))
-    far_val = np.empty((_FAR_CHEB, heights.size), dtype=np.complex128)
-    far_mass = np.empty((_FAR_CHEB, heights.size))
+    # near trapezoid: samples at u_m = -W + m*dx, m = 0..factor*n, times weights
+    ext, _, _ = extended_window(f0, factor)
+    near = dx * np.append(ext, off[0])
+    near[[0, -1]] *= 0.5
+    span = factor * n
+    size = _smooth_len(span + n)
+    near_spec = np.fft.rfft(
+        np.array([near.real] if real else [near.real, near.imag]), size)
+    # x_j - u_m = (j - m + (span - n)/2) dx sits at tap index j - m + span
+    k = np.arange(span + n) - (span + n) // 2
+    taps_x2 = (dx * k) ** 2
+    alt = 1.0 - 2.0 * (k & 1)                      # (-1)^k
+
+    out = np.zeros((heights.size, n), dtype=np.complex128)
     cum = np.zeros(span + n + 1)
-    for k, y in enumerate(heights):
-        taps = poisson_kernel(y, taps_x)
+    for i, y in enumerate(heights):
+        taps = y / (np.pi * (taps_x2 + y * y)) \
+            * (1.0 - np.exp(-np.pi * y / dx) * alt)
         conv = np.fft.irfft(near_spec * np.fft.rfft(taps, size),
                            size)[:, span:span + n]
-        near_val[k] = conv[0] if real else conv[0] + 1j * conv[1]
+        far = interp @ ((y / (np.pi * (far_x2 + y * y))) @ far_cols)
         # near-trapezoid kernel mass at each node, from running tap sums
         np.cumsum(taps, out=cum[1:])
-        near_mass[k] = dx * (cum[span + 1:span + n + 1] - cum[:n]
-                             - 0.5 * (taps[:n] + taps[span:span + n]))
-        kern = poisson_kernel(y, far_x) * w_far
-        far_val[:, k] = kern @ cont_far
-        far_mass[:, k] = kern.sum(axis=1)
-    # discrete partition of unity: constants are reproduced exactly
-    return ((near_val + (interp @ far_val).T)
-            / (near_mass + (interp @ far_mass).T))
-
-
-def resolvable(grid: Grid1D, y: float) -> bool:
-    """Whether the FFT path resolves the Poisson kernel at height y: y >= dx/2.
-    The direct path of BMO-type inputs accepts any positive height."""
-    return y >= 0.5 * grid.dx
-
-
-def _extend_heights(f0: SampledFunction, heights: np.ndarray,
-                    pad_factor: int) -> np.ndarray:
-    if not np.all(np.isfinite(heights)) or np.any(heights <= 0):
-        raise PreconditionError("extension heights must be positive and finite")
-    if f0.decay.tag == "log_growth":
-        out = _direct_heights(f0, heights)
-    elif not resolvable(f0.grid, heights[0]):
-        raise PreconditionError(
-            f"height {heights[0]:g} below dx/2={0.5*f0.grid.dx:g}: "
-            "kernel unresolvable on this grid")
-    else:
-        out = _fft_heights(f0, heights, pad_factor)
-    # real boundary data has real harmonic extensions
-    return out.real.astype(np.complex128) if f0.is_real else out
+        mass = dx * (cum[span + 1:span + n + 1] - cum[:n]
+                     - 0.5 * (taps[:n] + taps[span:span + n])) + far[:, -1]
+        # discrete partition of unity: constants are reproduced exactly
+        out[i].real = (conv[0] + far[:, 0]) / mass
+        if not real:
+            out[i].imag = (conv[1] + far[:, 1]) / mass
+    return out
 
 
 def _field_decay(d: DecayClass) -> DecayClass:
@@ -279,23 +264,16 @@ def _field_decay(d: DecayClass) -> DecayClass:
     return d
 
 
-def poisson_extend(f0: SampledFunction, ladder: HeightLadder,
-                   pad_factor: int = POISSON_PAD) -> HalfPlaneField:
-    """Harmonic extension (P_y * f0)(x_j) on grid x ladder.
-
-    Decaying inputs go through the e^{-y|xi|} multiplier on the padded
-    window (heights below dx/2 are rejected as unresolvable).  BMO-type
-    inputs (log_growth tag) take the direct windowed-quadrature path, which
-    accepts any positive height.
-    """
-    vals = _extend_heights(f0, ladder.y, pad_factor)
+def poisson_extend(f0: SampledFunction, ladder: HeightLadder) -> HalfPlaneField:
+    """Harmonic extension (P_y * f0)(x_j) on grid x ladder, at any positive
+    heights, by the direct quadrature of ``_direct_heights``."""
+    vals = _direct_heights(f0, ladder.y)
     return HalfPlaneField(f0.grid, ladder, vals, _field_decay(f0.decay))
 
 
-def poisson_slice(f0: SampledFunction, y: float,
-                  pad_factor: int = POISSON_PAD) -> SampledFunction:
+def poisson_slice(f0: SampledFunction, y: float) -> SampledFunction:
     """Single-height harmonic extension, returned as boundary-type samples."""
-    vals = _extend_heights(f0, np.asarray([float(y)]), pad_factor)[0]
+    vals = _direct_heights(f0, np.asarray([float(y)]))[0]
     return SampledFunction(f0.grid, vals, _field_decay(f0.decay))
 
 

@@ -24,7 +24,8 @@ def rig_ladder():
 
 @pytest.fixture(scope="session")
 def conv_ladder(rig_grid):
-    """Ladder safe for the multiplier extension path (y_min >= dx/2)."""
+    """The rig ladder started at dx/2, half a sample spacing, in place of
+    1e-3."""
     return make_ladder(0.5 * rig_grid.dx, 1e3, 48)
 
 

@@ -78,11 +78,11 @@ def test_c02_poisson_semigroup(rig_grid):
     for name, f0 in cases:
         scale = max_abs(f0.values)
         for y1, y2 in ((0.5, 0.5), (1.0, 2.0), (3.0, 7.0)):
-            stage1 = poisson_slice(f0, y2, pad_factor=64)
+            stage1 = poisson_slice(f0, y2)
             mid = SampledFunction(rig_grid, stage1.values, power_decay(2.0),
                                   continuation=continuation_for(name, y2))
-            composed = poisson_slice(mid, y1, pad_factor=64)
-            direct = poisson_slice(f0, y1 + y2, pad_factor=64)
+            composed = poisson_slice(mid, y1)
+            direct = poisson_slice(f0, y1 + y2)
             worst = max(worst, max_abs(composed.values, direct.values) / scale)
     ok = worst <= 1e-6
     _line(2, "poisson semigroup", ok, f"maxabs={worst:.2e}")

@@ -17,7 +17,6 @@ from hardylog import library as lib
 from hardylog.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                           RunConfig, load_config, main)
 from hardylog.grid import make_grid, make_ladder, save_function
-from hardylog.transforms import resolvable
 
 SMALL = ["--grid-L", "16", "--grid-n", "1024"]
 
@@ -144,7 +143,7 @@ class TestParserAndReports:
         ladder = make_ladder(y, 1e3, 8)
         assert ladder.levels[0] == y
         names = [name for name, _ in suites._h1_family(grid, ladder)]
-        assert ("szego_gauss" in names) == resolvable(grid, y) == (not below)
+        assert ("szego_gauss" in names) == (not below)
 
 
 class TestNormCommand:
@@ -176,6 +175,15 @@ class TestNormCommand:
         rc = main(SMALL + ["--y-min", "0.05", "--out", str(tmp_path), "norm",
                            "--function", "gbump_odd", "--norm", "h1"])
         assert rc == EXIT_OK
+
+    @pytest.mark.parametrize("norm", ["h1", "hlog", "carleson", "bmoalog"])
+    def test_field_norms_below_half_spacing(self, tmp_path, norm):
+        # y_min 1e-3 lies below dx/2 = 1/64: the extension takes any height
+        rc = main(SMALL + ["--y-min", "1e-3", "--out", str(tmp_path), "norm",
+                           "--function", "gbump_odd", "--norm", norm])
+        assert rc == EXIT_OK
+        report = json.loads((tmp_path / f"norm_{norm}.json").read_text())
+        assert np.isfinite(report["report"]["value"])
 
     def test_extension_of_nonzero_mean_data_rejected(self, tmp_path):
         # the projection of an indicator keeps a flat component, so its

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from scipy.special import wofz
 
 from conftest import max_abs, rel_l2
 from hardylog import library as lib
 from hardylog.grid import (PreconditionError, RAPID, SampledFunction,
                            make_grid)
 from hardylog.oracles import (bmo_bruteforce, hilbert_pv_direct,
-                              luxemburg_scan, periodized_poisson_kernel,
-                              poisson_direct)
+                              luxemburg_scan, poisson_direct, poisson_sum)
 from hardylog.spaces import THETA, luxemburg_norm
 
 
@@ -36,15 +36,16 @@ class TestHilbertOracle:
 
 
 class TestPoissonOracle:
-    def test_periodized_kernel_closed_form(self):
-        # image-summed kernel equals the brute image sum plus the analytic
-        # remainder of the truncated images
-        u = np.linspace(-5, 5, 11)
-        y, period, m_max = 0.7, 32.0, 2000
-        brute = sum((y / np.pi) / ((u + m * period) ** 2 + y ** 2)
-                    for m in range(-m_max, m_max + 1))
-        brute += 2.0 * y / (np.pi * period ** 2 * m_max)
-        assert max_abs(periodized_poisson_kernel(u, y, period), brute) < 1e-10
+    def test_line_kernel_closed_forms(self, rig_grid):
+        # no periodic images: P_y*p1 = p_{1+y} and P_y*e^{-u^2} = Re w(x+iy)
+        idx = np.arange(0, rig_grid.n, 64)
+        x = rig_grid.nodes[idx]
+        for y in (0.5, 2.0):
+            out = poisson_sum(lib.poisson_bump(rig_grid), y, idx)
+            assert max_abs(out, (1 + y) / (np.pi * (x * x + (1 + y) ** 2))) \
+                <= 1e-10
+            out = poisson_sum(lib.gaussian(rig_grid), y, idx)
+            assert max_abs(out, wofz(x + 1j * y).real) <= 1e-10
 
     def test_constant_preserved(self):
         g = make_grid(16, 512)
