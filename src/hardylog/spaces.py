@@ -6,7 +6,15 @@ logarithmic weight.
 Luxemburg gauges are solved by one doubling bracket and bisection over all
 rows at once (every slice of a field for hlog_norm, one row for
 luxemburg_norm); each row replays the steps it would take alone, so its
-gauge, step count and bracket do not depend on the other rows.
+gauge, step count and bracket do not depend on the other rows.  A step at
+lam >= M, the row's max|f|, has every t = |f|/lam <= 1, where log+ t = 0 and
+the weights are homogeneous: phi(lam) = phi(M) * (M/lam)^d.  One quadrature
+per row at M then decides phi > 1 and |phi - 1| <= tol at every such step,
+wherever a slack of 8(n + 16) roundoffs, plus an absolute term for
+subnormal t, keeps the computed quadrature on the same side of 1 and
+1 +- tol as the closed form.  The other steps, below M or inside the slack,
+run the quadrature, so every decision, and every returned number, is the
+one a quadrature at each step gives, bit for bit.
 
 Suprema over intervals run over a finite two-part family: every window whose
 sample count is a power of two at every offset, plus node-centered windows
@@ -81,6 +89,10 @@ def THETA1(x, t):
     return THETA(x, t) ** 2
 
 
+# w(x, t) = t^d * w(x, 1) for t <= 1, where log+ t = 0, with d per weight
+_DEGREE = {THETA: 1, THETA0: 2, THETA1: 2}
+
+
 def weight_eval(w: Weight, x, t):
     """Evaluate the weight; scalar or broadcast arrays, t >= 0 required."""
     x = np.asarray(x, dtype=np.float64)
@@ -145,24 +157,83 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: Weight,
     decreasing in lam where a row is nonzero.  Each row starts at its L1
     guess and doubles (phi > 1 there) or halves (phi <= 1) until
     phi(lo) > 1 >= phi(hi), then bisects until |phi(mid) - 1| <= tol or 200
-    midpoints.  Every step evaluates phi once for all rows still searching,
-    at each row's own next point, so each row takes exactly the steps it
-    would take alone.  Returns per row the gauge, the step count, the final
-    integral and the final [lo, hi]; all-zero rows get gauge 0 in 0 steps.
+    midpoints.  Every step decides phi > 1 and |phi - 1| <= tol for all rows
+    still searching, at each row's own next point, so each row takes
+    exactly the steps it would take alone.  Returns per row the gauge, the
+    step count, the final integral and the final [lo, hi]; all-zero rows
+    get gauge 0 in 0 steps.
+
+    The decisions come from a closed form where it is certified.  Let M be
+    the row's max|f|.  For lam >= M every computed t = |f|/lam is <= 1
+    (rounding is monotone), so log+ t is exactly 0, the denominator
+    1 + log+|x| is the same double at every such lam, and a weight of
+    degree d (_DEGREE) is t^d * w(x, 1): in exact arithmetic on those
+    doubles, phi(lam) = phi(M) * (M/lam)^d.  With u the unit roundoff, the
+    computed quadrature is within about (2n + 8)u of that, relative: at
+    most 5u per weight (t, then a square and a division, or a division and
+    a square), (n - 1)u for any sum of n nonnegative terms, doubled because
+    the half end weights are subtracted from it (the result is at least
+    half the sum), and a few u for dx and the power-tail term.  The
+    prediction pred = phi(M) * (M/lam)^d adds 3u to the error of phi(M),
+    so the computed phi(lam) is within (4n + 19)u of it; the slack
+    8(n + 16)u is more than twice that, which also covers forming the
+    interval ends.  A subnormal t errs by an absolute 2^-1075 instead, at
+    most 8 of those per weight, so the two quadratures err by at most
+    2^-1071 times the quadrature mass dx*n + (|x_0| + |x_{n-1}|)/(p - 1);
+    _ABS_SLACK (2^-1060) times the mass covers it.  Where both ends of
+    [pred(1 - slack) - abs, pred(1 + slack) + abs] lie on the same side of
+    1, of 1 - tol and of 1 + tol, the quadrature's decisions are known
+    without running it.  It runs, in one batch per step, only on rows
+    probed below M, rows whose interval straddles one of those points,
+    rows whose prediction is not finite, and every row of a weight without
+    a declared degree; the final integrals are one batch after the loop.
+    Each row thus makes the decisions, and returns the numbers, of a
+    quadrature at every step, bit for bit.
     """
-    count = mags.shape[0]
+    count, n = mags.shape
     value, integral = np.zeros(count), np.zeros(count)
     its, left = np.zeros(count, dtype=np.int64), np.full(count, 200)
-    lo = grid.dx * mags.sum(axis=1) + 1e-300
+    with np.errstate(over="ignore"):
+        lo = grid.dx * mags.sum(axis=1) + 1e-300
+    if not np.isfinite(lo).all():
+        raise PreconditionError(
+            "|f| or its L1 mass overflows float64; the gauge needs both finite")
     hi = lo.copy()
 
     def phi(rows, lam):
         return weight_integral(grid, mags[rows], decay, w, lam[:, None])
 
-    rows = np.flatnonzero(mags.any(axis=1))
+    active = rows = np.flatnonzero(mags.any(axis=1))
+    degree = _DEGREE.get(w)
+    if degree is not None:
+        top, at_top = mags.max(axis=1), np.zeros(count)
+        at_top[rows] = phi(rows, top[rows])
+        slack = 8.0 * (n + 16) * _U
+        tail = (0.0 if decay.p is None else
+                (abs(grid.nodes[0]) + abs(grid.nodes[-1])) / (decay.p - 1.0))
+        absolute = _ABS_SLACK * (grid.dx * n + tail)
+
+    def decide(rows, lam):
+        """phi(lam) > 1 and |phi(lam) - 1| <= tol per row."""
+        over = np.zeros(rows.size, dtype=bool)
+        near, exact = over.copy(), ~over
+        if degree is not None:
+            with np.errstate(all="ignore"):
+                pred = at_top[rows] * (top[rows] / lam) ** degree
+                low = pred * (1.0 - slack) - absolute
+                high = pred * (1.0 + slack) + absolute
+            over, near = high > 1.0, np.abs(high - 1.0) <= tol
+            exact = ((lam < top[rows]) | ~np.isfinite(pred)
+                     | (over != (low > 1.0))
+                     | (near != (np.abs(low - 1.0) <= tol)))
+        if exact.any():
+            val = phi(rows[exact], lam[exact])
+            over[exact], near[exact] = val > 1.0, np.abs(val - 1.0) <= tol
+        return over, near
+
     # per row: +1 doubles hi, -1 halves lo, 0 bisects [lo, hi]
     mode = np.zeros(count, dtype=np.int64)
-    mode[rows] = np.where(phi(rows, lo[rows]) > 1.0, 1, -1)
+    mode[rows] = np.where(decide(rows, lo[rows])[0], 1, -1)
     while rows.size:
         m = mode[rows]
         its[rows] += 1
@@ -173,17 +244,18 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: Weight,
                 f"no {side} bracket after {max_doublings} doublings")
         a, b = lo[rows], hi[rows]
         probe = np.where(m > 0, b * 2.0, np.where(m < 0, a * 0.5, 0.5 * (a + b)))
-        val = phi(rows, probe)
-        over, bisect = val > 1.0, m == 0
-        done = bisect & (np.abs(val - 1.0) <= tol)
+        over, near = decide(rows, probe)
+        bisect = m == 0
+        done = bisect & near
         to_lo = (m < 0) | (bisect & ~done & over)
         to_hi = (m > 0) | (bisect & ~done & ~over)
         lo[rows[to_lo]], hi[rows[to_hi]] = probe[to_lo], probe[to_hi]
         mode[rows[((m > 0) & ~over) | ((m < 0) & over)]] = 0
         left[rows] -= bisect
         done |= bisect & (left[rows] == 0)
-        value[rows[done]], integral[rows[done]] = probe[done], val[done]
+        value[rows[done]] = probe[done]
         rows = rows[~done]
+    integral[active] = phi(active, value[active])
     return value, its, integral, lo, hi
 
 

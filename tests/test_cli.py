@@ -16,7 +16,8 @@ from hardylog import cli, suites
 from hardylog import library as lib
 from hardylog.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                           RunConfig, load_config, main)
-from hardylog.grid import make_grid, make_ladder, save_function
+from hardylog.grid import (RAPID, SampledFunction, make_grid, make_ladder,
+                           save_function)
 
 SMALL = ["--grid-L", "16", "--grid-n", "1024"]
 
@@ -290,6 +291,22 @@ class TestInputFileProperties:
             rc = main(SMALL + ["--out", str(tmp_path / "out"), "norm",
                                "--input", str(path), "--norm", "bmo"])
         assert rc == EXIT_PRECONDITION
+
+    def test_overflowing_modulus_llog_is_precondition_error(self, tmp_path,
+                                                            capsys):
+        # finite parts, but |f| = inf: the gauge says so instead of halving
+        # an inf L1 guess until the bracket gives up
+        g = make_grid(16, 1024)
+        vals = np.zeros(g.n, dtype=complex)
+        vals[g.n // 2] = 1.5e308 + 1.5e308j
+        path = tmp_path / "big.txt"
+        save_function(SampledFunction(g, vals, RAPID), path)
+        rc = main(SMALL + ["--out", str(tmp_path / "out"), "norm",
+                           "--input", str(path), "--norm", "llog"])
+        assert rc == EXIT_PRECONDITION
+        err = capsys.readouterr().err
+        assert "overflows" in err and "bracket" not in err
+        assert "Warning" not in err
 
     def test_infinite_power_tail_is_parse_error(self, tmp_path):
         # power:inf would drop the tail mass; the exponent must be finite

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
@@ -184,6 +186,12 @@ def _scalar_gauge(grid, mags, decay, w, tol=1e-8):
 
 
 _PROP_GRID = make_grid(16, 512)
+_X = _PROP_GRID.nodes
+# the unit indicator: its first probe is lam = max|f| = 1, where phi = 1
+_CHI = np.abs(lib.indicator(_PROP_GRID, -0.5, 0.5).values)
+# 0.9(1 - x^2) on |x| < 1, where theta(x, t) = t: phi at the L1 guess is 1
+# up to rounding, so the closed form must leave that probe to the quadrature
+_CAP = 0.9 * np.maximum(1.0 - _X * _X, 0.0)
 _bumps = st.lists(
     st.one_of(st.none(),
               st.tuples(st.floats(-3.0, 3.0), st.floats(-8.0, 8.0),
@@ -198,10 +206,20 @@ class TestBatchedGauge:
 
     @given(_bumps, st.sampled_from([THETA, THETA0, THETA1]), _decays)
     @example([(3.0, 0.0, 0.05), (-3.0, 2.0, 0.05), None], THETA1, RAPID)
+    # tall narrow bumps: each gauge is below max|f|, so every probe of the
+    # bisection is in the log regime
+    @example([(1.0, 0.0, 0.05), (1.0, 2.0, 0.05)], THETA, RAPID)
+    @example([(1.0, 0.0, 0.05), (1.0, 2.0, 0.05)], THETA0, power_decay(2.0))
+    @example([(-300.0, 0.0, 1.0), (300.0, 0.0, 1.0)], THETA, RAPID)
+    @example([(-300.0, 1.0, 0.5), (300.0, -1.0, 0.5)], THETA1,
+             power_decay(1.5))
+    @example([_CHI, _CAP], THETA, RAPID)
     def test_rows_replay_one_row_solver(self, bumps, w, decay):
-        x = _PROP_GRID.nodes
-        mags = np.array([np.zeros(x.size) if b is None else
-                         10.0 ** b[0] * np.exp(-((x - b[1]) / b[2]) ** 2)
+        """Rows are None (zeros), (log10 amplitude, center, width) for a
+        Gaussian, or the samples themselves."""
+        mags = np.array([np.zeros(_X.size) if b is None else
+                         b if isinstance(b, np.ndarray) else
+                         10.0 ** b[0] * np.exp(-((_X - b[1]) / b[2]) ** 2)
                          for b in bumps])
         value, its, integral, lo, hi = _gauges(_PROP_GRID, mags, decay, w,
                                                1e-8, 200)
@@ -253,6 +271,46 @@ class TestBatchedGauge:
         monkeypatch.setattr(spaces, "line_integral", counting)
         hlog_norm(stacked)
         assert len(calls) <= 1 + longest
+
+    def test_hlog_certified_probes_skip_the_quadrature(self, stacked,
+                                                       monkeypatch):
+        # one batch at each slice's max|f| and one for the final integrals;
+        # every probe of this field is decided by the closed form
+        calls = []
+        quadrature = spaces.line_integral
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return quadrature(*args, **kwargs)
+
+        monkeypatch.setattr(spaces, "line_integral", counting)
+        hlog_norm(stacked)
+        assert len(calls) <= 3
+
+    def test_undeclared_weight_runs_every_quadrature(self, small_grid):
+        # a weight without a declared degree takes the quadrature at every
+        # step; THETA decides every step of this wide bump by its closed
+        # form, and both land on the same numbers
+        f = lib.gaussian(small_grid, 1.0, 2.0)
+        rep = luxemburg_norm(f, THETA)
+        assert luxemburg_norm(f, lambda x, t: THETA(x, t)) == rep
+
+    def test_overflowing_modulus_is_precondition_error(self, small_grid):
+        # finite parts whose modulus is inf: rejected up front, not after
+        # 200 halvings of an inf guess, and with no warning
+        vals = np.zeros(small_grid.n, dtype=complex)
+        vals[small_grid.n // 2] = 1.5e308 + 1.5e308j
+        fld = HalfPlaneField(small_grid, make_ladder(0.1, 4.0, 8),
+                             np.tile(vals, (8, 1)), RAPID)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for norm in (lambda: luxemburg_norm(
+                             SampledFunction(small_grid, vals, RAPID)),
+                         lambda: hlog_norm(fld)):
+                with pytest.raises(PreconditionError,
+                                   match="overflows") as info:
+                    norm()
+                assert not isinstance(info.value, BracketError)
 
 
 class TestBmo:
