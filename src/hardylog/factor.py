@@ -62,7 +62,10 @@ def coifman_rochberg_symbol(h0: SampledFunction) -> SampledFunction:
 def build_g(b: SampledFunction, ladder: HeightLadder
             ) -> tuple[SampledFunction, HalfPlaneField]:
     """Holomorphic-type outer factor: boundary data b + iHb, extended by the
-    direct (BMO-safe) harmonic extension.  |g0| >= b >= 1 pointwise."""
+    direct (BMO-safe) harmonic extension; |g0| >= b >= 1 pointwise.  b must
+    be a Coifman-Rochberg symbol: off the window g0 is b's continuation plus
+    i times the conjugate asymptote of log(e+|u|), so for other symbols
+    g_field is wrong (b = 1 + p1 misses 1 + (i/pi)/(z+i) by up to 0.76)."""
     if not b.is_real:
         raise PreconditionError("symbol must be real")
     bre = b.values.real
@@ -76,8 +79,6 @@ def build_g(b: SampledFunction, ladder: HeightLadder
 
     def cont_g(u):
         u = np.asarray(u, dtype=np.float64)
-        # conjugate-function asymptote of the log(e+|u|) term; the maximal
-        # part and its conjugate both decay
         return cont_b(u) + 1j * (np.arctan2(E, u) - np.pi / 2.0)
 
     g0 = SampledFunction(b.grid, g0_vals, LOG_GROWTH, continuation=cont_g)

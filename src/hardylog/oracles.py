@@ -16,15 +16,15 @@ _BRUTE_CAP = 4096
 _LINE_WINDOW = 64
 
 
-def pv_sum(f0: SampledFunction, out_idx: np.ndarray,
-           pad_factor: int = 64) -> np.ndarray:
-    """Principal-value Riemann sum of the 1/(pi(x-u)) kernel at chosen nodes.
+def pv_sum(f0: SampledFunction, out_idx: np.ndarray) -> np.ndarray:
+    """Principal-value Riemann sum of the 1/(pi(x-u)) kernel at chosen nodes
+    over extended_window(f0, 64), a truncation the fast path does not share.
 
     Symmetric exclusion of the diagonal plus the analytic value of the
     excluded cell for the linear interpolant (-f'(x) dx / pi), which removes
     the first-order hole error and leaves O(dx^3) quadrature residue.
     """
-    ext, x_ext, lo = extended_window(f0, pad_factor)
+    ext, x_ext, lo = extended_window(f0, _LINE_WINDOW)
     dx = f0.grid.dx
     xs = f0.grid.nodes[out_idx]
     out = np.empty(xs.size, dtype=np.complex128)
@@ -41,10 +41,9 @@ def pv_sum(f0: SampledFunction, out_idx: np.ndarray,
     return (out - deriv * dx) / np.pi
 
 
-def hilbert_pv_direct(f0: SampledFunction, pad_factor: int = 64
-                      ) -> SampledFunction:
+def hilbert_pv_direct(f0: SampledFunction) -> SampledFunction:
     """O(n^2) principal-value quadrature of the Hilbert transform."""
-    vals = pv_sum(f0, np.arange(f0.grid.n), pad_factor)
+    vals = pv_sum(f0, np.arange(f0.grid.n))
     if f0.is_real:
         vals = vals.real
     return SampledFunction(f0.grid, vals, f0.decay)

@@ -1,15 +1,11 @@
 """Poisson extension, Hilbert transform, Szego projection, boundary recovery.
 
-The Hilbert transform and the Szego projection are FFT multipliers; the
-Hilbert transform runs on the grid window padded HILBERT_PAD times.  Poisson
-extension is one direct quadrature for every input, which never periodises
-the data.  It splits the line at |u| = W: the trapezoid on [-W, W] is
-convolved with band-limited kernel taps by real FFTs, and the far line uses
-log-spaced nodes in |u|, where the kernel is analytic in x and is
-interpolated to the grid from 16 Chebyshev nodes.  The Hilbert pad and the
-Poisson near window and far nodes read one off-window fill rule
-(``_off_window``): the closed-form continuation when available, otherwise
-the declared decay class.
+Poisson extension and the Hilbert transform, its y -> 0 member, are one
+direct quadrature of the line, which never periodises the data; the Szego
+projection is the last FFT multiplier.  The line splits at |u| = W into a
+near window convolved with band-limited taps and far nodes where the kernel
+is interpolated in x.  Both read one off-window fill rule (``_off_window``):
+the closed-form continuation when available, otherwise the decay class.
 """
 
 from __future__ import annotations
@@ -22,8 +18,7 @@ from .grid import (BOUNDED, DecayClass, HalfPlaneField, HeightLadder,
                    LOG_GROWTH, PreconditionError, SampledFunction,
                    power_decay)
 
-HILBERT_PAD = 64
-# near/far split of the Poisson quadrature, W = factor * L, by decay class.
+# near/far split of the line quadrature, W = factor * L, by decay class.
 # The far kernel P_y(x-u), |u| >= W, has its poles outside the Bernstein
 # ellipse of [-L, L] with rho = w + sqrt(w^2 - 1), w = W/L, so 16 Chebyshev
 # nodes interpolate it to rho**-16: 5.8**-16 (6e-13) at 3L, 17.9**-16 at 9L.
@@ -38,6 +33,7 @@ _GREGORY_ENDS = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 # relative to max|f| * window; odd decaying data lands near edge*dx/window
 # (~1e-5), genuinely nonzero means two decades higher
 _MEAN_ZERO_REL = 1e-4
+_OVERFLOW = "the samples or their transform overflow float64"
 
 
 def poisson_kernel(y: float, x) -> np.ndarray:
@@ -73,27 +69,24 @@ def _off_window(f0: SampledFunction, u: np.ndarray) -> np.ndarray:
 def extended_window(f0: SampledFunction, factor: int):
     """Samples of f0 on [-factor*L, factor*L), core values in the middle and
     the rest filled by the off-window rule of ``_off_window``."""
-    if factor < 1:
-        raise PreconditionError("window factor must be >= 1")
     grid, n = f0.grid, f0.grid.n
     m = factor * n
     x = -factor * grid.L + grid.dx * np.arange(m)
     lo = (m - n) // 2
     ext = np.zeros(m, dtype=np.complex128)
     ext[lo:lo + n] = f0.values
-    if factor == 1:
-        return ext, x, lo
     ext[:lo] = _off_window(f0, x[:lo])
     ext[lo + n:] = _off_window(f0, x[lo + n:])
     return ext, x, lo
 
 
 def _is_mean_zero(f0: SampledFunction) -> bool:
-    scale = float(np.max(np.abs(f0.values))) * 2.0 * f0.grid.L
-    if scale == 0.0:
-        return True
-    core = f0.grid.dx * f0.values.sum()
-    return abs(core) <= _MEAN_ZERO_REL * scale
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = float(np.max(np.abs(f0.values))) * 2.0 * f0.grid.L
+        core = abs(f0.grid.dx * f0.values.sum())
+    if not np.isfinite([scale, core]).all():
+        raise PreconditionError(_OVERFLOW)
+    return core <= _MEAN_ZERO_REL * scale
 
 
 def _hilbert_out_decay(f0: SampledFunction) -> DecayClass:
@@ -108,20 +101,16 @@ def _hilbert_out_decay(f0: SampledFunction) -> DecayClass:
 
 
 def hilbert_transform(f0: SampledFunction) -> SampledFunction:
-    """Hilbert transform as the -i*sign(xi) multiplier on the extended window.
-
-    Conventions: H(cos) = sin, the flat (zero-frequency) component of the
-    window is annihilated, and so is the unresolved Nyquist bin.
-    """
-    ext, _, lo = extended_window(f0, HILBERT_PAD)
-    m, n = ext.size, f0.grid.n
-    spec = np.fft.fft(ext)
-    xi = np.fft.fftfreq(m)
-    mult = -1j * np.sign(xi)
-    mult[m // 2] = 0.0
-    out = np.fft.ifft(spec * mult)[lo:lo + n]
-    if f0.is_real:
-        out = out.real
+    """H f = (1/pi) p.v. int f(u) / (x - u) du, H(cos) = sin, as the y -> 0
+    member of ``_direct_heights``, on f - f(-L), so constants give exact
+    zeros.  Integrable inputs get the true H; growing ones get H modulo a
+    constant that depends on W, which the far kernel's +1/(pi u) moves and
+    keeps finite for odd growing data such as sgn."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = _direct_heights(f0, None)
+    if not np.isfinite(out).all():
+        raise PreconditionError(_OVERFLOW)
+    out = out[0] if out.shape[0] == 1 else out[0] + 1j * out[1]
     return SampledFunction(f0.grid, out, _hilbert_out_decay(f0))
 
 
@@ -133,9 +122,12 @@ def szego_project(f0: SampledFunction) -> SampledFunction:
     and equal to (f + iHf)/2 plus half the flat component.
     """
     n = f0.grid.n
-    spec = np.fft.fft(f0.values)
-    spec[n // 2:] = 0.0
-    out = np.fft.ifft(spec)
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = np.fft.fft(f0.values)
+        spec[n // 2:] = 0.0
+        out = np.fft.ifft(spec)
+    if not np.isfinite(out).all():
+        raise PreconditionError(_OVERFLOW)
     if f0.decay.tag == "log_growth":
         decay = LOG_GROWTH
     elif _is_mean_zero(f0):
@@ -174,38 +166,35 @@ def _smooth_len(target: int) -> int:
     return best
 
 
-def _direct_heights(f0: SampledFunction, heights: np.ndarray) -> np.ndarray:
-    """Poisson quadrature split at |u| = W in absolute coordinates, with
-    W = 3L for integrable decay and W = 9L for BMO-type data.
+def _direct_heights(f0: SampledFunction, heights) -> np.ndarray:
+    """Line quadrature split at |u| = W, W = 3L for integrable decay and 9L
+    for BMO-type data: rows P_y f at the heights, or for heights None the
+    row H(f - f(-L)), its y -> 0 member.
 
     Near part: the trapezoid on [-W, W] (window samples plus the node at +W,
-    half weights at both ends) convolved by real FFTs with the taps of P_y
-    convolved with the sampling sinc, dx*P_y(k dx)*(1 - (-1)^k e^{-pi y/dx})
-    ((dx/2pi) times the integral of e^{-y|xi|} e^{i xi k dx} over |xi| <
-    pi/dx), which stay a consistent quadrature at heights below dx.  The
-    window is transformed once; each height costs one kernel transform and
-    one inverse.  Far part: log-spaced nodes in |u| on [W, v_max] with
-    fourth-order Gregory end weights, so the off-window values are sampled
-    once, at 2*_TAIL_NODES points.  There P_y(x-u) is analytic in x with
-    its poles at least 2L from the window, so it is evaluated on _FAR_CHEB =
-    16 Chebyshev nodes of [-L, L] and interpolated to the grid, one product
-    per height, so a slice equals its row of any ladder topping out below
-    y = 1e4 (the far nodes reach max(1e8, 1e4 * y_top)) bit for bit.
-    Each node is divided by its discrete kernel mass (near taps plus far
-    weights), which makes the path exact on constants at every height and
-    correct in the small-y delta limit.  Sampling in relative offsets x-u
-    instead would carry f's oscillation into the far part, which then could
-    not be interpolated in x."""
-    if not np.all(np.isfinite(heights)) or np.any(heights <= 0):
+    half weights at both ends) convolved by real FFTs with band-limited
+    taps, dx*P_y(k dx)*(1 - (-1)^k e^{-pi y/dx}) ((dx/2pi) times the
+    integral of e^{-y|xi|} e^{i xi k dx} over |xi| < pi/dx), consistent at
+    heights below dx, and for H their conjugate limit (1 - (-1)^k)/(pi k).
+    Far part: log-spaced nodes in |u| on [W, v_max], v_max = max(1e8, 1e4 *
+    y_top), with fourth-order Gregory end weights, sampled once in absolute
+    u (offsets x-u would carry f's oscillation into the far part); the
+    kernel is analytic in x there, so it is evaluated on 16 Chebyshev nodes
+    of [-L, L] and interpolated: a slice equals its row of any ladder
+    topping out below y = 1e4 bit for bit.  P_y divides each node by its
+    discrete kernel mass, exact on constants and in the small-y limit.  H
+    takes the far kernel 1/(pi(x-u)) + 1/(pi u) and the kernel beyond
+    +-v_max with end values held, -x (f(v_max) + f(-v_max)) / (pi v_max)."""
+    hilbert = heights is None
+    if not hilbert and not np.all(np.isfinite(heights) & (heights > 0)):
         raise PreconditionError("extension heights must be positive and finite")
-    grid = f0.grid
-    dx, L, n = grid.dx, grid.L, grid.n
+    dx, L, n = f0.grid.dx, f0.grid.L, f0.grid.n
     factor = _SPLIT_DECAYING if f0.decay.integrable else _SPLIT_LOG_GROWTH
     split = factor * L
     real = f0.is_real
 
     # far trapezoid in s, u = W e^s, on |u| in [W, v_max]
-    v_max = max(1e8, 1e4 * float(heights[-1]))
+    v_max = 1e8 if hilbert else max(1e8, 1e4 * float(heights[-1]))
     s = np.linspace(0.0, np.log(v_max / split), _TAIL_NODES)
     u = split * np.exp(s)
     w_s = np.full(_TAIL_NODES, s[1] - s[0])
@@ -213,17 +202,19 @@ def _direct_heights(f0: SampledFunction, heights: np.ndarray) -> np.ndarray:
     w_s[-3:] *= _GREGORY_ENDS[::-1]
     u_far = np.concatenate([u, -u])
     off = _off_window(f0, np.concatenate([[split], u_far]))
+    ext, _, _ = extended_window(f0, factor)
+    if hilbert:         # constants give exact zeros
+        off, ext = off - f0.values[0], ext - f0.values[0]
     # weighted values and weights (the kernel mass) of the far nodes, one
     # column each, so one product per height yields both
     cont = off[1:]
     cols = [cont.real] if real else [cont.real, cont.imag]
     far_cols = np.column_stack(cols + [np.ones(u_far.size)]) \
         * np.tile(w_s * u, 2)[:, None]             # jacobian of u = W e^s
-    cheb, interp = _cheb_interpolation(grid.nodes, L)
-    far_x2 = (cheb[:, None] - u_far[None, :]) ** 2
+    cheb, interp = _cheb_interpolation(f0.grid.nodes, L)
+    far_x = cheb[:, None] - u_far[None, :]
 
     # near trapezoid: samples at u_m = -W + m*dx, m = 0..factor*n, times weights
-    ext, _, _ = extended_window(f0, factor)
     near = dx * np.append(ext, off[0])
     near[[0, -1]] *= 0.5
     span = factor * n
@@ -232,9 +223,18 @@ def _direct_heights(f0: SampledFunction, heights: np.ndarray) -> np.ndarray:
         np.array([near.real] if real else [near.real, near.imag]), size)
     # x_j - u_m = (j - m + (span - n)/2) dx sits at tap index j - m + span
     k = np.arange(span + n) - (span + n) // 2
-    taps_x2 = (dx * k) ** 2
     alt = 1.0 - 2.0 * (k & 1)                      # (-1)^k
 
+    if hilbert:
+        taps = (1.0 - alt) / (np.pi * dx * np.where(k == 0, 1, k))
+        conv = np.fft.irfft(near_spec * np.fft.rfft(taps, size),
+                            size)[:, span:span + n]
+        far = interp @ (((1.0 / far_x + 1.0 / u_far) / np.pi)
+                        @ far_cols[:, :-1])
+        ends = np.array([c[_TAIL_NODES - 1] + c[-1] for c in cols])  # f(+-v)
+        return conv + far.T - ends[:, None] * f0.grid.nodes / (np.pi * u[-1])
+    far_x2 = far_x ** 2
+    taps_x2 = (dx * k) ** 2
     out = np.zeros((heights.size, n), dtype=np.complex128)
     cum = np.zeros(span + n + 1)
     for i, y in enumerate(heights):

@@ -308,6 +308,26 @@ class TestInputFileProperties:
         assert "overflows" in err and "bracket" not in err
         assert "Warning" not in err
 
+    @pytest.mark.parametrize("kind", ["modulus", "constant"])
+    def test_overflowing_field_path_is_precondition_error(self, tmp_path,
+                                                          capsys, kind):
+        # the Szego projection behind hlog overflows: one stderr line names
+        # it, and numpy prints no warning
+        g = make_grid(16, 1024)
+        if kind == "constant":
+            f = lib.constant(g, 1e306)
+        else:
+            vals = np.zeros(g.n, dtype=complex)
+            vals[g.n // 2] = 1.5e308 + 1.5e308j
+            f = SampledFunction(g, vals, RAPID)
+        path = tmp_path / "big.txt"
+        save_function(f, path)
+        rc = main(SMALL + ["--out", str(tmp_path / "out"), "norm",
+                           "--input", str(path), "--norm", "hlog"])
+        assert rc == EXIT_PRECONDITION
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "overflow" in err[0]
+
     def test_infinite_power_tail_is_parse_error(self, tmp_path):
         # power:inf would drop the tail mass; the exponent must be finite
         path = write_named(tmp_path, "p1")

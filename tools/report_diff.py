@@ -14,14 +14,15 @@ The set: the six suites at n=1024 with y_min 1e-3 and 0.1; all eight norms
 of one input named with --function and read with --input, and from
 --function again at y_min 1e-3; llog of a saved tall narrow Gaussian, and
 llog and hlog of a saved tall narrow odd bump, whose gauges lie below their
-maxima; bmoalog of exp_ix; factorize from --field, --function and --input,
-from --field with --function, and from a field it cannot factorize; hankel
-on four symbols, on exp_ix with the hankel suite's 50 trials at y_min 0.1
-(the study that suite reports), and on the input file at the default
-config; the input and config errors; hankel on a saved exp_ix, which has
-no continuation, and norm on a copy of the input whose header says
-power:inf; and the six suites at the default config (L=64, n=4096, 48
-levels), which take most of the few minutes a run needs.
+maxima; hlog of a saved modulus and a saved constant whose Szego
+projections overflow float64; bmoalog of exp_ix; factorize from --field,
+--function and --input, from --field with --function, and from a field it
+cannot factorize; hankel on four symbols, on exp_ix with the hankel suite's
+50 trials at y_min 0.1 (the study that suite reports), and on the input
+file at the default config; the input and config errors; hankel on a saved
+exp_ix, which has no continuation, and norm on a copy of the input whose
+header says power:inf; and the six suites at the default config (L=64,
+n=4096, 48 levels), which take most of the few minutes a run needs.
 """
 
 from __future__ import annotations
@@ -42,10 +43,14 @@ SYMBOL_INPUT = "in/exp_ix.txt"
 POWER_INF_INPUT = "in/gbump_odd_power_inf.txt"
 BUMP_INPUT = "in/tall_bump.txt"
 ODD_BUMP_INPUT = "in/tall_odd_bump.txt"
+# finite samples whose Szego projection overflows float64
+OVERFLOW_INPUTS = ("in/huge_modulus.txt", "in/huge_constant.txt")
 SAVE_INPUT = ("from pathlib import Path\n"
-              "from hardylog.grid import make_grid, save_function\n"
-              "from hardylog.library import (gaussian, gaussian_deriv, "
-              "named_function)\n"
+              "import numpy as np\n"
+              "from hardylog.grid import (RAPID, SampledFunction, make_grid, "
+              "save_function)\n"
+              "from hardylog.library import (constant, gaussian, "
+              "gaussian_deriv, named_function)\n"
               "grid = make_grid(16, 1024)\n"
               f"save_function(named_function('gbump_odd', grid), {INPUT!r})\n"
               f"save_function(named_function('exp_ix', grid), {SYMBOL_INPUT!r})\n"
@@ -53,6 +58,12 @@ SAVE_INPUT = ("from pathlib import Path\n"
               f"{BUMP_INPUT!r})\n"
               "save_function(gaussian_deriv(grid, 0.0, 0.05, 10.0), "
               f"{ODD_BUMP_INPUT!r})\n"
+              "vals = np.zeros(grid.n, dtype=complex)\n"
+              "vals[grid.n // 2] = 1.5e308 + 1.5e308j\n"
+              "save_function(SampledFunction(grid, vals, RAPID), "
+              f"{OVERFLOW_INPUTS[0]!r})\n"
+              "save_function(constant(grid, 1e306), "
+              f"{OVERFLOW_INPUTS[1]!r})\n"
               f"text = Path({INPUT!r}).read_text()\n"
               f"Path({POWER_INF_INPUT!r}).write_text("
               "text.replace('decay=rapid', 'decay=power:inf', 1))\n")
@@ -78,6 +89,10 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
     cmds += [(f"norm_{n}_tall_odd_bump", at_005,
               ["norm", "--input", ODD_BUMP_INPUT, "--norm", n])
              for n in ("llog", "hlog")]
+    # one stderr line names the overflow, with no numpy warning
+    cmds += [(f"norm_hlog_overflow_{k}", SMALL,
+              ["norm", "--input", path, "--norm", "hlog"])
+             for k, path in enumerate(OVERFLOW_INPUTS)]
     cmds += [
         ("factorize_field", SMALL, ["factorize", "--field", "inv_sq"]),
         ("factorize_function", at_005,
