@@ -11,7 +11,7 @@ from .grid import (Grid1D, HeightLadder, PreconditionError, SampledFunction,
                    line_integral, make_ladder, product_decay)
 from .spaces import bmoa_log_seminorm, bmo_plus_norm, hp_norm
 from .transforms import (holomorphic_extension, poisson_extend, poisson_slice,
-                         szego_project)
+                         shared_tables, szego_project)
 
 _DEGENERATE_SEMINORM = 1e-12
 
@@ -66,21 +66,24 @@ def trial_pairs(grid: Grid1D, trials: int, seed: int
     pair height, the boundary value the form reads, and g_plus the mixture's
     augmented BMO norm.  No draw depends on a symbol, so one list serves
     every symbol, and the first k pairs are those of trial_pairs(grid, k,
-    seed).
+    seed).  One ``shared_tables`` scope builds the kernel tables of the 8
+    pair heights and of the mixtures' height once per call, not per draw.
     """
     pair_ladder = make_ladder(0.5 * grid.dx, 1.5, 8)
     rng = np.random.default_rng(seed)
     pairs = []
-    for _ in range(trials):
-        center = rng.uniform(-grid.L / 4, grid.L / 4)
-        width = rng.uniform(0.5, 4.0)
-        f_field = holomorphic_extension(
-            lib.gaussian_deriv(grid, center, width), pair_ladder)
-        scale = 1.0 / hp_norm(f_field, 1.0).value
-        f0 = SampledFunction(grid, f_field.values[0] * scale, f_field.decay)
-        mixture = lib.bmo_mixture(grid, rng)
-        g0 = poisson_slice(mixture, pair_ladder.levels[0])
-        pairs.append((f0, g0, bmo_plus_norm(mixture).value))
+    with shared_tables():
+        for _ in range(trials):
+            center = rng.uniform(-grid.L / 4, grid.L / 4)
+            width = rng.uniform(0.5, 4.0)
+            f_field = holomorphic_extension(
+                lib.gaussian_deriv(grid, center, width), pair_ladder)
+            scale = 1.0 / hp_norm(f_field, 1.0).value
+            f0 = SampledFunction(grid, f_field.values[0] * scale,
+                                 f_field.decay)
+            mixture = lib.bmo_mixture(grid, rng)
+            g0 = poisson_slice(mixture, pair_ladder.levels[0])
+            pairs.append((f0, g0, bmo_plus_norm(mixture).value))
     return pairs
 
 

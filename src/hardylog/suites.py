@@ -18,7 +18,7 @@ from .hankel import boundedness_study, hankel_apply, trial_pairs
 from .maximal import max_interval_average, nontangential_max
 from .spaces import E, bmo_plus_norm, hlog_norm, hp_norm, luxemburg_norm
 from .transforms import (boundary_value, holomorphic_extension,
-                         poisson_slice, szego_project)
+                         poisson_slice, shared_tables, szego_project)
 
 
 def _lemma31_symbols(grid: Grid1D, seed: int):
@@ -36,13 +36,14 @@ def suite_lemma31(cfg):
     heights = (1.0, 10.0, 100.0, 1000.0)
     rows, by_case = [], {}
     symbols = _lemma31_symbols(grid, cfg.seed)
-    for name, f0 in symbols:
-        base = bmo_plus_norm(f0).value
-        for y in heights:
-            lhs = bmo_plus_norm(poisson_slice(f0, y)).value
-            rhs = np.log(E + y) * base
-            rows.append((f"{name}@y={y:g}", lhs, rhs, lhs / rhs))
-            by_case[(name, y)] = lhs
+    with shared_tables():   # the symbols share each height's kernel tables
+        for name, f0 in symbols:
+            base = bmo_plus_norm(f0).value
+            for y in heights:
+                lhs = bmo_plus_norm(poisson_slice(f0, y)).value
+                rhs = np.log(E + y) * base
+                rows.append((f"{name}@y={y:g}", lhs, rhs, lhs / rhs))
+                by_case[(name, y)] = lhs
     max_ratio = max(r[3] for r in rows)
     log_ok = True
     growth_cap = 2.0 * np.log(E + 1000.0) / np.log(E + 10.0)

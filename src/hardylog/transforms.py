@@ -6,17 +6,22 @@ projection is the last FFT multiplier.  The line splits at |u| = W into a
 near window convolved with band-limited taps and far nodes where the kernel
 is interpolated in x.  Both read one off-window fill rule (``_off_window``):
 the closed-form continuation when available, otherwise the decay class.
+The kernel tables depend on the grid, split, far range and height alone; a
+call builds them afresh unless a ``shared_tables`` scope keeps them.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
-from .grid import (BOUNDED, DecayClass, HalfPlaneField, HeightLadder,
-                   LOG_GROWTH, PreconditionError, SampledFunction,
-                   power_decay)
+from .grid import (BOUNDED, DecayClass, Grid1D, HalfPlaneField,
+                   HeightLadder, LOG_GROWTH, PreconditionError,
+                   SampledFunction, power_decay)
 
 # near/far split of the line quadrature, W = factor * L, by decay class.
 # The far kernel P_y(x-u), |u| >= W, has its poles outside the Bernstein
@@ -34,6 +39,7 @@ _GREGORY_ENDS = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 # (~1e-5), genuinely nonzero means two decades higher
 _MEAN_ZERO_REL = 1e-4
 _OVERFLOW = "the samples or their transform overflow float64"
+_SHARED: ContextVar = ContextVar("shared_tables", default=None)
 
 
 def poisson_kernel(y: float, x) -> np.ndarray:
@@ -89,6 +95,12 @@ def _is_mean_zero(f0: SampledFunction) -> bool:
     return core <= _MEAN_ZERO_REL * scale
 
 
+def _finite(out: np.ndarray) -> np.ndarray:
+    if not np.isfinite(out).all():
+        raise PreconditionError(_OVERFLOW)
+    return out
+
+
 def _hilbert_out_decay(f0: SampledFunction) -> DecayClass:
     # Honest tail bookkeeping: the transform of mean-free integrable data
     # picks up a 1/x^2 tail; a nonzero mean degrades that to 1/x, which is
@@ -106,10 +118,7 @@ def hilbert_transform(f0: SampledFunction) -> SampledFunction:
     zeros.  Integrable inputs get the true H; growing ones get H modulo a
     constant that depends on W, which the far kernel's +1/(pi u) moves and
     keeps finite for odd growing data such as sgn."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = _direct_heights(f0, None)
-    if not np.isfinite(out).all():
-        raise PreconditionError(_OVERFLOW)
+    out = _direct_heights(f0, None)
     out = out[0] if out.shape[0] == 1 else out[0] + 1j * out[1]
     return SampledFunction(f0.grid, out, _hilbert_out_decay(f0))
 
@@ -125,9 +134,7 @@ def szego_project(f0: SampledFunction) -> SampledFunction:
     with np.errstate(over="ignore", invalid="ignore"):
         spec = np.fft.fft(f0.values)
         spec[n // 2:] = 0.0
-        out = np.fft.ifft(spec)
-    if not np.isfinite(out).all():
-        raise PreconditionError(_OVERFLOW)
+        out = _finite(np.fft.ifft(spec))
     if f0.decay.tag == "log_growth":
         decay = LOG_GROWTH
     elif _is_mean_zero(f0):
@@ -141,15 +148,6 @@ def szego_project(f0: SampledFunction) -> SampledFunction:
 # ---------------------------------------------------------------------------
 # Poisson extension
 # ---------------------------------------------------------------------------
-
-def _cheb_interpolation(x: np.ndarray, half: float):
-    """Chebyshev nodes of [-half, half] and the barycentric matrix taking
-    values there to values at the points x (no x may equal a node)."""
-    theta = (2 * np.arange(_FAR_CHEB) + 1) * np.pi / (2 * _FAR_CHEB)
-    nodes = half * np.cos(theta)
-    q = (-1.0) ** np.arange(_FAR_CHEB) * np.sin(theta) / (x[:, None] - nodes)
-    return nodes, q / q.sum(axis=1, keepdims=True)
-
 
 def _smooth_len(target: int) -> int:
     """Smallest 2^a 3^b 5^c >= target: the 5-smooth lengths that pocketfft
@@ -166,6 +164,78 @@ def _smooth_len(target: int) -> int:
     return best
 
 
+@contextmanager
+def shared_tables():
+    """Keep the line rule's kernel tables for the block, so a loop over
+    inputs builds each once, and free them on exit; nested scopes share the
+    outer tables.  Nothing is kept outside a scope, as the 9L tables of one
+    48-level ladder hold MBs.  ``hankel.trial_pairs`` and ``suite_lemma31``
+    open one."""
+    token = _SHARED.set({} if _SHARED.get() is None else _SHARED.get())
+    try:
+        yield
+    finally:
+        _SHARED.reset(token)
+
+
+def _table(build, key: tuple, *args):
+    """build(*args), memoised under (build, *key) in a shared_tables scope."""
+    shared = _SHARED.get()
+    if shared is not None and (build, *key) not in shared:
+        shared[build, *key] = build(*args)
+    return build(*args) if shared is None else shared[build, *key]
+
+
+def _geometry(grid: Grid1D, factor: int, v_max: float) -> SimpleNamespace:
+    """Tables of the split W = factor*L: far nodes u and their Gregory
+    weights times the jacobian, Chebyshev offsets x - u and the n x 16
+    interpolation matrix, tap offsets k, (-1)^k, (k dx)^2, FFT length."""
+    dx, L, n = grid.dx, grid.L, grid.n
+    split = factor * L
+    # far trapezoid in s, u = W e^s, on |u| in [W, v_max]
+    s = np.linspace(0.0, np.log(v_max / split), _TAIL_NODES)
+    u = split * np.exp(s)
+    w_s = np.full(_TAIL_NODES, s[1] - s[0])
+    w_s[:3] *= _GREGORY_ENDS
+    w_s[-3:] *= _GREGORY_ENDS[::-1]
+    u_far = np.concatenate([u, -u])
+    # barycentric weights from 16 Chebyshev nodes of [-L, L] to the grid
+    theta = (2 * np.arange(_FAR_CHEB) + 1) * np.pi / (2 * _FAR_CHEB)
+    cheb = L * np.cos(theta)
+    q = (-1.0) ** np.arange(_FAR_CHEB) * np.sin(theta) \
+        / (grid.nodes[:, None] - cheb)
+    interp = q / q.sum(axis=1, keepdims=True)
+    far_x = cheb[:, None] - u_far[None, :]
+    # x_j - u_m = (j - m + (span - n)/2) dx sits at tap index j - m + span
+    span = factor * n
+    k = np.arange(span + n) - (span + n) // 2
+    return SimpleNamespace(
+        u=u, u_far=u_far, points=np.concatenate([[split], u_far]),
+        jac=np.tile(w_s * u, 2)[:, None], interp=interp, far_x=far_x,
+        far_x2=far_x ** 2, span=span, size=_smooth_len(span + n), k=k,
+        alt=1.0 - 2.0 * (k & 1), taps_x2=(dx * k) ** 2)
+
+
+def _height_table(g: SimpleNamespace, grid: Grid1D, y):
+    """(rfft of the near taps, far kernel on Chebyshev x by far u, near-
+    trapezoid kernel mass at each node) of height y on geometry g; for y
+    None the Hilbert taps and far kernel, and no mass."""
+    dx, n, span = grid.dx, grid.n, g.span
+    if y is None:
+        taps = (1.0 - g.alt) / (np.pi * dx * np.where(g.k == 0, 1, g.k))
+        return (np.fft.rfft(taps, g.size),
+                (1.0 / g.far_x + 1.0 / g.u_far) / np.pi, None)
+    taps = y / (np.pi * (g.taps_x2 + y * y)) \
+        * (1.0 - np.exp(-np.pi * y / dx) * g.alt)
+    spec = np.fft.rfft(taps, g.size)
+    kernel = y / (np.pi * (g.far_x2 + y * y))
+    cum = np.zeros(span + n + 1)    # near-trapezoid kernel mass at each
+    np.cumsum(taps, out=cum[1:])    # node, from running tap sums
+    return spec, kernel, dx * (cum[span + 1:span + n + 1] - cum[:n]
+                               - 0.5 * (taps[:n] + taps[span:span + n]))
+
+
+@np.errstate(over="ignore", invalid="ignore")
 def _direct_heights(f0: SampledFunction, heights) -> np.ndarray:
     """Line quadrature split at |u| = W, W = 3L for integrable decay and 9L
     for BMO-type data: rows P_y f at the heights, or for heights None the
@@ -184,24 +254,22 @@ def _direct_heights(f0: SampledFunction, heights) -> np.ndarray:
     topping out below y = 1e4 bit for bit.  P_y divides each node by its
     discrete kernel mass, exact on constants and in the small-y limit.  H
     takes the far kernel 1/(pi(x-u)) + 1/(pi u) and the kernel beyond
-    +-v_max with end values held, -x (f(v_max) + f(-v_max)) / (pi v_max)."""
+    +-v_max with end values held, -x (f(v_max) + f(-v_max)) / (pi v_max).
+
+    Kernel tables: ``_geometry`` on (grid, factor, v_max), ``_height_table``
+    on those and y, kept between calls only in a ``shared_tables`` scope.
+    Results that overflow float64 raise PreconditionError."""
     hilbert = heights is None
     if not hilbert and not np.all(np.isfinite(heights) & (heights > 0)):
         raise PreconditionError("extension heights must be positive and finite")
-    dx, L, n = f0.grid.dx, f0.grid.L, f0.grid.n
+    grid, n = f0.grid, f0.grid.n
     factor = _SPLIT_DECAYING if f0.decay.integrable else _SPLIT_LOG_GROWTH
-    split = factor * L
+    v_max = 1e8 if hilbert else max(1e8, 1e4 * float(heights[-1]))
+    key = (grid, factor, v_max)
+    g = _table(_geometry, key, *key)
     real = f0.is_real
 
-    # far trapezoid in s, u = W e^s, on |u| in [W, v_max]
-    v_max = 1e8 if hilbert else max(1e8, 1e4 * float(heights[-1]))
-    s = np.linspace(0.0, np.log(v_max / split), _TAIL_NODES)
-    u = split * np.exp(s)
-    w_s = np.full(_TAIL_NODES, s[1] - s[0])
-    w_s[:3] *= _GREGORY_ENDS
-    w_s[-3:] *= _GREGORY_ENDS[::-1]
-    u_far = np.concatenate([u, -u])
-    off = _off_window(f0, np.concatenate([[split], u_far]))
+    off = _off_window(f0, g.points)
     ext, _, _ = extended_window(f0, factor)
     if hilbert:         # constants give exact zeros
         off, ext = off - f0.values[0], ext - f0.values[0]
@@ -209,49 +277,36 @@ def _direct_heights(f0: SampledFunction, heights) -> np.ndarray:
     # column each, so one product per height yields both
     cont = off[1:]
     cols = [cont.real] if real else [cont.real, cont.imag]
-    far_cols = np.column_stack(cols + [np.ones(u_far.size)]) \
-        * np.tile(w_s * u, 2)[:, None]             # jacobian of u = W e^s
-    cheb, interp = _cheb_interpolation(f0.grid.nodes, L)
-    far_x = cheb[:, None] - u_far[None, :]
+    far_cols = np.column_stack(cols + [np.ones(g.u_far.size)]) * g.jac
 
     # near trapezoid: samples at u_m = -W + m*dx, m = 0..factor*n, times weights
-    near = dx * np.append(ext, off[0])
+    near = grid.dx * np.append(ext, off[0])
     near[[0, -1]] *= 0.5
-    span = factor * n
-    size = _smooth_len(span + n)
+    span, size = g.span, g.size
     near_spec = np.fft.rfft(
         np.array([near.real] if real else [near.real, near.imag]), size)
-    # x_j - u_m = (j - m + (span - n)/2) dx sits at tap index j - m + span
-    k = np.arange(span + n) - (span + n) // 2
-    alt = 1.0 - 2.0 * (k & 1)                      # (-1)^k
 
     if hilbert:
-        taps = (1.0 - alt) / (np.pi * dx * np.where(k == 0, 1, k))
-        conv = np.fft.irfft(near_spec * np.fft.rfft(taps, size),
-                            size)[:, span:span + n]
-        far = interp @ (((1.0 / far_x + 1.0 / u_far) / np.pi)
-                        @ far_cols[:, :-1])
+        taps_spec, kernel, _ = _table(_height_table, (*key, None), g, grid,
+                                      None)
+        conv = np.fft.irfft(near_spec * taps_spec, size)[:, span:span + n]
+        far = g.interp @ (kernel @ far_cols[:, :-1])
         ends = np.array([c[_TAIL_NODES - 1] + c[-1] for c in cols])  # f(+-v)
-        return conv + far.T - ends[:, None] * f0.grid.nodes / (np.pi * u[-1])
-    far_x2 = far_x ** 2
-    taps_x2 = (dx * k) ** 2
+        return _finite(conv + far.T
+                       - ends[:, None] * grid.nodes / (np.pi * g.u[-1]))
     out = np.zeros((heights.size, n), dtype=np.complex128)
-    cum = np.zeros(span + n + 1)
     for i, y in enumerate(heights):
-        taps = y / (np.pi * (taps_x2 + y * y)) \
-            * (1.0 - np.exp(-np.pi * y / dx) * alt)
-        conv = np.fft.irfft(near_spec * np.fft.rfft(taps, size),
-                           size)[:, span:span + n]
-        far = interp @ ((y / (np.pi * (far_x2 + y * y))) @ far_cols)
-        # near-trapezoid kernel mass at each node, from running tap sums
-        np.cumsum(taps, out=cum[1:])
-        mass = dx * (cum[span + 1:span + n + 1] - cum[:n]
-                     - 0.5 * (taps[:n] + taps[span:span + n])) + far[:, -1]
+        taps_spec, kernel, near_mass = _table(_height_table, (*key, y),
+                                              g, grid, y)
+        conv = np.fft.irfft(near_spec * taps_spec, size)[:, span:span + n]
+        far = g.interp @ (kernel @ far_cols)
+        mass = near_mass + far[:, -1]
         # discrete partition of unity: constants are reproduced exactly
         out[i].real = (conv[0] + far[:, 0]) / mass
         if not real:
             out[i].imag = (conv[1] + far[:, 1]) / mass
-    return out
+        del taps_spec, kernel, near_mass  # free before the next are built
+    return _finite(out)
 
 
 def _field_decay(d: DecayClass) -> DecayClass:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import max_abs
 from hardylog import library as lib
-from hardylog import hankel
+from hardylog import hankel, transforms
 from hardylog.cli import EXIT_OK, RunConfig, main
 from hardylog.suites import suite_hankel
 from hardylog.grid import (PreconditionError, SampledFunction, load_function,
@@ -158,6 +158,28 @@ class TestTrialPairs:
         monkeypatch.setattr(hankel, "bmo_plus_norm", counting)
         suite_hankel(RunConfig(grid_n=1024))
         assert len(calls) == 50
+
+    def test_builds_each_height_table_once(self, grid1024, monkeypatch):
+        # ten draws share the 8 pair heights (W = 3L, projected bumps) and
+        # the mixtures' height dx/2 (W = 9L): 9 height tables, 2 geometries
+        geometries, heights = [], []
+        build_geometry = transforms._geometry
+        build_height = transforms._height_table
+
+        def geometry(grid, factor, v_max):
+            geometries.append((factor, v_max))
+            return build_geometry(grid, factor, v_max)
+
+        def height(g, grid, y):
+            heights.append((g.span // grid.n, y))     # span = factor * n
+            return build_height(g, grid, y)
+        monkeypatch.setattr(transforms, "_geometry", geometry)
+        monkeypatch.setattr(transforms, "_height_table", height)
+        trial_pairs(grid1024, 10, 41)
+        pair_ys = make_ladder(0.5 * grid1024.dx, 1.5, 8).levels
+        expected = [(3, y) for y in pair_ys] + [(9, pair_ys[0])]
+        assert sorted(heights) == sorted(expected)
+        assert sorted(geometries) == [(3, 1e8), (9, 1e8)]
 
 
 class TestStudy:

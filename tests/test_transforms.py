@@ -376,6 +376,92 @@ class TestOverflow:
             with pytest.raises(PreconditionError, match="overflow"):
                 op(f0)
 
+    @pytest.mark.parametrize("kind", ["constant", "flat", "modulus"])
+    @pytest.mark.parametrize("op", ["poisson_slice", "poisson_extend"])
+    def test_poisson_precondition_error(self, op, kind):
+        # the constant's far values times their weights overflow at the
+        # far-node product; the others overflow in the near convolution
+        f0 = self._input(kind)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError, match="overflow"):
+                if op == "poisson_slice":
+                    poisson_slice(f0, 1.0)
+                else:
+                    poisson_extend(f0, make_ladder(0.5 * f0.grid.dx, 1.5, 8))
+
+
+class TestSharedTables:
+    """A shared_tables scope memoises the line rule's kernel tables and
+    changes no output bit."""
+
+    @staticmethod
+    def _input(kind, grid):
+        if kind == "decaying":          # W = 3L
+            return lib.gaussian(grid)
+        if kind == "log_growth":        # W = 9L
+            return lib.bmo_mixture(grid, np.random.default_rng(5))
+        if kind == "projected":         # complex, power decay
+            return szego_project(lib.gaussian_deriv(grid, 0.3, 1.0))
+        # rapid samples with no continuation
+        return SampledFunction(grid, lib.gaussian(grid).values, lib.RAPID)
+
+    @staticmethod
+    def _outputs(f0):
+        lad = make_ladder(0.5 * f0.grid.dx, 1.5, 8)
+        return [poisson_extend(f0, lad).values,
+                poisson_extend(f0, make_ladder(1e-3, 1e3, 12)).values,
+                poisson_slice(f0, lad.levels[0]).values,
+                poisson_slice(f0, 10.0).values,
+                hilbert_transform(f0).values]
+
+    @pytest.mark.parametrize("kind", ["decaying", "log_growth", "projected",
+                                      "rapid_samples"])
+    def test_bit_for_bit_inside_and_outside(self, kind):
+        f0 = self._input(kind, make_grid(16, 1024))
+        outside = self._outputs(f0)
+        with transforms.shared_tables():
+            first = self._outputs(f0)
+            again = self._outputs(f0)   # every table now comes from the scope
+            assert len(transforms._SHARED.get()) > 0
+        for a, b, c in zip(outside, first, again):
+            assert np.array_equal(a, b) and np.array_equal(a, c)
+
+    def test_grids_with_same_n_do_not_share(self):
+        g1, g2 = make_grid(16, 1024), make_grid(32, 1024)
+        lad = make_ladder(0.5 * g1.dx, 1.5, 8)
+        alone = [poisson_extend(lib.gaussian(g), lad).values for g in (g1, g2)]
+        with transforms.shared_tables():
+            both = [poisson_extend(lib.gaussian(g), lad).values
+                    for g in (g1, g2)]
+            geometries = [k for k in transforms._SHARED.get()
+                          if k[0] is transforms._geometry]
+        assert {k[1] for k in geometries} == {g1, g2}
+        for a, b in zip(alone, both):
+            assert np.array_equal(a, b)
+
+    def test_nothing_kept_outside_a_scope(self):
+        poisson_slice(lib.gaussian(make_grid(16, 1024)), 1.0)
+        assert transforms._SHARED.get() is None
+
+    def test_state_restored_after_exit_error_and_nesting(self):
+        f0 = lib.gaussian(make_grid(16, 1024))
+        with transforms.shared_tables():
+            outer = transforms._SHARED.get()
+            poisson_slice(f0, 1.0)
+            with transforms.shared_tables():
+                assert transforms._SHARED.get() is outer
+                poisson_slice(f0, 2.0)
+            assert transforms._SHARED.get() is outer
+            assert {k[-1] for k in outer if k[0] is
+                    transforms._height_table} == {1.0, 2.0}
+        assert transforms._SHARED.get() is None
+        with pytest.raises(RuntimeError):
+            with transforms.shared_tables():
+                poisson_slice(f0, 1.0)
+                raise RuntimeError
+        assert transforms._SHARED.get() is None
+
 
 class TestBoundaryValue:
     def test_constant_field(self, rig_grid):
