@@ -9,17 +9,19 @@ luxemburg_norm); each row replays the steps it would take alone, so its
 gauge, step count and bracket do not depend on the other rows.  A step at
 lam >= M, the row's max|f|, has every t = |f|/lam <= 1, where log+ t = 0 and
 the weights are homogeneous: phi(lam) = phi(M) * (M/lam)^d.  One quadrature
-per row at M then decides phi > 1 and |phi - 1| <= tol at every such step,
-wherever a slack of 8(n + 16) roundoffs, plus an absolute term for
-subnormal t, keeps the computed quadrature on the same side of 1 and
-1 +- tol as the closed form.  The other steps, below M or inside the slack,
-run the quadrature, so every decision, and every returned number, is the
-one a quadrature at each step gives, bit for bit.
+per row at M, run when the row first probes lam >= M, then decides phi > 1
+and |phi - 1| <= tol at every such step, wherever a slack of 8(n + 16)
+roundoffs, plus an absolute term for subnormal t, keeps the computed
+quadrature on the same side of 1 and 1 +- tol as the closed form.  The
+other steps, below M or inside the slack, run the quadrature, so every
+decision, and every returned number, is the one a quadrature at each step
+gives, bit for bit.
 
 Suprema over intervals run over a finite two-part family: every window whose
 sample count is a power of two at every offset, plus node-centered windows
-with radii from a 16-step logarithmic ladder.  The family is fixed and the
-sweeps reduce in a deterministic order.
+with radii from a 16-step logarithmic ladder.  The family is fixed, its
+window counts are computed once per grid, and the sweeps reduce in a
+deterministic order.
 
 The mean-oscillation sweep scores a window as the average of |f - m| over
 its samples, m the window mean from a prefix difference, and scores only
@@ -27,17 +29,22 @@ the windows that can win.  For every window it first bounds that computed
 score, rounding included: by Cauchy-Schwarz, mean|f - m| is at most the
 window's standard deviation plus |m - exact mean|, and the deviation comes
 from prefix sums of scaled, centered samples with their rounding envelopes
-added.  LB, the best score among each count's highest-bound window, is a
-score some window attains.  A window whose bound is below LB cannot reach
-the sup, so it gets -inf; every other window gets the same formula as an
-exhaustive sweep, and the first-index maximum picks the same value, the
-same attaining {x0, r} and the same window count, bit for bit.  Overflow
-leaves inf or NaN bounds, which keep their windows, so the same error is
-raised.
+added.  LB is always a score some window attains: it starts as the best
+score among each count's highest-bound window, and rises to each count's
+best score as the counts are scored, in decreasing order of their top
+bound.  A window whose bound is below LB cannot reach the sup, so it is
+skipped, and a count whose top bound is below LB is skipped whole, its
+windows still counted.  A window that ties the final sup has a bound at
+least LB, so it is scored with the same formula as an exhaustive sweep,
+and the first-index maximum picks the same value, the same attaining
+{x0, r} and the same window count, bit for bit.  Overflow leaves inf or
+NaN bounds: their counts sort first and their windows are always scored,
+so the same error is raised.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 from typing import Callable, Optional
 
@@ -186,7 +193,9 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: Weight,
     without running it.  It runs, in one batch per step, only on rows
     probed below M, rows whose interval straddles one of those points,
     rows whose prediction is not finite, and every row of a weight without
-    a declared degree; the final integrals are one batch after the loop.
+    a declared degree; phi(M) is one more batch, at the step where rows
+    first probe lam >= M, so a row that never does pays none; the final
+    integrals are one batch after the loop.
     Each row thus makes the decisions, and returns the numbers, of a
     quadrature at every step, bit for bit.
     """
@@ -206,8 +215,8 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: Weight,
     active = rows = np.flatnonzero(mags.any(axis=1))
     degree = _DEGREE.get(w)
     if degree is not None:
-        top, at_top = mags.max(axis=1), np.zeros(count)
-        at_top[rows] = phi(rows, top[rows])
+        # phi(M) per row, NaN until computed
+        top, at_top = mags.max(axis=1), np.full(count, np.nan)
         slack = 8.0 * (n + 16) * _U
         tail = (0.0 if decay.p is None else
                 (abs(grid.nodes[0]) + abs(grid.nodes[-1])) / (decay.p - 1.0))
@@ -218,6 +227,10 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: Weight,
         over = np.zeros(rows.size, dtype=bool)
         near, exact = over.copy(), ~over
         if degree is not None:
+            # phi(M) once per row, at the first step that probes lam >= M
+            first = rows[~(lam < top[rows]) & np.isnan(at_top[rows])]
+            if first.size:
+                at_top[first] = phi(first, top[first])
             with np.errstate(all="ignore"):
                 pred = at_top[rows] * (top[rows] / lam) ** degree
                 low = pred * (1.0 - slack) - absolute
@@ -285,7 +298,11 @@ def luxemburg_norm(f0: SampledFunction, w: Weight = THETA,
 # mean oscillation
 # ---------------------------------------------------------------------------
 
-def _window_counts(grid: Grid1D) -> list[int]:
+@functools.cache
+def _window_counts(grid: Grid1D) -> tuple[int, ...]:
+    """Sample counts of the interval family's windows, ascending, kept per
+    grid: the radius ladder's rounding to counts depends on L, not on n
+    alone."""
     counts = set()
     c = 2
     while c <= grid.n:
@@ -294,35 +311,42 @@ def _window_counts(grid: Grid1D) -> list[int]:
     for r in np.geomspace(grid.dx, 2.0 * grid.L, _RADIUS_LADDER_STEPS):
         odd = 2 * int(np.floor(r / grid.dx)) + 1
         counts.add(min(max(odd, 3), grid.n))
-    return sorted(counts)
+    return tuple(sorted(counts))
 
 
-def _family_sup(grid: Grid1D, scores) -> NormReport:
+def _family_sup(grid: Grid1D, top) -> NormReport:
     """sup over the interval family of per-window scores.
 
-    scores(count) gives one score per offset for the windows of `count`
-    samples, or None to skip that count.  Ties keep the first offset of the
-    first count, and the report carries the attaining interval {x0, r} and
-    the number of windows scored."""
+    top(count) gives (k, s, size) for the windows of `count` samples: the
+    first offset k of their highest score s (-inf when none of them can
+    win) and the number of windows, or None to skip that count.  Ties keep
+    the first offset of the first count, and the report carries the
+    attaining interval {x0, r} and the number of windows swept."""
     best, best_iv, scanned = 0.0, None, 0
     for count in _window_counts(grid):
-        s = scores(count)
-        if s is None:
+        t = top(count)
+        if t is None:
             continue
-        k = int(np.argmax(s))
-        scanned += s.size
-        if s[k] > best:
-            best = float(s[k])
+        k, s, size = t
+        scanned += size
+        if s > best:
+            best = float(s)
             best_iv = {"x0": float(grid.nodes[k] + (count - 1) * grid.dx / 2.0),
                        "r": count * grid.dx / 2.0}
     return NormReport(best, attaining_parameter=best_iv, iterations=scanned)
+
+
+def _first_max(s: np.ndarray):
+    """(k, s[k], s.size) for the first-index maximum k of s."""
+    k = int(np.argmax(s))
+    return k, s[k], s.size
 
 
 def _prefix(x: np.ndarray) -> np.ndarray:
     return np.concatenate((np.zeros(1, dtype=x.dtype), np.cumsum(x)))
 
 
-def _oscillation_bounds(vals: np.ndarray, counts: list[int]) -> dict:
+def _oscillation_bounds(vals: np.ndarray, counts) -> dict:
     """Per count, an upper bound on every window's score as `bmo_norm`
     computes it, rounding included; NaN or inf where that score may be.
 
@@ -332,7 +356,10 @@ def _oscillation_bounds(vals: np.ndarray, counts: list[int]) -> dict:
     exactly, so tiny data cannot underflow.  g (2n+8 unit roundoffs) times
     the sum of a window's two end prefixes of |terms| bounds the rounding of
     its window sum; it is at least 8 roundoffs of the window sum itself,
-    which covers the subtractions, squares and divisions around it."""
+    which covers the subtractions, squares and divisions around it.
+
+    Each count's row is built in three reused buffers, one rounded
+    operation at a time, in the order of the formulas in the comments."""
     n = vals.size
     g = 2.0 * (n + 4) * _U
     bounds = {}
@@ -343,61 +370,108 @@ def _oscillation_bounds(vals: np.ndarray, counts: list[int]) -> dict:
         mag = np.abs(u)
         p1, q1, p2, raw = (_prefix(x) for x in (
             u, mag, mag * mag, np.abs(vals)))
+        buffers = np.empty((3, n))
+        diff = buffers[0] if p1.dtype == buffers.dtype else np.empty(
+            n, dtype=p1.dtype)
         for c in counts:
-            s1 = np.abs(p1[c:] - p1[:-c])
-            e1 = g * (q1[c:] + q1[:-c])
-            s2 = p2[c:] - p2[:-c]
-            e2 = g * (p2[c:] + p2[:-c])
-            # e2 twice: once for the prefix sums, once for this difference
-            var = (s2 + 2.0 * e2 - np.maximum(s1 - e1, 0.0) ** 2 / c) / c
-            # 2u: the rounding of f - mean f, at most u|u_j| < u
-            sigma = np.sqrt(np.maximum(var, 0.0) + _TINY) + 2.0 * _U
-            mean_err = g * (raw[c:] + raw[:-c]) / c
-            bound = (scale * sigma + mean_err) * (1.0 + 4.0 * (c + 8) * _U)
+            m = n + 1 - c
+            a, b, v = buffers[:, :m]
+            # a = max(s1 - e1, 0)^2 / c, s1 = |p1[c:] - p1[:-c]| and
+            # e1 = g (q1[c:] + q1[:-c])
+            np.absolute(np.subtract(p1[c:], p1[:-c], out=diff[:m]), out=a)
+            a -= np.multiply(g, np.add(q1[c:], q1[:-c], out=b), out=b)
+            np.square(np.maximum(a, 0.0, out=a), out=a)
+            a /= c
+            # v = var = (s2 + 2 e2 - a) / c, s2 = p2[c:] - p2[:-c] and
+            # e2 = g (p2[c:] + p2[:-c]); e2 twice: once for the prefix
+            # sums, once for this difference
+            np.multiply(g, np.add(p2[c:], p2[:-c], out=b), out=b)
+            b *= 2.0
+            np.subtract(p2[c:], p2[:-c], out=v)
+            v += b
+            v -= a
+            v /= c
+            # v = sigma = sqrt(max(var, 0) + tiny) + 2u, the 2u for the
+            # rounding of f - mean f, at most u|u_j| < u
+            np.maximum(v, 0.0, out=v)
+            v += _TINY
+            np.sqrt(v, out=v)
+            v += 2.0 * _U
+            # bound = (scale sigma + mean_err) (1 + 4(c + 8)u) with
+            # mean_err = g (raw[c:] + raw[:-c]) / c
+            np.multiply(g, np.add(raw[c:], raw[:-c], out=a), out=a)
+            a /= c
+            v *= scale
+            v += a
+            v *= 1.0 + 4.0 * (c + 8) * _U
             # a score overflows in its window sum, so c * bound must too
-            bounds[c] = bound * c / c + _ABS_SLACK
+            v *= c
+            v /= c
+            bounds[c] = v + _ABS_SLACK
     return bounds
+
+
+def _scores(vals: np.ndarray, prefix: np.ndarray, count: int,
+            offsets: np.ndarray) -> np.ndarray:
+    """Scores of the windows of `count` samples at offsets: the average of
+    |f - m| over the window, m the window mean from a prefix difference."""
+    windows = np.lib.stride_tricks.sliding_window_view(vals, count)
+    means = (prefix[offsets + count] - prefix[offsets]) / count
+    chunk = max(1, _OSC_CHUNK // count)
+    out = np.empty(offsets.size)
+    for a in range(0, offsets.size, chunk):
+        dev = windows[offsets[a:a + chunk]]
+        dev -= means[a:a + chunk, None]
+        out[a:a + chunk] = np.abs(dev).mean(axis=1)
+    return out
+
+
+def _score(vals: np.ndarray, prefix: np.ndarray, count: int, k: int):
+    """_scores(vals, prefix, count, [k])[0], the same rounded operations
+    without the gather."""
+    mean = (prefix[k + count] - prefix[k]) / count
+    return np.abs(vals[k:k + count] - mean).mean()
 
 
 def bmo_norm(f0: SampledFunction) -> NormReport:
     """Mean-oscillation seminorm: sup over the interval family of the window
     average of |f - window mean|.  On a constant c it is rounding noise of
     order n*eps*|c|, not exactly zero: each window mean is a rounded
-    difference of prefix sums of the samples."""
+    difference of prefix sums of the samples.
+
+    Only windows that can win are scored (see the module docstring): LB
+    starts at the best of each count's highest-bound window and rises with
+    each count scored, counts in decreasing order of their top bound.  A
+    count whose top bound is NaN or inf sorts first and is always scored."""
     vals = f0.values.real if f0.is_real else f0.values
     prefix = _prefix(vals)
-    counts = _window_counts(f0.grid)
-    bounds = _oscillation_bounds(vals, counts)
-
-    def oscillation(count, offsets):
-        windows = np.lib.stride_tricks.sliding_window_view(vals, count)
-        means = (prefix[offsets + count] - prefix[offsets]) / count
-        chunk = max(1, _OSC_CHUNK // count)
-        out = np.empty(offsets.size)
-        for a in range(0, offsets.size, chunk):
-            dev = windows[offsets[a:a + chunk]]
-            dev -= means[a:a + chunk, None]
-            out[a:a + chunk] = np.abs(dev).mean(axis=1)
-        return out
+    bounds = _oscillation_bounds(vals, _window_counts(f0.grid))
+    tops = {c: b.max() for c, b in bounds.items()}
+    order = sorted(tops, key=lambda c: -np.inf if np.isnan(tops[c])
+                   else -tops[c])
 
     # LB tries each count's highest-bound window, highest first, until no
-    # count is left whose top bound could raise it
+    # count is left whose top bound could raise it; a NaN score leaves it
     lb = -np.inf
-    for top, count, k in sorted(((b.max(), c, int(np.argmax(b)))
-                                 for c, b in bounds.items()), reverse=True):
-        if top < lb:
+    for count in order:
+        if tops[count] < lb:
             break
-        lb = max(lb, oscillation(count, np.array([k]))[0])
+        k = int(np.argmax(bounds[count]))
+        lb = max(lb, _score(vals, prefix, count, k))
 
-    def scores(count):
-        b = bounds[count]
-        keep = np.flatnonzero(~(b < lb))      # NaN bounds are kept
-        s = np.full(b.size, -np.inf)
-        if keep.size:
-            s[keep] = oscillation(count, keep)
-        return s
+    best = {}
+    for count in order:
+        if tops[count] < lb:        # and so are all later tops
+            break
+        keep = np.flatnonzero(~(bounds[count] < lb))    # NaN bounds are kept
+        k, s, _ = _first_max(_scores(vals, prefix, count, keep))
+        best[count] = int(keep[k]), s
+        lb = max(lb, s)
 
-    return _family_sup(f0.grid, scores)
+    def top(count):
+        return (*best.get(count, (0, -np.inf)), vals.size + 1 - count)
+
+    return _family_sup(f0.grid, top)
 
 
 def bmo_plus_norm(f0: SampledFunction) -> NormReport:
@@ -490,7 +564,7 @@ def _tent_sweep(field: HalfPlaneField, energy: np.ndarray, ratio_fn):
     prefix = np.concatenate(
         (np.zeros((levels.size, 1)), np.cumsum(energy, axis=1)), axis=1)
 
-    def ratios(count):
+    def top(count):
         r = count * grid.dx / 2.0
         w = _height_weights(levels, r)
         if w is None:
@@ -498,9 +572,9 @@ def _tent_sweep(field: HalfPlaneField, energy: np.ndarray, ratio_fn):
         sums = prefix[:w.size, count:] - prefix[:w.size, :-count]
         boxes = (w @ sums) * grid.dx
         x0s = grid.nodes[:boxes.size] + (count - 1) * grid.dx / 2.0
-        return ratio_fn(boxes, x0s, r)
+        return _first_max(ratio_fn(boxes, x0s, r))
 
-    return _family_sup(grid, ratios)
+    return _family_sup(grid, top)
 
 
 def carleson_ratio(g_field: HalfPlaneField) -> NormReport:

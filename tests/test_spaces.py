@@ -287,6 +287,24 @@ class TestBatchedGauge:
         hlog_norm(stacked)
         assert len(calls) <= 3
 
+    def test_no_quadrature_at_an_unprobed_max(self, small_grid, monkeypatch):
+        # every probe of this tall narrow bump lies below its max|f|, so
+        # phi(max|f|) is never needed: as many quadratures as a weight
+        # without a declared degree, which runs one at every step
+        f = lib.gaussian(small_grid, 1.0, 0.3, amplitude=4.0)
+        calls = []
+        quadrature = spaces.line_integral
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return quadrature(*args, **kwargs)
+
+        monkeypatch.setattr(spaces, "line_integral", counting)
+        rep = luxemburg_norm(f)
+        declared = len(calls)
+        assert luxemburg_norm(f, lambda x, t: THETA(x, t)) == rep
+        assert declared == len(calls) - declared == 28
+
     def test_undeclared_weight_runs_every_quadrature(self, small_grid):
         # a weight without a declared degree takes the quadrature at every
         # step; THETA decides every step of this wide bump by its closed
@@ -712,3 +730,102 @@ class TestOscillationBounds:
         reach = sum(int(np.sum(b >= sup)) for b in bounds.values())
         total = sum(b.size for b in bounds.values())
         assert reach <= 0.05 * total
+
+
+class TestWindowCounts:
+    """The interval family's window counts, cached per grid."""
+
+    @pytest.mark.parametrize("L,n", [(8.0, 16), (8.0, 256), (64.0, 1024),
+                                     (3.0, 1024), (64.0, 4096)])
+    def test_cached_equals_fresh(self, L, n):
+        grid = make_grid(L, n)
+        assert _window_counts(grid) == tuple(_window_counts.__wrapped__(grid))
+        assert _window_counts(grid) is _window_counts(grid)
+
+    def test_keyed_on_the_grid_not_on_n(self):
+        # geomspace(dx, 2L)/dx rounds to different counts at L=8 and L=64
+        narrow, wide = make_grid(8.0, 1024), make_grid(64.0, 1024)
+        assert _window_counts(narrow) != _window_counts(wide)
+        for grid in (narrow, wide):
+            assert _window_counts(grid) == tuple(
+                _window_counts.__wrapped__(grid))
+
+    def test_same_n_other_L_is_a_new_entry(self):
+        before = _window_counts.cache_info().currsize
+        _window_counts(make_grid(5.25, 512))
+        _window_counts(make_grid(5.75, 512))
+        assert _window_counts.cache_info().currsize == before + 2
+
+    def test_callers_cannot_mutate_the_cache(self):
+        grid = make_grid(8.0, 256)
+        counts = _window_counts(grid)
+        assert isinstance(counts, tuple)
+        with pytest.raises(AttributeError):
+            counts.append(7)
+        assert _window_counts(grid) == tuple(_window_counts.__wrapped__(grid))
+
+
+@st.composite
+def _bmo_cases(draw):
+    """(grid, samples) with n = 16..1024: Gaussian noise, a seeded
+    bmo_mixture or integer plateaus of one width (windows that tie), real
+    or complex, at a scale 10**e for |e| <= 300."""
+    n = draw(st.sampled_from([1024, 512, 256, 128, 64, 32, 16]))
+    grid = make_grid(draw(st.sampled_from([1.0, 8.0, 64.0])), n)
+    kind = draw(st.sampled_from(["noise", "mixture", "plateaus"]))
+    rng = np.random.default_rng(draw(_seeds))
+    if kind == "noise":
+        vals = rng.standard_normal(n)
+    elif kind == "mixture":
+        vals = lib.bmo_mixture(grid, rng).values.real
+    else:
+        levels = rng.integers(-2, 3, size=draw(st.integers(1, 6)))
+        width = draw(st.integers(1, n))
+        vals = levels[np.arange(n) // width % levels.size].astype(float)
+    if draw(st.booleans()):
+        vals = vals + 1j * np.roll(vals, n // 3)
+    return grid, vals * 10.0 ** draw(st.integers(-300, 300))
+
+
+def _overflowing(name):
+    return make_grid(8.0, 256), _OVERFLOWING[name](256)
+
+
+class TestPrunedSweep:
+    """bmo_norm against the exhaustive first-index sweep, and the pieces
+    of its pruning."""
+
+    @given(_bmo_cases(), st.just(False))
+    @example(_overflowing("two_spikes_8e307"), True)
+    @example(_overflowing("spike_1e308"), True)
+    @example(_overflowing("spike_-1e308"), True)
+    @example(_overflowing("spikes_pm_1e308"), True)
+    @example(_overflowing("const_1e306"), True)
+    @example(_overflowing("noise_1e307"), True)
+    def test_equals_exhaustive_scan(self, case, overflows):
+        grid, vals = case
+        f = SampledFunction(grid, vals, RAPID)
+        with np.errstate(all="ignore"):
+            expected = _scan(grid, _oscillations(vals))
+            assert np.isfinite(expected[0]) != overflows
+            if overflows:
+                with pytest.raises(PreconditionError,
+                                   match="finite and nonnegative"):
+                    bmo_norm(f)
+            else:
+                assert _as_tuple(bmo_norm(f)) == expected
+
+    @pytest.mark.parametrize("n", [256, 1024])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_single_window_score_is_the_batched_one(self, n, complex_):
+        grid = make_grid(8.0, n)
+        rng = np.random.default_rng(n)
+        vals = lib.bmo_mixture(grid, rng).values.real
+        if complex_:
+            vals = vals + 1j * rng.standard_normal(n)
+        prefix = spaces._prefix(vals)
+        for count in _window_counts(grid):
+            offsets = np.arange(n + 1 - count)
+            batched = spaces._scores(vals, prefix, count, offsets)
+            assert [spaces._score(vals, prefix, count, int(k))
+                    for k in offsets] == list(batched)

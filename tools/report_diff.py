@@ -21,14 +21,23 @@ cannot factorize; hankel on four symbols, on exp_ix with the hankel suite's
 50 trials at y_min 0.1 (the study that suite reports), and on the input
 file at the default config; the input and config errors; hankel on a saved
 exp_ix, which has no continuation, and norm on a copy of the input whose
-header says power:inf; and the six suites at the default config (L=64,
-n=4096, 48 levels), which take most of the few minutes a run needs.
+header says power:inf; bmo at the default config on one, sgn and logabs
+(ties, data that prunes nothing, a jump, a log singularity) and of the
+saved constant whose window sums overflow (exit 3); and the six suites at
+the default config (L=64, n=4096, 48 levels), which take most of the few
+minutes a run needs.
+
+A Python warning in stderr names the file and line that raised it; the
+tree's path and the line number are masked before the comparison, so code
+that only moved does not read as a difference, while a warning that
+appears, goes or changes its message still does.
 """
 
 from __future__ import annotations
 
 import difflib
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -67,6 +76,10 @@ SAVE_INPUT = ("from pathlib import Path\n"
               f"text = Path({INPUT!r}).read_text()\n"
               f"Path({POWER_INF_INPUT!r}).write_text("
               "text.replace('decay=rapid', 'decay=power:inf', 1))\n")
+
+
+# "FILE.py:LINE: SomeWarning: ..." as the warnings module prints it
+WARNING_LINE = re.compile(r"^(\S+\.py):\d+: (\w+Warning): ", re.MULTILINE)
 
 
 def _commands() -> list[tuple[str, list[str], list[str]]]:
@@ -132,6 +145,14 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
         ("norm_l1_input_power_inf", SMALL,
          ["norm", "--input", POWER_INF_INPUT, "--norm", "l1"]),
     ]
+    # the BMO sweep at the rig size: windows that tie and data that prunes
+    # nothing (one), a jump (sgn), a log singularity (logabs); and a saved
+    # constant whose window sums overflow, which must exit 3
+    cmds += [(f"norm_bmo_{s}_default_config", [],
+              ["norm", "--function", s, "--norm", "bmo"])
+             for s in ("one", "sgn", "logabs")]
+    cmds.append(("norm_bmo_overflow_constant", SMALL,
+                 ["norm", "--input", OVERFLOW_INPUTS[1], "--norm", "bmo"]))
     cmds += [(f"verify_{s}_rig", [], ["verify", "--suite", s]) for s in SUITES]
     return cmds
 
@@ -154,7 +175,9 @@ def run_tree(tree: Path, work: Path):
     for name, argv in argvs:
         proc = subprocess.run(argv, cwd=work, env=env, capture_output=True,
                               text=True)
-        runs[name] = (proc.returncode, proc.stdout, proc.stderr)
+        stderr = WARNING_LINE.sub(r"\1:LINE: \2: ", proc.stderr.replace(
+            str(tree / "src"), "SRC"))
+        runs[name] = (proc.returncode, proc.stdout, stderr)
     files = {str(p.relative_to(work)): p.read_bytes()
              for p in sorted(work.rglob("*")) if p.is_file()}
     return runs, files
