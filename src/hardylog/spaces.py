@@ -155,20 +155,19 @@ def weight_integral(grid: Grid1D, magnitudes: np.ndarray, decay,
     return line_integral(grid, vals, decay.p)
 
 
-def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: Weight,
-            tol: float, max_doublings: int):
+def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: Weight):
     """Luxemburg gauges of the rows of mags, all rows bracketed and bisected
     together.
 
     phi(lam) = integral of w(x, |f|/lam) dx is continuous and strictly
     decreasing in lam where a row is nonzero.  Each row starts at its L1
     guess and doubles (phi > 1 there) or halves (phi <= 1) until
-    phi(lo) > 1 >= phi(hi), then bisects until |phi(mid) - 1| <= tol or 200
-    midpoints.  Every step decides phi > 1 and |phi - 1| <= tol for all rows
-    still searching, at each row's own next point, so each row takes
-    exactly the steps it would take alone.  Returns per row the gauge, the
-    step count, the final integral and the final [lo, hi]; all-zero rows
-    get gauge 0 in 0 steps.
+    phi(lo) > 1 >= phi(hi), in at most _GAUGE_DOUBLINGS steps, then bisects
+    until |phi(mid) - 1| <= tol = _GAUGE_TOL or 200 midpoints.  Every step
+    decides phi > 1 and |phi - 1| <= tol for all rows still searching, at
+    each row's own next point, so each row takes exactly the steps it would
+    take alone.  Returns per row the gauge, the step count, the final
+    integral and the final [lo, hi]; all-zero rows get gauge 0 in 0 steps.
 
     The decisions come from a closed form where it is certified.  Let M be
     the row's max|f|.  For lam >= M every computed t = |f|/lam is <= 1
@@ -235,13 +234,14 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: Weight,
                 pred = at_top[rows] * (top[rows] / lam) ** degree
                 low = pred * (1.0 - slack) - absolute
                 high = pred * (1.0 + slack) + absolute
-            over, near = high > 1.0, np.abs(high - 1.0) <= tol
+            over, near = high > 1.0, np.abs(high - 1.0) <= _GAUGE_TOL
             exact = ((lam < top[rows]) | ~np.isfinite(pred)
                      | (over != (low > 1.0))
-                     | (near != (np.abs(low - 1.0) <= tol)))
+                     | (near != (np.abs(low - 1.0) <= _GAUGE_TOL)))
         if exact.any():
             val = phi(rows[exact], lam[exact])
-            over[exact], near[exact] = val > 1.0, np.abs(val - 1.0) <= tol
+            over[exact] = val > 1.0
+            near[exact] = np.abs(val - 1.0) <= _GAUGE_TOL
         return over, near
 
     # per row: +1 doubles hi, -1 halves lo, 0 bisects [lo, hi]
@@ -250,11 +250,11 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: Weight,
     while rows.size:
         m = mode[rows]
         its[rows] += 1
-        stuck = (m != 0) & (its[rows] > max_doublings)
+        stuck = (m != 0) & (its[rows] > _GAUGE_DOUBLINGS)
         if stuck.any():
             side = "upper" if m[stuck][0] > 0 else "lower"
             raise BracketError(
-                f"no {side} bracket after {max_doublings} doublings")
+                f"no {side} bracket after {_GAUGE_DOUBLINGS} doublings")
         a, b = lo[rows], hi[rows]
         probe = np.where(m > 0, b * 2.0, np.where(m < 0, a * 0.5, 0.5 * (a + b)))
         over, near = decide(rows, probe)
@@ -272,8 +272,7 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: Weight,
     return value, its, integral, lo, hi
 
 
-def luxemburg_norm(f0: SampledFunction, w: Weight = THETA,
-                   max_doublings: int = _GAUGE_DOUBLINGS) -> NormReport:
+def luxemburg_norm(f0: SampledFunction, w: Weight = THETA) -> NormReport:
     """Gauge norm inf{lam > 0 : integral of w(x, |f|/lam) <= 1}.
 
     A doubling bracket plus bisection (the one-row case of the solver that
@@ -287,7 +286,7 @@ def luxemburg_norm(f0: SampledFunction, w: Weight = THETA,
         return NormReport(0.0, attaining_parameter=None, iterations=0,
                           tolerance=_GAUGE_TOL)
     value, its, integral, lo, hi = _gauges(f0.grid, mags[None, :], f0.decay,
-                                           w, _GAUGE_TOL, max_doublings)
+                                           w)
     return NormReport(float(value[0]), attaining_parameter=None,
                       iterations=int(its[0]), tolerance=_GAUGE_TOL,
                       flags={"integral": float(integral[0]),
@@ -433,6 +432,7 @@ def _score(vals: np.ndarray, prefix: np.ndarray, count: int, k: int):
     return np.abs(vals[k:k + count] - mean).mean()
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def bmo_norm(f0: SampledFunction) -> NormReport:
     """Mean-oscillation seminorm: sup over the interval family of the window
     average of |f - window mean|.  On a constant c it is rounding noise of
@@ -442,7 +442,8 @@ def bmo_norm(f0: SampledFunction) -> NormReport:
     Only windows that can win are scored (see the module docstring): LB
     starts at the best of each count's highest-bound window and rises with
     each count scored, counts in decreasing order of their top bound.  A
-    count whose top bound is NaN or inf sorts first and is always scored."""
+    count whose top bound is NaN or inf sorts first and is always scored;
+    a score that overflows float64 raises PreconditionError."""
     vals = f0.values.real if f0.is_real else f0.values
     prefix = _prefix(vals)
     bounds = _oscillation_bounds(vals, _window_counts(f0.grid))
@@ -467,6 +468,8 @@ def bmo_norm(f0: SampledFunction) -> NormReport:
         k, s, _ = _first_max(_scores(vals, prefix, count, keep))
         best[count] = int(keep[k]), s
         lb = max(lb, s)
+    if not all(np.isfinite(s) for _, s in best.values()):
+        raise PreconditionError("window sums of the samples overflow float64")
 
     def top(count):
         return (*best.get(count, (0, -np.inf)), vals.size + 1 - count)
@@ -514,8 +517,7 @@ def hlog_norm(field: HalfPlaneField) -> NormReport:
     if not field.decay.integrable:
         raise NonIntegrableError("Luxemburg gauge needs integrable decay")
     value, its, _, _, _ = _gauges(field.grid, np.abs(field.values),
-                                  field.decay, THETA, _GAUGE_TOL,
-                                  _GAUGE_DOUBLINGS)
+                                  field.decay, THETA)
     k = int(np.argmax(value))
     return NormReport(float(value[k]), attaining_parameter=field.ladder.levels[k],
                       iterations=int(its.sum()), tolerance=_GAUGE_TOL)

@@ -42,14 +42,6 @@ _OVERFLOW = "the samples or their transform overflow float64"
 _SHARED: ContextVar = ContextVar("shared_tables", default=None)
 
 
-def poisson_kernel(y: float, x) -> np.ndarray:
-    """Half-plane Poisson kernel y / (pi (x^2 + y^2)); unit mass for every y."""
-    if not y > 0:
-        raise PreconditionError(f"kernel height must be positive, got {y}")
-    x = np.asarray(x, dtype=np.float64)
-    return y / (np.pi * (x * x + y * y))
-
-
 # ---------------------------------------------------------------------------
 # window extension
 # ---------------------------------------------------------------------------
@@ -149,21 +141,6 @@ def szego_project(f0: SampledFunction) -> SampledFunction:
 # Poisson extension
 # ---------------------------------------------------------------------------
 
-def _smooth_len(target: int) -> int:
-    """Smallest 2^a 3^b 5^c >= target: the 5-smooth lengths that pocketfft
-    runs real FFTs fastest at."""
-    best = 1 << (target - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # least power-of-two multiple of p35 reaching target
-            best = min(best, p35 << (-(-target // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 @contextmanager
 def shared_tables():
     """Keep the line rule's kernel tables for the block, so a loop over
@@ -189,7 +166,7 @@ def _table(build, key: tuple, *args):
 def _geometry(grid: Grid1D, factor: int, v_max: float) -> SimpleNamespace:
     """Tables of the split W = factor*L: far nodes u and their Gregory
     weights times the jacobian, Chebyshev offsets x - u and the n x 16
-    interpolation matrix, tap offsets k, (-1)^k, (k dx)^2, FFT length."""
+    interpolation matrix, tap offsets k, (-1)^k, (k dx)^2."""
     dx, L, n = grid.dx, grid.L, grid.n
     split = factor * L
     # far trapezoid in s, u = W e^s, on |u| in [W, v_max]
@@ -212,7 +189,7 @@ def _geometry(grid: Grid1D, factor: int, v_max: float) -> SimpleNamespace:
     return SimpleNamespace(
         u=u, u_far=u_far, points=np.concatenate([[split], u_far]),
         jac=np.tile(w_s * u, 2)[:, None], interp=interp, far_x=far_x,
-        far_x2=far_x ** 2, span=span, size=_smooth_len(span + n), k=k,
+        far_x2=far_x ** 2, span=span, k=k,
         alt=1.0 - 2.0 * (k & 1), taps_x2=(dx * k) ** 2)
 
 
@@ -223,11 +200,11 @@ def _height_table(g: SimpleNamespace, grid: Grid1D, y):
     dx, n, span = grid.dx, grid.n, g.span
     if y is None:
         taps = (1.0 - g.alt) / (np.pi * dx * np.where(g.k == 0, 1, g.k))
-        return (np.fft.rfft(taps, g.size),
+        return (np.fft.rfft(taps),
                 (1.0 / g.far_x + 1.0 / g.u_far) / np.pi, None)
     taps = y / (np.pi * (g.taps_x2 + y * y)) \
         * (1.0 - np.exp(-np.pi * y / dx) * g.alt)
-    spec = np.fft.rfft(taps, g.size)
+    spec = np.fft.rfft(taps)
     kernel = y / (np.pi * (g.far_x2 + y * y))
     cum = np.zeros(span + n + 1)    # near-trapezoid kernel mass at each
     np.cumsum(taps, out=cum[1:])    # node, from running tap sums
@@ -282,7 +259,7 @@ def _direct_heights(f0: SampledFunction, heights) -> np.ndarray:
     # near trapezoid: samples at u_m = -W + m*dx, m = 0..factor*n, times weights
     near = grid.dx * np.append(ext, off[0])
     near[[0, -1]] *= 0.5
-    span, size = g.span, g.size
+    span, size = g.span, g.span + n     # (factor + 1) n: 5-smooth, n = 2^k
     near_spec = np.fft.rfft(
         np.array([near.real] if real else [near.real, near.imag]), size)
 

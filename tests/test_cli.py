@@ -280,6 +280,23 @@ class TestInputFileProperties:
             assert rc == EXIT_PARSE
             assert not out.exists()
 
+    @given(st.integers(0, 15), st.sampled_from([1, 2]),
+           st.sampled_from(["nan", "inf", "-inf"]))
+    def test_nonfinite_value_is_parse_error(self, row, col, token):
+        f = lib.named_function("gbump_odd", make_grid(4, 16))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "f.txt", Path(tmp) / "out"
+            save_function(f, path)
+            head, *rows = path.read_text().splitlines()
+            cells = rows[row].split()
+            cells[col] = token
+            rows[row] = " ".join(cells)
+            path.write_text("\n".join([head, *rows]) + "\n")
+            rc = main(["--out", str(out), "norm", "--input", str(path),
+                       "--norm", "l1"])
+            assert rc == EXIT_PARSE
+            assert not out.exists()
+
 
     def test_overflowing_bmo_is_precondition_error(self, tmp_path):
         # prefix sums of a 1e306 constant overflow; the sweep must not

@@ -99,6 +99,14 @@ class TestSampledFunction:
         with pytest.raises(PreconditionError):
             SampledFunction(small_grid, vals, RAPID)
 
+    @given(st.integers(0, 15), st.sampled_from([np.nan, np.inf, -np.inf]),
+           st.booleans())
+    def test_rejects_nonfinite_anywhere(self, k, bad, imag):
+        vals = np.zeros(16, dtype=complex)
+        vals[k] = complex(0.0, bad) if imag else bad
+        with pytest.raises(PreconditionError):
+            SampledFunction(make_grid(4, 16), vals, RAPID)
+
     def test_values_immutable(self, small_grid):
         f = SampledFunction(small_grid, np.zeros(small_grid.n), RAPID)
         with pytest.raises(ValueError):
@@ -209,6 +217,15 @@ class TestHalfPlaneField:
         lad = make_ladder(0.1, 10.0, 8)
         with pytest.raises(PreconditionError):
             HalfPlaneField(small_grid, lad, np.zeros((3, small_grid.n)), RAPID)
+
+    @given(st.integers(0, 8 * 16 - 1),
+           st.sampled_from([np.nan, np.inf, -np.inf]), st.booleans())
+    def test_rejects_nonfinite_anywhere(self, k, bad, imag):
+        vals = np.zeros(8 * 16, dtype=complex)
+        vals[k] = complex(0.0, bad) if imag else bad
+        with pytest.raises(PreconditionError):
+            HalfPlaneField(make_grid(4, 16), make_ladder(0.1, 10.0, 8),
+                           vals.reshape(8, 16), RAPID)
 
     def test_slice_round_trip(self, small_grid):
         lad = make_ladder(0.1, 10.0, 8)

@@ -128,20 +128,24 @@ class TestLuxemburg:
         with pytest.raises(NonIntegrableError):
             luxemburg_norm(lib.sign_step(small_grid))
 
-    def test_bracket_exhaustion(self, small_grid):
+    def test_bracket_exhaustion(self, small_grid, monkeypatch):
         f = lib.gaussian(small_grid, amplitude=100.0)
+        monkeypatch.setattr(spaces, "_GAUGE_DOUBLINGS", 0)
         with pytest.raises(BracketError):
-            luxemburg_norm(f, max_doublings=0)
+            luxemburg_norm(f)
         # the message names the side and the limit: a wide bump under
         # theta0 needs 5 halvings of its L1 guess
         wide = lib.gaussian(make_grid(64, 512), width=40.0)
-        assert luxemburg_norm(wide, THETA0, max_doublings=5).iterations > 5
+        monkeypatch.setattr(spaces, "_GAUGE_DOUBLINGS", 5)
+        assert luxemburg_norm(wide, THETA0).iterations > 5
+        monkeypatch.setattr(spaces, "_GAUGE_DOUBLINGS", 3)
         with pytest.raises(BracketError, match=r"no lower bracket after 3 "):
-            luxemburg_norm(wide, THETA0, max_doublings=3)
+            luxemburg_norm(wide, THETA0)
         # a narrow bump under theta1 has phi > 1 at its guess and doubles
         narrow = lib.gaussian(small_grid, width=0.05)
+        monkeypatch.setattr(spaces, "_GAUGE_DOUBLINGS", 0)
         with pytest.raises(BracketError, match=r"no upper bracket after 0 "):
-            luxemburg_norm(narrow, THETA1, max_doublings=0)
+            luxemburg_norm(narrow, THETA1)
 
     def test_flags_are_final_integral_and_bracket(self, small_grid):
         for f, w in ((lib.gaussian(small_grid, 1.0, 2.0), THETA),
@@ -221,8 +225,7 @@ class TestBatchedGauge:
                          b if isinstance(b, np.ndarray) else
                          10.0 ** b[0] * np.exp(-((_X - b[1]) / b[2]) ** 2)
                          for b in bumps])
-        value, its, integral, lo, hi = _gauges(_PROP_GRID, mags, decay, w,
-                                               1e-8, 200)
+        value, its, integral, lo, hi = _gauges(_PROP_GRID, mags, decay, w)
         for k, row in enumerate(mags):
             rep = luxemburg_norm(SampledFunction(_PROP_GRID, row, decay), w)
             assert (value[k], its[k]) == (rep.value, rep.iterations)
@@ -677,7 +680,7 @@ class TestSharedSweep:
         grid = make_grid(8, 256)
         f = SampledFunction(grid, _OVERFLOWING[name](grid.n), RAPID)
         with np.errstate(all="ignore"), pytest.raises(
-                PreconditionError, match="finite and nonnegative"):
+                PreconditionError, match="overflow float64"):
             bmo_norm(f)
 
     def test_tent_norms(self, grid):
@@ -810,10 +813,21 @@ class TestPrunedSweep:
             assert np.isfinite(expected[0]) != overflows
             if overflows:
                 with pytest.raises(PreconditionError,
-                                   match="finite and nonnegative"):
+                                   match="overflow float64"):
                     bmo_norm(f)
             else:
                 assert _as_tuple(bmo_norm(f)) == expected
+
+    @pytest.mark.parametrize("norm", [bmo_norm, bmo_plus_norm])
+    @pytest.mark.parametrize("name", sorted(_OVERFLOWING))
+    def test_overflow_is_named_without_warnings(self, name, norm):
+        f = SampledFunction(*_overflowing(name), RAPID)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError,
+                               match="window sums of the samples overflow "
+                                     "float64"):
+                norm(f)
 
     @pytest.mark.parametrize("n", [256, 1024])
     @pytest.mark.parametrize("complex_", [False, True])

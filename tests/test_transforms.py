@@ -3,50 +3,19 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.fft import next_fast_len
 from scipy.special import dawsn, wofz
 
 from conftest import max_abs, rel_l2
 from hardylog import library as lib
 from hardylog import transforms
-from hardylog.grid import (BOUNDED, LOG_GROWTH, NonIntegrableError,
-                           PreconditionError, SampledFunction, integrate,
-                           make_grid, make_ladder, power_decay)
+from hardylog.grid import (BOUNDED, LOG_GROWTH, HeightLadder,
+                           NonIntegrableError, PreconditionError,
+                           SampledFunction, integrate, make_grid, make_ladder,
+                           power_decay)
+from hardylog.maximal import max_interval_average
 from hardylog.transforms import (boundary_value, hilbert_transform,
-                                 poisson_extend, poisson_kernel, poisson_slice,
+                                 poisson_extend, poisson_slice,
                                  szego_project)
-
-
-class TestPoissonKernel:
-    def test_values(self):
-        assert abs(poisson_kernel(1.0, 0.0) - 1.0 / np.pi) < 1e-15
-        assert abs(poisson_kernel(2.0, 0.0) - 1.0 / (2 * np.pi)) < 1e-15
-
-    def test_even_and_positive(self):
-        x = np.linspace(-5, 5, 101)
-        k = poisson_kernel(0.7, x)
-        assert np.all(k > 0)
-        assert np.allclose(k, k[::-1])
-
-    def test_unit_mass(self):
-        x = np.linspace(-2e4, 2e4, 400001)
-        mass = np.trapezoid(poisson_kernel(3.0, x), x)
-        assert abs(mass - 1.0) < 1e-3
-
-    def test_rejects_nonpositive_height(self):
-        with pytest.raises(PreconditionError):
-            poisson_kernel(0.0, 1.0)
-
-
-def test_smooth_len_matches_next_fast_len():
-    for t in range(1, 50001):
-        got = transforms._smooth_len(t)
-        assert got == next_fast_len(t, real=True)
-        assert got >= t
-        for p in (2, 3, 5):
-            while got % p == 0:
-                got //= p
-        assert got == 1
 
 
 class TestPoissonExtend:
@@ -114,6 +83,21 @@ class TestPoissonExtend:
         bare = SampledFunction(rig_grid, vals, lib.BOUNDED)
         with pytest.raises(PreconditionError):
             poisson_slice(bare, 1.0)
+
+    @given(st.integers(0, 7), st.sampled_from([np.nan, np.inf, -np.inf]))
+    def test_nonfinite_height_is_rejected(self, k, bad):
+        f0 = lib.gaussian_deriv(make_grid(8, 64))
+        levels = list(make_ladder(0.1, 10.0, 8).levels)
+        levels[k] = bad
+        with pytest.raises(PreconditionError):
+            poisson_slice(f0, bad)
+        with pytest.raises(PreconditionError):
+            poisson_extend(f0, HeightLadder(tuple(levels)))
+
+    @pytest.mark.parametrize("y", [0.0, -0.0, -1.0])
+    def test_nonpositive_height_is_rejected(self, y):
+        with pytest.raises(PreconditionError, match="positive and finite"):
+            poisson_slice(lib.gaussian_deriv(make_grid(8, 64)), y)
 
     def test_direct_path_closed_forms(self, rig_grid):
         x, dx = rig_grid.nodes, rig_grid.dx
@@ -348,6 +332,100 @@ class TestSzego:
         h_p3 = hilbert_transform(lib.poisson_bump(rig_grid, 3.0))
         assert max_abs((p_q1.values - q3)[central]) <= 1e-8
         assert max_abs((h_p3.values - q3)[central]) <= 1e-10
+
+
+# the same dx on two windows; |x| <= 8 is the central half of the smaller
+_WINDOWS = (make_grid(16, 1024), make_grid(32, 2048))
+_CENTRAL = [np.abs(g.nodes) <= 8 for g in _WINDOWS]
+_centres, _widths = st.floats(-4.0, 4.0), st.floats(0.25, 3.0)
+
+
+def _on_both_windows(make, op):
+    """op of the function make(grid) builds, on the central |x| <= 8 of each
+    window: the smaller window's output, the larger's, and its max."""
+    small, big = (op(make(g))[..., c] for g, c in zip(_WINDOWS, _CENTRAL))
+    return small, big, max_abs(big)
+
+
+def _mixture_on(seed):
+    """bmo_mixture's draws scale with L, so both windows sample the one
+    the smaller window draws, through its continuation."""
+    mix = lib.bmo_mixture(_WINDOWS[0], np.random.default_rng(seed))
+    return lambda g: SampledFunction(g, mix.continuation(g.nodes), mix.decay,
+                                     continuation=mix.continuation)
+
+
+class TestWindowIndependence:
+    """Outputs on the central half-window do not depend on the window: (L, n)
+    = (16, 1024) against (32, 2048).  The measured figures are the worst of
+    150 to 300 seeded draws.  Growing inputs fail the law for H, whose
+    constant depends on W, and szego_project fails it, as its seam moves
+    with the window."""
+
+    _ladder = make_ladder(1 / 32, 100.0, 16)
+
+    # 4.4e-15 measured
+    @given(st.sampled_from([lib.gaussian, lib.gaussian_deriv]), _centres,
+           _widths)
+    def test_hilbert_of_integrable_data(self, make, c, w):
+        small, big, top = _on_both_windows(
+            lambda g: make(g, c, w), lambda f: hilbert_transform(f).values)
+        assert max_abs(small, big) <= 1e-13 * top
+
+    # 5.1e-9 measured
+    @given(_centres, _widths)
+    def test_poisson_extend_of_a_bump(self, c, w):
+        small, big, top = _on_both_windows(
+            lambda g: lib.gaussian_deriv(g, c, w),
+            lambda f: poisson_extend(f, self._ladder).values)
+        assert max_abs(small, big) <= 1e-7 * top
+
+    def test_poisson_extend_of_sgn(self):
+        # 1.7e-8 measured
+        small, big, top = _on_both_windows(
+            lib.sign_step, lambda f: poisson_extend(f, self._ladder).values)
+        assert max_abs(small, big) <= 1e-7 * top
+
+    # the far nodes alias the mixture's cosine term (ROADMAP, declared tail
+    # terms), by up to 5.8e-4 y of the max; its arctan steps alone keep
+    # 1.7e-8
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_poisson_extend_of_a_mixture(self, seed):
+        small, big, top = _on_both_windows(
+            _mixture_on(seed),
+            lambda f: poisson_extend(f, self._ladder).values)
+        gap = np.max(np.abs(small - big), axis=1)
+        assert np.all(gap <= 2e-3 * self._ladder.y * top)
+
+    # 8.3e-15 measured: the windows' prefix sums round differently
+    @given(_centres, _widths)
+    def test_max_interval_average(self, c, w):
+        small, big, top = _on_both_windows(
+            lambda g: lib.gaussian_deriv(g, c, w),
+            lambda f: max_interval_average(f.values))
+        assert max_abs(small, big) <= 1e-13 * top
+
+
+class TestPoissonSemigroup:
+    """P_y2(P_y1 f) = P_(y1+y2) f on |x| <= L/2 for decaying f.  The inner
+    slice has no continuation, so the outer extension fills its tail by the
+    power law: 6.3e-5 (y1 + y2) of the max, the worst of 600 seeded draws
+    with heights in [dx/2, 2]."""
+
+    _grid = make_grid(16, 1024)
+
+    @given(st.sampled_from(["gaussian", "gaussian_deriv", "poisson_bump"]),
+           _centres, _widths,
+           st.floats(np.log2(1 / 64), 1.0), st.floats(np.log2(1 / 64), 1.0))
+    def test_composition_is_the_sum_height(self, kind, c, w, e1, e2):
+        grid, (y1, y2) = self._grid, (2.0 ** e1, 2.0 ** e2)
+        f = (lib.poisson_bump(grid, w) if kind == "poisson_bump"
+             else getattr(lib, kind)(grid, c, w))
+        twice = poisson_slice(poisson_slice(f, y1), y2).values
+        once = poisson_slice(f, y1 + y2).values
+        central = np.abs(grid.nodes) <= grid.L / 2
+        assert (max_abs((twice - once)[central])
+                <= 2e-4 * (y1 + y2) * max_abs(once))
 
 
 class TestOverflow:
