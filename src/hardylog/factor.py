@@ -3,9 +3,9 @@
 The outer factor g is built from the boundary data: a logarithmic symbol
 b = log(e+|x|) + log(e + M(sqrt|h0|)) (real, >= 2 everywhere, bounded mean
 oscillation by the maximal-function log construction), completed to
-holomorphic boundary data b + iHb and extended harmonically.  The inner
-factor is the literal pointwise quotient f = h/g, which never degenerates
-because |g| >= Re g is pinned away from zero.
+holomorphic boundary data b + iHb and extended by the Cauchy rows of b.
+The inner factor is the literal pointwise quotient f = h/g, which never
+degenerates because |g| >= Re g is pinned away from zero.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .grid import (HalfPlaneField, HeightLadder, LOG_GROWTH,
                    product_decay)
 from .maximal import max_interval_average
 from .spaces import E, bmo_plus_norm
-from .transforms import boundary_value, hilbert_transform, poisson_extend
+from .transforms import boundary_value, holomorphic_extension, szego_project
 
 
 @dataclass(frozen=True)
@@ -61,28 +61,16 @@ def coifman_rochberg_symbol(h0: SampledFunction) -> SampledFunction:
 
 def build_g(b: SampledFunction, ladder: HeightLadder
             ) -> tuple[SampledFunction, HalfPlaneField]:
-    """Holomorphic-type outer factor: boundary data b + iHb, extended by the
-    direct (BMO-safe) harmonic extension; |g0| >= b >= 1 pointwise.  b must
-    be a Coifman-Rochberg symbol: off the window g0 is b's continuation plus
-    i times the conjugate asymptote of log(e+|u|), so for other symbols
-    g_field is wrong (b = 1 + p1 misses 1 + (i/pi)/(z+i) by up to 0.76)."""
+    """Holomorphic-type outer factor: twice the Szego projection of b,
+    g0 = b + iHb, and twice its Cauchy rows, P_y b + i Q_y b, read from b's
+    own continuation; |g0| >= b >= 1 pointwise."""
     if not b.is_real:
         raise PreconditionError("symbol must be real")
-    bre = b.values.real
-    if bre.min() < 1.0:
+    if b.values.real.min() < 1.0:
         raise PreconditionError("symbol must be >= 1 everywhere")
-    cont_b = b.continuation
-    if cont_b is None:
-        raise PreconditionError("symbol must carry a closed-form continuation")
-    hb = hilbert_transform(b)
-    g0_vals = bre + 1j * hb.values.real
-
-    def cont_g(u):
-        u = np.asarray(u, dtype=np.float64)
-        return cont_b(u) + 1j * (np.arctan2(E, u) - np.pi / 2.0)
-
-    g0 = SampledFunction(b.grid, g0_vals, LOG_GROWTH, continuation=cont_g)
-    return g0, poisson_extend(g0, ladder)
+    g0, rows = szego_project(b), holomorphic_extension(b, ladder)
+    return (SampledFunction(b.grid, 2.0 * g0.values, g0.decay),
+            HalfPlaneField(b.grid, ladder, 2.0 * rows.values, rows.decay))
 
 
 def factorize(h_field: HalfPlaneField) -> FactorizationResult:

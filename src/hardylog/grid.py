@@ -252,8 +252,8 @@ class HeightLadder:
         y = np.asarray(self.levels, dtype=np.float64)
         if y.size < 8:
             raise PreconditionError("ladder needs at least 8 levels")
-        if y[0] <= 0:
-            raise PreconditionError("ladder heights must be positive")
+        if y[0] <= 0 or not np.all(np.isfinite(y)):
+            raise PreconditionError("ladder heights must be positive and finite")
         if not np.all(np.diff(y) > 0):
             raise PreconditionError("ladder heights must be strictly increasing")
         if y[-1] < 1.0:
@@ -271,8 +271,8 @@ class HeightLadder:
 
 def make_ladder(y_min: float, y_max: float, count: int = 48) -> HeightLadder:
     """Logarithmically spaced ladder from y_min to y_max."""
-    if y_min <= 0 or y_max <= y_min:
-        raise PreconditionError("need 0 < y_min < y_max")
+    if not 0 < y_min < y_max < np.inf:
+        raise PreconditionError("need 0 < y_min < y_max < inf")
     # a negative count is a too-short ladder, which HeightLadder rejects
     return HeightLadder(tuple(np.geomspace(y_min, y_max, max(count, 0))))
 

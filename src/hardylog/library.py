@@ -88,17 +88,15 @@ def log_abs(grid: Grid1D) -> SampledFunction:
 
 
 def harmonic_freq(grid: Grid1D, freq: float) -> float:
-    """Nearest frequency that is exactly periodic on the grid window.
-
-    Oscillations snapped to a window harmonic occupy a single spectral bin,
-    so projections and spectral derivatives see them without seam leakage.
-    """
+    """Nearest frequency that is exactly periodic on the grid window, so the
+    spectral derivative, the one periodic operator left, sees no seam."""
     k = max(1, round(freq * grid.L / np.pi))
     return np.pi * k / grid.L
 
 
 def exp_osc(grid: Grid1D, freq: float = 1.0) -> SampledFunction:
-    """Bounded oscillation exp(i*a*x) with a snapped to a window harmonic."""
+    """Bounded oscillation exp(i*a*x), a snapped to a window harmonic for
+    the spectral derivative."""
     a = harmonic_freq(grid, freq)
 
     def f(u):
@@ -145,7 +143,8 @@ def field_inv_square(grid: Grid1D, ladder: HeightLadder,
 
 def field_exp_osc(grid: Grid1D, ladder: HeightLadder,
                   freq: float = 1.0) -> HalfPlaneField:
-    """exp(i*a*z), bounded holomorphic, frequency snapped to a harmonic."""
+    """exp(i*a*z), bounded holomorphic, frequency snapped to a harmonic for
+    the spectral derivative."""
     a = harmonic_freq(grid, freq)
     return sample_field(grid, ladder, lambda z: np.exp(1j * a * z),
                         LOG_GROWTH)

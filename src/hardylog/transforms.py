@@ -1,13 +1,13 @@
 """Poisson extension, Hilbert transform, Szego projection, boundary recovery.
 
-Poisson extension and the Hilbert transform, its y -> 0 member, are one
-direct quadrature of the line, which never periodises the data; the Szego
-projection is the last FFT multiplier.  The line splits at |u| = W into a
-near window convolved with band-limited taps and far nodes where the kernel
-is interpolated in x.  Both read one off-window fill rule (``_off_window``):
-the closed-form continuation when available, otherwise the decay class.
-The kernel tables depend on the grid, split, far range and height alone; a
-call builds them afresh unless a ``shared_tables`` scope keeps them.
+P_y, the Cauchy rows (P_y f + i Q_y f)/2 of the holomorphic extension and
+H, the y -> 0 member of Q_y, are one direct quadrature of the line, which
+never periodises the data; the Szego projection is (f + iHf)/2.  The line
+splits at |u| = W into a near window convolved with band-limited taps and
+far nodes where the kernel is interpolated in x.  One off-window fill rule
+(``_off_window``) serves all: the closed-form continuation when available,
+otherwise the decay class.  The kernel tables depend on the grid, split,
+far range and height alone, and are kept only in a ``shared_tables`` scope.
 """
 
 from __future__ import annotations
@@ -107,34 +107,26 @@ def _hilbert_out_decay(f0: SampledFunction) -> DecayClass:
 def hilbert_transform(f0: SampledFunction) -> SampledFunction:
     """H f = (1/pi) p.v. int f(u) / (x - u) du, H(cos) = sin, as the y -> 0
     member of ``_direct_heights``, on f - f(-L), so constants give exact
-    zeros.  Integrable inputs get the true H; growing ones get H modulo a
-    constant that depends on W, which the far kernel's +1/(pi u) moves and
-    keeps finite for odd growing data such as sgn."""
-    out = _direct_heights(f0, None)
-    out = out[0] if out.shape[0] == 1 else out[0] + 1j * out[1]
-    return SampledFunction(f0.grid, out, _hilbert_out_decay(f0))
+    zeros.  H is found modulo a constant: the far kernel's +1/(pi u), which
+    keeps odd growing data such as sgn finite, drops (1/pi) int_{|u|>W}
+    f(u)/u du, zero for rapid data and W-dependent for growing data."""
+    return SampledFunction(f0.grid, _direct_heights(f0, None),
+                           _hilbert_out_decay(f0))
 
 
 def szego_project(f0: SampledFunction) -> SampledFunction:
-    """Projection onto nonnegative frequencies of the grid window.
-
-    Strictly negative bins (Nyquist included, per the fftfreq sign) are
-    zeroed and the rest kept, which makes the projection exactly idempotent
-    and equal to (f + iHf)/2 plus half the flat component.
-    """
-    n = f0.grid.n
+    """(f + iHf)/2, the boundary values of the Cauchy row: the projection of
+    the line onto boundary values of the upper half-plane.  Integrable data
+    with a nonzero mean keep Hf's 1/x tail, which is bounded."""
     with np.errstate(over="ignore", invalid="ignore"):
-        spec = np.fft.fft(f0.values)
-        spec[n // 2:] = 0.0
-        out = _finite(np.fft.ifft(spec))
+        out = _finite(0.5 * (f0.values + 1j * hilbert_transform(f0).values))
+    return SampledFunction(f0.grid, out, _szego_decay(f0))
+
+
+def _szego_decay(f0: SampledFunction) -> DecayClass:
     if f0.decay.tag == "log_growth":
-        decay = LOG_GROWTH
-    elif _is_mean_zero(f0):
-        decay = _field_decay(f0.decay)
-    else:
-        # surviving flat component: no decay at all
-        decay = BOUNDED
-    return SampledFunction(f0.grid, out, decay)
+        return LOG_GROWTH
+    return _field_decay(f0.decay) if _is_mean_zero(f0) else BOUNDED
 
 
 # ---------------------------------------------------------------------------
@@ -212,30 +204,40 @@ def _height_table(g: SimpleNamespace, grid: Grid1D, y):
                                - 0.5 * (taps[:n] + taps[span:span + n]))
 
 
+def _cauchy_table(g: SimpleNamespace, grid: Grid1D, y: float):
+    """(rffts of the near taps of P_y and Q_y, far kernels of P_y and Q_y) of
+    height y on geometry g, as ``_height_table``'s but with no kernel mass."""
+    taps = y / (np.pi * (g.taps_x2 + y * y)) \
+        * (1.0 - np.exp(-np.pi * y / grid.dx) * g.alt)
+    denom = np.pi * (g.far_x2 + y * y)
+    return (np.fft.rfft([taps, taps * (grid.dx / y) * g.k]), y / denom,
+            g.far_x / denom + 1.0 / (np.pi * g.u_far))
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _direct_heights(f0: SampledFunction, heights) -> np.ndarray:
+def _direct_heights(f0: SampledFunction, heights,
+                    cauchy: bool = False) -> np.ndarray:
     """Line quadrature split at |u| = W, W = 3L for integrable decay and 9L
-    for BMO-type data: rows P_y f at the heights, or for heights None the
-    row H(f - f(-L)), its y -> 0 member.
+    for BMO-type data: rows P_y f at the heights, with cauchy the Cauchy rows
+    (P_y f + i Q_y f)/2, Q_y(x) = x/(pi(x^2 + y^2)), or for heights None the
+    row H(f - f(-L)), the y -> 0 member of Q_y.
 
-    Near part: the trapezoid on [-W, W] (window samples plus the node at +W,
-    half weights at both ends) convolved by real FFTs with band-limited
-    taps, dx*P_y(k dx)*(1 - (-1)^k e^{-pi y/dx}) ((dx/2pi) times the
-    integral of e^{-y|xi|} e^{i xi k dx} over |xi| < pi/dx), consistent at
-    heights below dx, and for H their conjugate limit (1 - (-1)^k)/(pi k).
-    Far part: log-spaced nodes in |u| on [W, v_max], v_max = max(1e8, 1e4 *
-    y_top), with fourth-order Gregory end weights, sampled once in absolute
-    u (offsets x-u would carry f's oscillation into the far part); the
-    kernel is analytic in x there, so it is evaluated on 16 Chebyshev nodes
-    of [-L, L] and interpolated: a slice equals its row of any ladder
+    Near part: the trapezoid on [-W, W] convolved by real FFTs with
+    band-limited taps, dx*P_y(k dx)*(1 - (-1)^k e^{-pi y/dx}), consistent at
+    heights below dx; for Q_y the same times k dx / y, for H their limit
+    (1 - (-1)^k)/(pi k).  Far part: log-spaced nodes in |u| on [W, v_max],
+    v_max = max(1e8, 1e4 * y_top), with fourth-order Gregory end weights,
+    sampled once in absolute u (offsets x-u would carry f's oscillation into
+    the far part); the kernel is analytic in x there, so it is interpolated
+    from 16 Chebyshev nodes of [-L, L]: a slice equals its row of any ladder
     topping out below y = 1e4 bit for bit.  P_y divides each node by its
-    discrete kernel mass, exact on constants and in the small-y limit.  H
-    takes the far kernel 1/(pi(x-u)) + 1/(pi u) and the kernel beyond
-    +-v_max with end values held, -x (f(v_max) + f(-v_max)) / (pi v_max).
-
-    Kernel tables: ``_geometry`` on (grid, factor, v_max), ``_height_table``
-    on those and y, kept between calls only in a ``shared_tables`` scope.
-    Results that overflow float64 raise PreconditionError."""
+    discrete kernel mass, exact on constants and in the small-y limit.  Q_y
+    and H act on f - f(-L), so constants give exact zeros, with the far
+    kernel Q_y(x-u) + 1/(pi u) and, beyond +-v_max with end values held,
+    -x (f(v_max) + f(-v_max)) / (pi v_max).  The Cauchy rows read P_y from
+    the same shifted samples, undivided, and add f(-L) back.  Tables are
+    memoised only in a ``shared_tables`` scope; float64 overflow raises
+    PreconditionError."""
     hilbert = heights is None
     if not hilbert and not np.all(np.isfinite(heights) & (heights > 0)):
         raise PreconditionError("extension heights must be positive and finite")
@@ -248,13 +250,16 @@ def _direct_heights(f0: SampledFunction, heights) -> np.ndarray:
 
     off = _off_window(f0, g.points)
     ext, _, _ = extended_window(f0, factor)
-    if hilbert:         # constants give exact zeros
-        off, ext = off - f0.values[0], ext - f0.values[0]
+    shift = f0.values[0]
+    if hilbert or cauchy:   # constants give exact zeros under Q_y and H
+        off, ext = off - shift, ext - shift
     # weighted values and weights (the kernel mass) of the far nodes, one
     # column each, so one product per height yields both
     cont = off[1:]
     cols = [cont.real] if real else [cont.real, cont.imag]
     far_cols = np.column_stack(cols + [np.ones(g.u_far.size)]) * g.jac
+    ends = np.array([c[_TAIL_NODES - 1] + c[-1] for c in cols])  # f(+-v)
+    held = ends[:, None] * grid.nodes / (np.pi * g.u[-1])
 
     # near trapezoid: samples at u_m = -W + m*dx, m = 0..factor*n, times weights
     near = grid.dx * np.append(ext, off[0])
@@ -263,25 +268,34 @@ def _direct_heights(f0: SampledFunction, heights) -> np.ndarray:
     near_spec = np.fft.rfft(
         np.array([near.real] if real else [near.real, near.imag]), size)
 
+    def row(parts):     # the real and imaginary parts as one row
+        return parts[0] if real else parts[0] + 1j * parts[1]
+
+    def near_sums(spec):
+        return np.fft.irfft(near_spec * spec, size)[..., span:span + n]
+
+    def far_sums(kernel, cols):     # one row per column of cols
+        return (g.interp @ (kernel @ cols)).T
+
     if hilbert:
-        taps_spec, kernel, _ = _table(_height_table, (*key, None), g, grid,
-                                      None)
-        conv = np.fft.irfft(near_spec * taps_spec, size)[:, span:span + n]
-        far = g.interp @ (kernel @ far_cols[:, :-1])
-        ends = np.array([c[_TAIL_NODES - 1] + c[-1] for c in cols])  # f(+-v)
-        return _finite(conv + far.T
-                       - ends[:, None] * grid.nodes / (np.pi * g.u[-1]))
+        spec, kernel, _ = _table(_height_table, (*key, None), g, grid, None)
+        return _finite(row(near_sums(spec)
+                           + far_sums(kernel, far_cols[:, :-1]) - held))
     out = np.zeros((heights.size, n), dtype=np.complex128)
     for i, y in enumerate(heights):
+        if cauchy:
+            specs, p_kernel, q_kernel = _table(_cauchy_table, (*key, y),
+                                               g, grid, y)
+            p, q = near_sums(specs[:, None])
+            p = row(p + far_sums(p_kernel, far_cols[:, :-1])) + shift
+            q = row(q + far_sums(q_kernel, far_cols[:, :-1]) - held)
+            out[i] = 0.5 * (p + 1j * q)
+            continue
         taps_spec, kernel, near_mass = _table(_height_table, (*key, y),
                                               g, grid, y)
-        conv = np.fft.irfft(near_spec * taps_spec, size)[:, span:span + n]
-        far = g.interp @ (kernel @ far_cols)
-        mass = near_mass + far[:, -1]
+        far = far_sums(kernel, far_cols)
         # discrete partition of unity: constants are reproduced exactly
-        out[i].real = (conv[0] + far[:, 0]) / mass
-        if not real:
-            out[i].imag = (conv[1] + far[:, 1]) / mass
+        out[i] = row((near_sums(taps_spec) + far[:-1]) / (near_mass + far[-1]))
         del taps_spec, kernel, near_mass  # free before the next are built
     return _finite(out)
 
@@ -310,13 +324,11 @@ def poisson_slice(f0: SampledFunction, y: float) -> SampledFunction:
 
 
 def holomorphic_extension(f0: SampledFunction, ladder: HeightLadder):
-    """Szego projection then harmonic extension; if the input is already in
-    the projection's range its closed-form continuation is retained."""
-    proj = szego_project(f0)
-    scale = float(np.max(np.abs(f0.values))) or 1.0
-    if float(np.max(np.abs(proj.values - f0.values))) <= 1e-12 * scale:
-        proj = f0
-    return poisson_extend(proj, ladder)
+    """Cauchy rows (P_y f0 + i Q_y f0)/2 on grid x ladder: the Poisson
+    extension of szego_project(f0), read from f0's own off-window fill."""
+    vals = _direct_heights(f0, ladder.y, cauchy=True)
+    return HalfPlaneField(f0.grid, ladder, vals,
+                          _field_decay(_szego_decay(f0)))
 
 
 # ---------------------------------------------------------------------------

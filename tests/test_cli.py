@@ -57,10 +57,11 @@ class TestConfig:
                                        ["--levels", "-1"],
                                        ["--y-min", "2", "--y-max", "1"],
                                        ["--seed", "-1"], ["--grid-L", "inf"],
-                                       ["--grid-L", "1e308"]],
+                                       ["--grid-L", "1e308"],
+                                       ["--y-max", "inf"]],
                              ids=["low_top", "few_levels", "negative_levels",
                                   "inverted", "negative_seed", "infinite_L",
-                                  "overflowing_L"])
+                                  "overflowing_L", "infinite_top"])
     def test_bad_ladder_is_parse_error(self, tmp_path, flags, norm):
         # every ladder, grid and seed rule rejects the config up front,
         # whether or not the command would use it
@@ -325,14 +326,15 @@ class TestInputFileProperties:
         assert "overflows" in err and "bracket" not in err
         assert "Warning" not in err
 
-    @pytest.mark.parametrize("kind", ["modulus", "constant"])
+    @pytest.mark.parametrize("kind", ["modulus", "flat"])
     def test_overflowing_field_path_is_precondition_error(self, tmp_path,
                                                           capsys, kind):
-        # the Szego projection behind hlog overflows: one stderr line names
-        # it, and numpy prints no warning
+        # the holomorphic extension behind hlog overflows (the flat samples
+        # at its far nodes): one stderr line names it, and numpy prints no
+        # warning
         g = make_grid(16, 1024)
-        if kind == "constant":
-            f = lib.constant(g, 1e306)
+        if kind == "flat":
+            f = SampledFunction(g, np.full(g.n, 1e306), RAPID)
         else:
             vals = np.zeros(g.n, dtype=complex)
             vals[g.n // 2] = 1.5e308 + 1.5e308j

@@ -61,6 +61,17 @@ class TestBuildG:
         assert max_abs(g0.values.imag - q1) <= 2e-4
         assert np.all(np.abs(g0.values) >= 1.0 - 1e-12)
 
+    def test_g_field_of_a_bump_symbol(self, rig_grid, rig_ladder):
+        # b = 1 + p1 extends to 1 + (i/pi)/(z + i); 4.9e-10 measured
+        def cont(u):
+            u = np.asarray(u, dtype=np.float64)
+            return 1.0 + 1.0 / (np.pi * (1.0 + u * u))
+        b = SampledFunction(rig_grid, cont(rig_grid.nodes), lib.BOUNDED,
+                            continuation=cont)
+        _, g_field = build_g(b, rig_ladder)
+        z = rig_grid.nodes[None, :] + 1j * rig_ladder.y[:, None]
+        assert max_abs(g_field.values, 1.0 + (1j / np.pi) / (z + 1j)) <= 1e-8
+
     def test_boundary_real_part_recovered(self, rig_grid):
         lad = make_ladder(1e-3, 10.0, 12)
         h = lib.field_inv_square(rig_grid, make_ladder(1e-3, 1e3, 48))

@@ -1,4 +1,5 @@
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -210,6 +211,21 @@ class TestHeightLadder:
     def test_invariants(self, levels):
         with pytest.raises(PreconditionError):
             HeightLadder(tuple(levels))
+
+    @pytest.mark.parametrize("k", [0, 4, 7])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_nonfinite_level_is_rejected(self, k, bad):
+        levels = list(make_ladder(0.1, 10.0, 8).levels)
+        levels[k] = bad
+        with pytest.raises(PreconditionError, match="finite"):
+            HeightLadder(tuple(levels))
+
+    @pytest.mark.parametrize("y_max", [np.inf, np.nan])
+    def test_make_ladder_rejects_nonfinite_top(self, y_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PreconditionError):
+                make_ladder(1e-3, y_max, 48)
 
 
 class TestHalfPlaneField:

@@ -38,9 +38,10 @@ class TestHankelApply:
         one = lib.constant(rig_grid, 1.0)
         f0 = szego_project(lib.gaussian_deriv(rig_grid))
         out = hankel_apply(one, f0)
-        # conjugation flips the spectrum to the nonpositive side; only the
-        # flat component could survive and f0 is mean-free
-        assert max_abs(out.values) <= 1e-12 * max_abs(f0.values)
+        # P conj(P f) = (i/4)(HHf + f) for mean-free f: what is left is
+        # H o H = -I on the 1/x^2 tail of Hf, which the power law fills
+        # (TestHilbert's involution bound); 4.8e-9 of the max measured
+        assert max_abs(out.values) <= 5e-8 * max_abs(f0.values)
 
     def test_zero_symbol(self, rig_grid):
         zero = lib.constant(rig_grid, 0.0)
@@ -84,8 +85,10 @@ class TestHankelForm:
         f = boundary_f(rig_grid, pair_ladder)
         g = lib.field_constant(rig_grid, pair_ladder, 1.0).slice_at(0)
         val = hankel_form(one, f, g)
-        # residue is the trapezoid end-correction on the power tails
-        assert abs(val) <= 1e-5
+        # f integrates to zero on the line, but the core trapezoid leaves out
+        # the tail 1/(4 sqrt(pi) x^2) of its imaginary part Hf/2 beyond the
+        # window; 1.6e-6 remains
+        assert abs(val - 1j / (2.0 * np.sqrt(np.pi) * rig_grid.L)) <= 1e-5
 
     def test_matches_operator_pairing(self, rig_grid, pair_ladder):
         b0 = lib.exp_osc(rig_grid, 1.0)
@@ -97,10 +100,11 @@ class TestHankelForm:
         applied = hankel_apply(b0, SampledFunction(rig_grid,
                                                    f.values * g.values,
                                                    power_decay(2.0)))
-        # projection keeps the flat component, so the plain average of the
-        # operator output reproduces the pairing
+        # (p + iHp)/2 keeps half the mean of p, so twice the plain average
+        # of the operator output reproduces the pairing, up to the 1/x^2
+        # tail of Hp beyond the window; 4.8e-3 of |form| measured
         alt = 2.0 * rig_grid.L * np.mean(applied.values)
-        assert abs(form - alt) <= 1e-6
+        assert abs(form - 2.0 * alt) <= 1e-2 * abs(form)
 
     def test_linear_in_symbol(self, rig_grid, pair_ladder):
         b1 = lib.exp_osc(rig_grid, 1.0)
@@ -160,21 +164,25 @@ class TestTrialPairs:
         assert len(calls) == 50
 
     def test_builds_each_height_table_once(self, grid1024, monkeypatch):
-        # ten draws share the 8 pair heights (W = 3L, projected bumps) and
-        # the mixtures' height dx/2 (W = 9L): 9 height tables, 2 geometries
+        # ten draws share the 8 pair heights (W = 3L, extended bumps, Cauchy
+        # tables) and the mixtures' height dx/2 (W = 9L, a Poisson table):
+        # 9 height tables, 2 geometries
         geometries, heights = [], []
         build_geometry = transforms._geometry
-        build_height = transforms._height_table
 
         def geometry(grid, factor, v_max):
             geometries.append((factor, v_max))
             return build_geometry(grid, factor, v_max)
 
-        def height(g, grid, y):
-            heights.append((g.span // grid.n, y))     # span = factor * n
-            return build_height(g, grid, y)
+        def counted(build):
+            def height(g, grid, y):
+                heights.append((g.span // grid.n, y))     # span = factor * n
+                return build(g, grid, y)
+            return height
         monkeypatch.setattr(transforms, "_geometry", geometry)
-        monkeypatch.setattr(transforms, "_height_table", height)
+        for name in ("_height_table", "_cauchy_table"):
+            monkeypatch.setattr(transforms, name,
+                                counted(getattr(transforms, name)))
         trial_pairs(grid1024, 10, 41)
         pair_ys = make_ladder(0.5 * grid1024.dx, 1.5, 8).levels
         expected = [(3, y) for y in pair_ys] + [(9, pair_ys[0])]

@@ -14,8 +14,9 @@ The set: the six suites at n=1024 with y_min 1e-3 and 0.1; all eight norms
 of one input named with --function and read with --input, and from
 --function again at y_min 1e-3; llog of a saved tall narrow Gaussian, and
 llog and hlog of a saved tall narrow odd bump, whose gauges lie below their
-maxima; hlog of a saved modulus and a saved constant whose Szego
-projections overflow float64; bmoalog of exp_ix; factorize from --field,
+maxima; hlog of a saved modulus, whose holomorphic extension overflows
+float64, and of a saved constant, which has no continuation to extend;
+bmoalog of exp_ix; factorize from --field,
 --function and --input, from --field with --function, and from a field it
 cannot factorize; hankel on four symbols, on exp_ix with the hankel suite's
 50 trials at y_min 0.1 (the study that suite reports), and on the input
@@ -52,7 +53,7 @@ SYMBOL_INPUT = "in/exp_ix.txt"
 POWER_INF_INPUT = "in/gbump_odd_power_inf.txt"
 BUMP_INPUT = "in/tall_bump.txt"
 ODD_BUMP_INPUT = "in/tall_odd_bump.txt"
-# finite samples whose Szego projection overflows float64
+# finite samples whose transforms or window sums overflow float64
 OVERFLOW_INPUTS = ("in/huge_modulus.txt", "in/huge_constant.txt")
 SAVE_INPUT = ("from pathlib import Path\n"
               "import numpy as np\n"
@@ -102,7 +103,8 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
     cmds += [(f"norm_{n}_tall_odd_bump", at_005,
               ["norm", "--input", ODD_BUMP_INPUT, "--norm", n])
              for n in ("llog", "hlog")]
-    # one stderr line names the overflow, with no numpy warning
+    # one stderr line names the overflow or the missing continuation, with
+    # no numpy warning
     cmds += [(f"norm_hlog_overflow_{k}", SMALL,
               ["norm", "--input", path, "--norm", "hlog"])
              for k, path in enumerate(OVERFLOW_INPUTS)]
@@ -114,7 +116,8 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
         ("factorize_field_and_function", SMALL,
          ["factorize", "--field", "inv_sq", "--function", "gbump_odd"]),
         ("factorize_field_exp_iz", SMALL, ["factorize", "--field", "exp_iz"]),
-        # the continuation of exp_ix is kept by holomorphic_extension
+        # exp_ix takes the Cauchy rows, whose far nodes alias its
+        # oscillation as the Poisson rows do
         ("norm_bmoalog_exp_ix", at_005,
          ["norm", "--function", "exp_ix", "--norm", "bmoalog"]),
     ]
