@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import re
 from dataclasses import dataclass, field
+from functools import partial, reduce
 from pathlib import Path
 from typing import Callable, Optional
 
@@ -145,6 +146,134 @@ def make_grid(L: float, n: int) -> Grid1D:
 
 
 # ---------------------------------------------------------------------------
+# declared terms
+# ---------------------------------------------------------------------------
+
+# the fields each kind's text form lists, in order; the complex kinds
+# write their coefficient as re,im
+_TERM_FIELDS = {"exp": ("coef", "w"), "cos": ("coef", "w"),
+                "atan": ("coef", "s", "w"), "log": ("coef", "s"),
+                "const": ("coef",)}
+_COMPLEX_KINDS = ("exp", "const")
+
+
+@dataclass(frozen=True)
+class Term:
+    """One declared term of a boundary function, with exact samples, an
+    exact Poisson extension and a text form ``kind:<numbers>``:
+
+    ======  ==========================  ==============================  =======
+    kind    term at u                   P_y extension at x              numbers
+    ======  ==========================  ==============================  =======
+    exp     c e^{iwu}                   c e^{-|w|y} e^{iwx}             re,im,w
+    cos     a cos(wu)                   a e^{-|w|y} cos(wx)             a,w
+    atan    a (2/pi) arctan((u-s)/w)    a (2/pi) arctan((x-s)/(w+y))    a,s,w
+    log     a log|u-s|                  a log|x-s+iy|                   a,s
+    const   c                           c                               re,im
+    ======  ==========================  ==============================  =======
+
+    The coefficient ``coef`` is c or a; only exp and const take a complex
+    one, so the other kinds keep real data real.  atan takes a width
+    w >= 0, and w = 0 is the step a sgn(u-s) with sgn(0) = 0.
+    """
+
+    kind: str
+    coef: complex
+    w: float = 0.0
+    s: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in _TERM_FIELDS:
+            raise PreconditionError(f"unknown term kind {self.kind!r}")
+        coef, w, s = complex(self.coef), float(self.w), float(self.s)
+        if not np.isfinite([coef.real, coef.imag, w, s]).all():
+            raise PreconditionError(f"{self.kind} term needs finite numbers")
+        if any(getattr(self, k) != 0.0 for k in ("w", "s")
+               if k not in _TERM_FIELDS[self.kind]):
+            raise PreconditionError(f"{self.kind} term takes no other number")
+        if self.kind not in _COMPLEX_KINDS:
+            if coef.imag != 0.0:
+                raise PreconditionError(f"{self.kind} term needs a real a")
+            coef = coef.real
+        if self.kind == "atan" and w < 0.0:
+            raise PreconditionError("atan term needs a width w >= 0")
+        object.__setattr__(self, "coef", coef)
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "s", s)
+
+    def at(self, u, floor: float = 0.0) -> np.ndarray:
+        """The term at points u; log's |u - s| is raised to ``floor``, the
+        sampling convention of a node on its singularity."""
+        if self.kind == "exp":
+            return self.coef * np.exp(
+                1j * self.w * np.asarray(u, dtype=np.complex128))
+        u = np.asarray(u, dtype=np.float64)
+        if self.kind == "cos":
+            return self.coef * np.cos(self.w * u)
+        if self.kind == "atan":
+            if self.w == 0.0:
+                return self.coef * np.sign(u - self.s)
+            return self.coef * (2.0 / np.pi) * np.arctan((u - self.s) / self.w)
+        if self.kind == "log":
+            return self.coef * np.log(np.maximum(np.abs(u - self.s), floor))
+        return np.full(u.shape, self.coef, dtype=np.complex128)
+
+    def extend(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """P_y of the term at points x and positive heights y, broadcast."""
+        if self.kind == "exp":
+            return self.coef * np.exp(-abs(self.w) * y) * np.exp(1j * self.w * x)
+        if self.kind == "cos":
+            return self.coef * np.exp(-abs(self.w) * y) * np.cos(self.w * x)
+        if self.kind == "atan":
+            return self.coef * (2.0 / np.pi) * np.arctan(
+                (x - self.s) / (self.w + y))
+        if self.kind == "log":
+            return self.coef * np.log(np.hypot(x - self.s, y))
+        return np.full(np.broadcast(x, y).shape, self.coef,
+                       dtype=np.complex128)
+
+    def __str__(self) -> str:
+        nums = [getattr(self, k) for k in _TERM_FIELDS[self.kind]]
+        if self.kind in _COMPLEX_KINDS:
+            nums[:1] = [self.coef.real, self.coef.imag]
+        return f"{self.kind}:" + ",".join(f"{v:.17g}" for v in nums)
+
+    @classmethod
+    def parse(cls, text: str) -> "Term":
+        """Inverse of str(); a malformed term raises PreconditionError."""
+        kind, _, rest = text.partition(":")
+        if kind not in _TERM_FIELDS:
+            raise PreconditionError(f"unknown term kind {kind!r}")
+        try:
+            nums = [float(v) for v in rest.split(",")]
+        except ValueError as exc:
+            raise PreconditionError(f"unparsable term {text!r}") from exc
+        fields = _TERM_FIELDS[kind]
+        if len(nums) != len(fields) + (kind in _COMPLEX_KINDS):
+            raise PreconditionError(f"term {text!r} has the wrong count of "
+                                    f"numbers for {kind}")
+        if kind in _COMPLEX_KINDS:
+            nums[:2] = [complex(nums[0], nums[1])]
+        return cls(kind, **dict(zip(fields, nums)))
+
+
+def tail_values(tail: tuple, u, floor: float = 0.0) -> np.ndarray:
+    """The sum of the terms at points u, added in the order declared."""
+    return reduce(np.add, (t.at(u, floor) for t in tail))
+
+
+def tail_samples(tail: tuple, grid: Grid1D) -> np.ndarray:
+    """The sum of the terms on the grid's nodes; a node on a log
+    singularity is read at dx/2 from it."""
+    return tail_values(tail, grid.nodes, 0.5 * grid.dx)
+
+
+def tail_extension(tail: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """P_y of the sum of the terms at points x and heights y, broadcast."""
+    return reduce(np.add, (t.extend(x, y) for t in tail))
+
+
+# ---------------------------------------------------------------------------
 # sampled boundary functions
 # ---------------------------------------------------------------------------
 
@@ -154,7 +283,9 @@ class SampledFunction:
 
     ``continuation``, when given, evaluates the function off-grid in closed
     form; convolution-type operators use it to fill extended windows and
-    analytic tails.
+    analytic tails.  ``tail`` declares terms (``Term``) whose sum the
+    function is, up to samples that vanish off the window: the sum is then
+    the continuation, and the Poisson extension takes the terms exactly.
     """
 
     grid: Grid1D
@@ -162,6 +293,7 @@ class SampledFunction:
     decay: DecayClass
     continuation: Optional[Callable[[np.ndarray], np.ndarray]] = field(
         default=None, compare=False)
+    tail: tuple = ()
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=np.complex128)
@@ -173,6 +305,19 @@ class SampledFunction:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+        if self.tail:
+            if self.continuation is not None:
+                raise PreconditionError(
+                    "declared terms are their own continuation")
+            object.__setattr__(self, "tail", tuple(self.tail))
+            object.__setattr__(self, "continuation",
+                               partial(tail_values, self.tail))
+
+    @classmethod
+    def declared(cls, grid: Grid1D, tail: tuple, decay: DecayClass
+                 ) -> "SampledFunction":
+        """The sum of the terms, sampled on the grid's nodes."""
+        return cls(grid, tail_samples(tail, grid), decay, tail=tail)
 
     @property
     def is_real(self) -> bool:
@@ -311,11 +456,12 @@ def sample_field(grid: Grid1D, ladder: HeightLadder,
 
 
 # ---------------------------------------------------------------------------
-# columnar serialization:  "# L=<real> n=<int> decay=<tag>" then "x re im"
+# columnar serialization:  "# L=<real> n=<int> decay=<tag> [tail=<terms>]"
+# then "x re im"
 # ---------------------------------------------------------------------------
 
 _HEADER_RE = re.compile(
-    r"^#\s*L=([^\s]+)\s+n=(\d+)\s+decay=([^\s]+)\s*$")
+    r"^#\s*L=([^\s]+)\s+n=(\d+)\s+decay=([^\s]+)(?:\s+tail=([^\s]*))?\s*$")
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -338,7 +484,10 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def save_function(f: SampledFunction, path) -> None:
-    lines = [f"# L={f.grid.L:.17g} n={f.grid.n} decay={f.decay}"]
+    header = f"# L={f.grid.L:.17g} n={f.grid.n} decay={f.decay}"
+    if f.tail:
+        header += " tail=" + ";".join(str(t) for t in f.tail)
+    lines = [header]
     for x, v in zip(f.grid.nodes, f.values):
         lines.append(f"{x:.17g} {v.real:.17g} {v.imag:.17g}")
     _atomic_write(Path(path), "\n".join(lines) + "\n")
@@ -347,7 +496,9 @@ def save_function(f: SampledFunction, path) -> None:
 def load_function(path) -> SampledFunction:
     """Parse a function file; any malformed content raises PreconditionError.
 
-    The header fixes the grid, and the x column must match its nodes.
+    The header fixes the grid, and the x column must match its nodes; its
+    optional ``tail=`` field lists declared terms, ``;``-separated in the
+    text form of ``Term``.
     """
     try:
         text = Path(path).read_text().strip().splitlines()
@@ -362,6 +513,8 @@ def load_function(path) -> SampledFunction:
     try:
         L, n = float(m.group(1)), int(m.group(2))
         decay = DecayClass.parse(m.group(3))
+        tail = () if m.group(4) is None else tuple(
+            Term.parse(t) for t in m.group(4).split(";"))
         data = [[float(v) for v in r] for r in rows]
     except ValueError as exc:
         raise PreconditionError(f"{path}: unparsable field ({exc})") from exc
@@ -375,4 +528,4 @@ def load_function(path) -> SampledFunction:
         raise PreconditionError(
             f"{path}: x column is off the header's grid nodes by {dev:g}")
     vals = np.array([complex(r[1], r[2]) for r in data])  # keeps signed zeros
-    return SampledFunction(grid, vals, decay)
+    return SampledFunction(grid, vals, decay, tail=tail)

@@ -1,6 +1,8 @@
 """Closed-form boundary functions and half-plane fields used by the CLI and
-the verification sweeps.  Every entry knows its own off-grid continuation, so
-convolution-type operators can extend windows and tails honestly.
+the verification sweeps.  Every entry knows its own off-grid values, so
+convolution-type operators can extend windows and tails honestly: the
+BMO-type inputs declare their terms (``grid.Term``), whose Poisson
+extension is exact, and the others carry a continuation.
 """
 
 from __future__ import annotations
@@ -8,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import (BOUNDED, Grid1D, HalfPlaneField, HeightLadder, LOG_GROWTH,
-                   RAPID, SampledFunction, PreconditionError, power_decay,
-                   sample_field)
+                   RAPID, SampledFunction, PreconditionError, Term,
+                   power_decay, sample_field)
 
 # ---------------------------------------------------------------------------
 # boundary functions
@@ -75,16 +77,13 @@ def windowed_cos(grid: Grid1D, freq: float = 1.0) -> SampledFunction:
 
 
 def sign_step(grid: Grid1D) -> SampledFunction:
-    return SampledFunction(grid, np.sign(grid.nodes), BOUNDED,
-                           continuation=np.sign)
+    """sgn x, with sgn(0) = 0."""
+    return SampledFunction.declared(grid, (Term("atan", 1.0),), BOUNDED)
 
 
 def log_abs(grid: Grid1D) -> SampledFunction:
     """log|x| with the node at the origin evaluated at dx/2 offset."""
-    x = grid.nodes.copy()
-    x[np.abs(x) < 0.5 * grid.dx] = 0.5 * grid.dx
-    return SampledFunction(grid, np.log(np.abs(x)), LOG_GROWTH,
-                           continuation=lambda u: np.log(np.abs(u)))
+    return SampledFunction.declared(grid, (Term("log", 1.0),), LOG_GROWTH)
 
 
 def harmonic_freq(grid: Grid1D, freq: float) -> float:
@@ -97,22 +96,17 @@ def harmonic_freq(grid: Grid1D, freq: float) -> float:
 def exp_osc(grid: Grid1D, freq: float = 1.0) -> SampledFunction:
     """Bounded oscillation exp(i*a*x), a snapped to a window harmonic for
     the spectral derivative."""
-    a = harmonic_freq(grid, freq)
-
-    def f(u):
-        return np.exp(1j * a * np.asarray(u, dtype=np.complex128))
-    return SampledFunction(grid, f(grid.nodes), BOUNDED, continuation=f)
+    return SampledFunction.declared(
+        grid, (Term("exp", 1.0, w=harmonic_freq(grid, freq)),), BOUNDED)
 
 
 def constant(grid: Grid1D, c: complex = 1.0) -> SampledFunction:
-    return SampledFunction(grid, np.full(grid.n, c, dtype=np.complex128),
-                           BOUNDED, continuation=lambda u: np.full_like(
-                               np.asarray(u, dtype=np.float64), c, dtype=np.complex128))
+    return SampledFunction.declared(grid, (Term("const", c),), BOUNDED)
 
 
 def bmo_mixture(grid: Grid1D, rng: np.random.Generator) -> SampledFunction:
     """Random bounded BMO-type test function: a few arctan steps plus a mild
-    oscillation, with a closed-form continuation."""
+    oscillation, declared as terms."""
     k = 3
     shifts = rng.uniform(-grid.L / 4, grid.L / 4, size=k)
     widths = rng.uniform(0.2, 5.0, size=k)
@@ -120,13 +114,10 @@ def bmo_mixture(grid: Grid1D, rng: np.random.Generator) -> SampledFunction:
     osc_amp = rng.uniform(0.0, 0.3)
     osc_freq = rng.uniform(0.2, 2.0)
 
-    def f(u):
-        u = np.asarray(u, dtype=np.float64)
-        out = np.zeros_like(u)
-        for s, w, a in zip(shifts, widths, amps):
-            out += a * (2.0 / np.pi) * np.arctan((u - s) / w)
-        return out + osc_amp * np.cos(osc_freq * u)
-    return SampledFunction(grid, f(grid.nodes), BOUNDED, continuation=f)
+    steps = tuple(Term("atan", a, w=w, s=s)
+                  for s, w, a in zip(shifts, widths, amps))
+    return SampledFunction.declared(
+        grid, steps + (Term("cos", osc_amp, w=osc_freq),), BOUNDED)
 
 
 # ---------------------------------------------------------------------------

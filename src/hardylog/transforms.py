@@ -4,9 +4,10 @@ P_y, the Cauchy rows (P_y f + i Q_y f)/2 of the holomorphic extension and
 H, the y -> 0 member of Q_y, are one direct quadrature of the line, which
 never periodises the data; the Szego projection is (f + iHf)/2.  The line
 splits at |u| = W into a near window convolved with band-limited taps and
-far nodes where the kernel is interpolated in x.  One off-window fill rule
-(``_off_window``) serves all: the closed-form continuation when available,
-otherwise the decay class.  The kernel tables depend on the grid, split,
+far nodes where the kernel is interpolated in x.  P_y takes the declared
+terms of an input (``grid.Term``) in closed form and the rule on the rest.
+One off-window fill rule (``_off_window``) serves all: the closed-form
+continuation when available, otherwise the decay class.  The kernel tables depend on the grid, split,
 far range and height alone, and are kept only in a ``shared_tables`` scope.
 """
 
@@ -20,8 +21,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from .grid import (BOUNDED, DecayClass, Grid1D, HalfPlaneField,
-                   HeightLadder, LOG_GROWTH, PreconditionError,
-                   SampledFunction, power_decay)
+                   HeightLadder, LOG_GROWTH, PreconditionError, RAPID,
+                   SampledFunction, power_decay, tail_extension,
+                   tail_samples)
 
 # near/far split of the line quadrature, W = factor * L, by decay class.
 # The far kernel P_y(x-u), |u| >= W, has its poles outside the Bernstein
@@ -235,13 +237,23 @@ def _direct_heights(f0: SampledFunction, heights,
     and H act on f - f(-L), so constants give exact zeros, with the far
     kernel Q_y(x-u) + 1/(pi u) and, beyond +-v_max with end values held,
     -x (f(v_max) + f(-v_max)) / (pi v_max).  The Cauchy rows read P_y from
-    the same shifted samples, undivided, and add f(-L) back.  Tables are
-    memoised only in a ``shared_tables`` scope; float64 overflow raises
-    PreconditionError."""
+    the same shifted samples, undivided, and add f(-L) back.  The P_y rows of
+    an input with declared terms are their exact extensions plus the rule
+    on the rest, the samples minus the terms' samples, zero off the window;
+    a zero rest runs no quadrature.  H and the Cauchy rows read the terms'
+    sum as the continuation.  Tables are memoised only in a
+    ``shared_tables`` scope; float64 overflow raises PreconditionError."""
     hilbert = heights is None
     if not hilbert and not np.all(np.isfinite(heights) & (heights > 0)):
         raise PreconditionError("extension heights must be positive and finite")
     grid, n = f0.grid, f0.grid.n
+    if f0.tail and not (hilbert or cauchy):
+        out = tail_extension(f0.tail, grid.nodes, heights[:, None])
+        rest = f0.values - tail_samples(f0.tail, grid)
+        if np.any(rest):
+            out = out + _direct_heights(SampledFunction(grid, rest, RAPID),
+                                        heights)
+        return _finite(out.astype(np.complex128))
     factor = _SPLIT_DECAYING if f0.decay.integrable else _SPLIT_LOG_GROWTH
     v_max = 1e8 if hilbert else max(1e8, 1e4 * float(heights[-1]))
     key = (grid, factor, v_max)

@@ -1,13 +1,27 @@
 import numpy as np
 import pytest
-from hypothesis import settings
+from hypothesis import settings, strategies as st
 
-from hardylog.grid import make_grid, make_ladder
+from hardylog.grid import Term, make_grid, make_ladder
 
 # Property tests draw the same examples on every run, so Tier-1 stays
 # reproducible; numpy-heavy examples have no per-example deadline.
 settings.register_profile("hardylog", derandomize=True, deadline=None)
 settings.load_profile("hardylog")
+
+
+_coef, _shift = st.floats(-1e3, 1e3), st.floats(-8.0, 8.0)
+_freq = st.floats(-5.0, 5.0)
+# every kind of declared term, with finite numbers on a window |s| <= 8
+terms = st.one_of(
+    st.builds(lambda re, im, w: Term("exp", complex(re, im), w=w),
+              _coef, _coef, _freq),
+    st.builds(lambda a, w: Term("cos", a, w=w), _coef, _freq),
+    st.builds(lambda a, s, w: Term("atan", a, s=s, w=w), _coef, _shift,
+              st.floats(0.0, 5.0)),
+    st.builds(lambda a, s: Term("log", a, s=s), _coef, _shift),
+    st.builds(lambda re, im: Term("const", complex(re, im)), _coef, _coef))
+term_lists = st.lists(terms, min_size=1, max_size=4).map(tuple)
 
 
 @pytest.fixture(scope="session")

@@ -11,13 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import term_lists
 import hardylog
 from hardylog import cli, suites
 from hardylog import library as lib
 from hardylog.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
                           RunConfig, load_config, main)
-from hardylog.grid import (RAPID, SampledFunction, make_grid, make_ladder,
-                           save_function)
+from hardylog.grid import (BOUNDED, RAPID, SampledFunction, make_grid,
+                           make_ladder, save_function)
 
 SMALL = ["--grid-L", "16", "--grid-n", "1024"]
 
@@ -299,6 +300,44 @@ class TestInputFileProperties:
             assert not out.exists()
 
 
+    @given(term_lists, st.integers(0, 3),
+           st.sampled_from(["kind", "drop", "extra", "number", "empty_term",
+                            "empty_tail"]),
+           st.sampled_from(["nan", "inf", "-inf", "", "x"]),
+           st.sampled_from(["norm", "hankel"]))
+    def test_malformed_tail_is_parse_error(self, tail, pick, how, token,
+                                           command):
+        # an unknown kind, a missing, extra, non-finite or unparsable
+        # number, or an empty term anywhere in tail= exits 2, writing nothing
+        f = SampledFunction.declared(make_grid(4, 16), tail, BOUNDED)
+        texts = [str(t) for t in tail]
+        k = pick % len(texts)
+        kind, _, nums = texts[k].partition(":")
+        nums = nums.split(",")
+        if how == "kind":
+            kind = "sin"
+        elif how == "drop":
+            nums.pop()
+        elif how == "extra":
+            nums.append("1")
+        elif how == "number":
+            nums[pick % len(nums)] = token
+        texts[k] = f"{kind}:{','.join(nums)}"
+        if how == "empty_term":
+            texts.insert(k, "")
+        field = "tail=" if how == "empty_tail" else "tail=" + ";".join(texts)
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "f.txt", Path(tmp) / "out"
+            save_function(f, path)
+            head, body = path.read_text().split("\n", 1)
+            head = re.sub(r"tail=\S*", lambda _: field, head)
+            path.write_text(head + "\n" + body)
+            rc = main(["--out", str(out), command, "--input", str(path),
+                       *(["--norm", "l1"] if command == "norm" else
+                         ["--trials", "1"])])
+            assert rc == EXIT_PARSE
+            assert not out.exists()
+
     def test_overflowing_bmo_is_precondition_error(self, tmp_path):
         # prefix sums of a 1e306 constant overflow; the sweep must not
         # prune the inf scores away and print a finite norm
@@ -465,15 +504,28 @@ class TestHankelCommand:
         assert default["seminorm"] == small["seminorm"]
         assert default["rows"] == small["rows"]
 
-    def test_saved_bounded_symbol_needs_continuation(self, tmp_path, capsys):
-        # the header keeps the bound, but a file has no continuation for
-        # the direct Poisson path
+    def test_saved_symbol_extends_like_the_named_one(self, tmp_path, capsys):
+        # the header keeps the bound and the declared term, so the file
+        # gives the --function reports: hankel on its Poisson rows, bmoalog
+        # on its Cauchy rows
         path = write_named(tmp_path, "exp_ix")
-        assert "decay=log_growth:bounded" in path.read_text().split("\n")[0]
-        rc = main(SMALL + ["--out", str(tmp_path / "out"), "hankel",
-                           "--input", str(path), "--trials", "1"])
-        assert rc == EXIT_PRECONDITION
-        assert "needs a closed-form continuation" in capsys.readouterr().err
+        head = path.read_text().split("\n")[0].split()
+        assert "decay=log_growth:bounded" in head
+        assert [f for f in head if f.startswith("tail=")] == \
+            [f"tail=exp:1,0,{lib.harmonic_freq(make_grid(16, 1024), 1.0):.17g}"]
+        reports = {}
+        for source in (["--input", str(path)], ["--function", "exp_ix"]):
+            out = tmp_path / source[0]
+            assert main(SMALL + ["--seed", "3", "--out", str(out), "hankel",
+                                 *source, "--trials", "3"]) == EXIT_OK
+            assert main(SMALL + ["--y-min", "0.05", "--out", str(out),
+                                 "norm", *source, "--norm", "bmoalog"]) \
+                == EXIT_OK
+            study = json.loads((out / "hankel_study.json").read_text())
+            norm = json.loads((out / "norm_bmoalog.json").read_text())
+            reports[source[0]] = (study["seminorm"], study["rows"],
+                                  norm["report"])
+        assert reports["--input"] == reports["--function"]
 
     def test_unbounded_symbol_rejected_before_drawing(self, tmp_path,
                                                       monkeypatch):

@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import term_lists
 from hardylog import library as lib
 from hardylog.grid import (BOUNDED, DecayClass, HalfPlaneField, HeightLadder,
                            LOG_GROWTH, NonIntegrableError, PreconditionError,
-                           RAPID, SampledFunction, integrate, integrate_window,
-                           load_function, make_grid, make_ladder, power_decay,
-                           product_decay, save_function)
+                           RAPID, SampledFunction, Term, integrate,
+                           integrate_window, load_function, make_grid,
+                           make_ladder, power_decay, product_decay,
+                           save_function)
+from hardylog.transforms import poisson_extend
 
 
 class TestMakeGrid:
@@ -278,11 +281,42 @@ class TestSerialization:
         assert (h.grid, h.decay) == (f.grid, f.decay)
         assert h.values.tobytes() == f.values.tobytes()
 
+    @given(term_lists, st.booleans(), st.sampled_from([BOUNDED, LOG_GROWTH]))
+    def test_declared_round_trip(self, tail, bump, decay):
+        # the terms survive with their samples and their P_y rows; a bump on
+        # top leaves a rest for the line rule
+        grid = make_grid(8, 64)
+        f = SampledFunction.declared(grid, tail, decay)
+        if bump:
+            f = SampledFunction(grid, f.values + lib.gaussian(grid).values,
+                                decay, tail=tail)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "f.txt"
+            save_function(f, path)
+            h = load_function(path)
+        assert (h.grid, h.decay, h.tail) == (f.grid, f.decay, f.tail)
+        assert h.values.tobytes() == f.values.tobytes()
+        assert all(Term.parse(str(t)) == t for t in tail)
+        lad = make_ladder(0.5 * grid.dx, 100.0, 8)
+        assert np.array_equal(poisson_extend(h, lad).values,
+                              poisson_extend(f, lad).values)
+
+    @pytest.mark.parametrize("kind, coef, w, s", [
+        ("sin", 1.0, 1.0, 0.0), ("exp", complex(1.0, np.inf), 1.0, 0.0),
+        ("cos", 1.0, np.nan, 0.0), ("cos", 1j, 1.0, 0.0),
+        ("atan", 1.0, -0.5, 0.0), ("log", 1.0, 1.0, 0.0),
+        ("const", 1.0, 0.0, 2.0)])
+    def test_term_rejects_what_it_cannot_extend(self, kind, coef, w, s):
+        # unknown kinds, non-finite numbers, a complex a, a negative width
+        # and numbers a kind does not take
+        with pytest.raises(PreconditionError):
+            Term(kind, coef, w=w, s=s)
+
     def test_bounded_header(self, tmp_path, small_grid):
         path = tmp_path / "sgn.txt"
         save_function(lib.sign_step(small_grid), path)
         head, body = path.read_text().split("\n", 1)
-        assert head.endswith(" decay=log_growth:bounded")
+        assert "decay=log_growth:bounded" in head.split()
         assert load_function(path).decay == BOUNDED
         # a plain log_growth header states no bound
         path.write_text(head.replace(":bounded", "") + "\n" + body)

@@ -18,6 +18,17 @@ from hardylog.transforms import (boundary_value, hilbert_transform,
                                  poisson_slice, szego_project)
 
 
+def _same(f0):
+    return f0
+
+
+def _stripped(f0):
+    """f0 without its declared terms: its samples and continuation, which
+    the line rule extends."""
+    return SampledFunction(f0.grid, f0.values, f0.decay,
+                           continuation=f0.continuation)
+
+
 class TestPoissonExtend:
     def test_constant_exact_on_direct_path(self, rig_grid):
         one = lib.constant(rig_grid, 1.0)
@@ -99,26 +110,48 @@ class TestPoissonExtend:
         with pytest.raises(PreconditionError, match="positive and finite"):
             poisson_slice(lib.gaussian_deriv(make_grid(8, 64)), y)
 
-    def test_direct_path_closed_forms(self, rig_grid):
-        x, dx = rig_grid.nodes, rig_grid.dx
+    @staticmethod
+    def _closed_form_errors(rig_grid, strip, log_heights):
+        """Per height, the errors of P_y 1, P_y sgn, P_y log|x| (None off
+        log_heights) and P_y e^{iax} on the central half-window, for the
+        library inputs passed through strip."""
+        x = rig_grid.nodes
         central = np.abs(x) <= rig_grid.L / 2
-        one, sg = lib.constant(rig_grid, 1.0), lib.sign_step(rig_grid)
-        for y in (0.1, 1.0, 30.0, 100.0, 1000.0):
-            assert max_abs(poisson_slice(one, y).values, 1.0) < 1e-12
-            # sampling the unit step costs up to dx^2 * max|P_y'|
-            allow = 1e-4 + 3 * np.sqrt(3) / (8 * np.pi) * (dx / y) ** 2
-            assert max_abs(poisson_slice(sg, y).values.real,
-                           (2 / np.pi) * np.arctan(x / y)) < allow
-        la = lib.log_abs(rig_grid)
         a = lib.harmonic_freq(rig_grid, 1.0)
-        ex = lib.exp_osc(rig_grid, 1.0)
-        for y in (1.0, 30.0, 1000.0):
-            out = poisson_slice(la, y)
-            target = 0.5 * np.log(x * x + y * y)
-            assert max_abs(out.values.real - target) < 0.02
-            out = poisson_slice(ex, y)
+        one, sg, la, ex = (strip(f) for f in (
+            lib.constant(rig_grid, 1.0), lib.sign_step(rig_grid),
+            lib.log_abs(rig_grid), lib.exp_osc(rig_grid, 1.0)))
+        for y in (0.1, 1.0, 30.0, 100.0, 1000.0):
+            log_err = max_abs(poisson_slice(la, y).values.real
+                              - 0.5 * np.log(x * x + y * y)) \
+                if y in log_heights else None
             target = np.exp(-a * y) * np.exp(1j * a * x)
-            assert max_abs((out.values - target)[central]) <= 1e-4 * y
+            yield (y, max_abs(poisson_slice(one, y).values, 1.0),
+                   max_abs(poisson_slice(sg, y).values.real,
+                           (2 / np.pi) * np.arctan(x / y)),
+                   log_err,
+                   max_abs((poisson_slice(ex, y).values - target)[central]))
+
+    def test_direct_path_closed_forms(self, rig_grid):
+        # the declared terms extend in closed form: 8.9e-16 on log|x|, which
+        # includes the origin at y = 0.1, and 0 on the others
+        heights = (0.1, 1.0, 30.0, 100.0, 1000.0)
+        for y, one, sgn, log, exp in self._closed_form_errors(
+                rig_grid, _same, heights):
+            assert max(one, sgn, log) < 1e-12 and exp <= 1e-9
+
+    def test_direct_path_closed_forms_on_the_rule(self, rig_grid):
+        # the same inputs without their terms take the line rule: its far
+        # nodes alias e^{iax} by 4.2e-5 y, and the origin's sampled log
+        # singularity costs 0.11 at y = 0.1, which is left out
+        dx = rig_grid.dx
+        for y, one, sgn, log, exp in self._closed_form_errors(
+                rig_grid, _stripped, (1.0, 30.0, 1000.0)):
+            assert one < 1e-12
+            # sampling the unit step costs up to dx^2 * max|P_y'|
+            assert sgn < 1e-4 + 3 * np.sqrt(3) / (8 * np.pi) * (dx / y) ** 2
+            assert log is None or log < 0.02
+            assert exp <= 1e-4 * y
 
     def test_direct_path_samples_continuation_once(self, rig_grid):
         # the continuation is sampled on the near window and the far nodes
@@ -383,12 +416,11 @@ def _on_both_windows(make, op):
     return small, big, max_abs(big)
 
 
-def _mixture_on(seed):
+def _mixture_on(seed, strip=_same):
     """bmo_mixture's draws scale with L, so both windows sample the one
-    the smaller window draws, through its continuation."""
+    the smaller window draws, by its declared terms."""
     mix = lib.bmo_mixture(_WINDOWS[0], np.random.default_rng(seed))
-    return lambda g: SampledFunction(g, mix.continuation(g.nodes), mix.decay,
-                                     continuation=mix.continuation)
+    return lambda g: strip(SampledFunction.declared(g, mix.tail, mix.decay))
 
 
 class TestWindowIndependence:
@@ -448,13 +480,21 @@ class TestWindowIndependence:
             lib.sign_step, lambda f: poisson_extend(f, self._ladder).values)
         assert max_abs(small, big) <= 1e-7 * top
 
-    # the far nodes alias the mixture's cosine term (ROADMAP, declared tail
-    # terms), by up to 5.8e-4 y of the max; its arctan steps alone keep
-    # 1.7e-8
+    # 0 measured: the declared terms extend in closed form
     @given(st.integers(0, 2 ** 32 - 1))
     def test_poisson_extend_of_a_mixture(self, seed):
         small, big, top = _on_both_windows(
             _mixture_on(seed),
+            lambda f: poisson_extend(f, self._ladder).values)
+        assert max_abs(small, big) <= 1e-13 * top
+
+    # without its terms the line rule takes the mixture, whose far nodes
+    # alias the cosine term by up to 5.8e-4 y of the max; its arctan steps
+    # alone keep 1.7e-8
+    @given(st.integers(0, 2 ** 32 - 1))
+    def test_poisson_extend_of_a_stripped_mixture(self, seed):
+        small, big, top = _on_both_windows(
+            _mixture_on(seed, _stripped),
             lambda f: poisson_extend(f, self._ladder).values)
         gap = np.max(np.abs(small - big), axis=1)
         assert np.all(gap <= 2e-3 * self._ladder.y * top)
@@ -497,8 +537,10 @@ class TestOverflow:
     @staticmethod
     def _input(kind):
         g = make_grid(16, 1024)
-        if kind == "constant":          # its far values times weights do
-            return lib.constant(g, 1e306)
+        if kind == "constant":          # its far values times weights do,
+            c = lib.constant(g, 1e306)  # on the rule, with no declared term
+            return SampledFunction(g, c.values, c.decay,
+                                   continuation=c.continuation)
         if kind == "flat":              # its sum and its far values overflow
             return SampledFunction(g, np.full(g.n, 1e306), lib.RAPID)
         vals = np.zeros(g.n, dtype=complex)
@@ -524,6 +566,13 @@ class TestOverflow:
             warnings.simplefilter("error")
             assert np.all(szego_project(f0).values == 0.5e306)
 
+    def test_declared_constant_extends_exactly(self):
+        # the term's closed form takes no quadrature, so nothing overflows
+        f0 = lib.constant(make_grid(16, 1024), 1e306)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(poisson_slice(f0, 1.0).values == 1e306)
+
     @pytest.mark.parametrize("kind", ["constant", "flat", "modulus"])
     @pytest.mark.parametrize("op", ["poisson_slice", "poisson_extend"])
     def test_poisson_precondition_error(self, op, kind):
@@ -547,8 +596,10 @@ class TestSharedTables:
     def _input(kind, grid):
         if kind == "decaying":          # W = 3L
             return lib.gaussian(grid)
-        if kind == "log_growth":        # W = 9L
+        if kind == "log_growth":        # W = 9L for H, closed-form P_y
             return lib.bmo_mixture(grid, np.random.default_rng(5))
+        if kind == "stripped":          # W = 9L for both
+            return _stripped(lib.bmo_mixture(grid, np.random.default_rng(5)))
         if kind == "projected":         # complex, power decay
             return szego_project(lib.gaussian_deriv(grid, 0.3, 1.0))
         # rapid samples with no continuation
@@ -563,8 +614,8 @@ class TestSharedTables:
                 poisson_slice(f0, 10.0).values,
                 hilbert_transform(f0).values]
 
-    @pytest.mark.parametrize("kind", ["decaying", "log_growth", "projected",
-                                      "rapid_samples"])
+    @pytest.mark.parametrize("kind", ["decaying", "log_growth", "stripped",
+                                      "projected", "rapid_samples"])
     def test_bit_for_bit_inside_and_outside(self, kind):
         f0 = self._input(kind, make_grid(16, 1024))
         outside = self._outputs(f0)

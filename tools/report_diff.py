@@ -15,14 +15,15 @@ of one input named with --function and read with --input, and from
 --function again at y_min 1e-3; llog of a saved tall narrow Gaussian, and
 llog and hlog of a saved tall narrow odd bump, whose gauges lie below their
 maxima; hlog of a saved modulus, whose holomorphic extension overflows
-float64, and of a saved constant, which has no continuation to extend;
-bmoalog of exp_ix; factorize from --field,
+float64, and of a saved constant, whose non-decaying class the gauge
+refuses; bmoalog of exp_ix; factorize from --field,
 --function and --input, from --field with --function, and from a field it
 cannot factorize; hankel on four symbols, on exp_ix with the hankel suite's
 50 trials at y_min 0.1 (the study that suite reports), and on the input
-file at the default config; the input and config errors; hankel on a saved
-exp_ix, which has no continuation, and norm on a copy of the input whose
-header says power:inf; bmo at the default config on one, sgn and logabs
+file at the default config; the input and config errors; hankel and
+bmoalog on a saved exp_ix, whose header declares its term, so both exit 0
+with the reports of --function exp_ix, and norm on a copy of the input
+whose header says power:inf; bmo at the default config on one, sgn and logabs
 (ties, data that prunes nothing, a jump, a log singularity) and of the
 saved constant whose window sums overflow (exit 3); and the six suites at
 the default config (L=64, n=4096, 48 levels), which take most of the few
@@ -103,8 +104,8 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
     cmds += [(f"norm_{n}_tall_odd_bump", at_005,
               ["norm", "--input", ODD_BUMP_INPUT, "--norm", n])
              for n in ("llog", "hlog")]
-    # one stderr line names the overflow or the missing continuation, with
-    # no numpy warning
+    # one stderr line names the overflow or the non-decaying class, with no
+    # numpy warning
     cmds += [(f"norm_hlog_overflow_{k}", SMALL,
               ["norm", "--input", path, "--norm", "hlog"])
              for k, path in enumerate(OVERFLOW_INPUTS)]
@@ -145,6 +146,8 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
          ["hankel", "--function", "exp_ix"]),
         ("hankel_input_exp_ix", SMALL + ["--seed", "3"],
          ["hankel", "--input", SYMBOL_INPUT, "--trials", "1"]),
+        ("norm_bmoalog_input_exp_ix", at_005,
+         ["norm", "--input", SYMBOL_INPUT, "--norm", "bmoalog"]),
         ("norm_l1_input_power_inf", SMALL,
          ["norm", "--input", POWER_INF_INPUT, "--norm", "l1"]),
     ]
