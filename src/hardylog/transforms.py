@@ -2,13 +2,15 @@
 
 P_y, the Cauchy rows (P_y f + i Q_y f)/2 of the holomorphic extension and
 H, the y -> 0 member of Q_y, are one direct quadrature of the line, which
-never periodises the data; the Szego projection is (f + iHf)/2.  The line
+never periodises the data; the Szego projection is (f + iHf)/2.  Every row
+reads f - f(-L), so constants are exact, and P_y adds f(-L) back.  The line
 splits at |u| = W into a near window convolved with band-limited taps and
 far nodes where the kernel is interpolated in x.  P_y takes the declared
 terms of an input (``grid.Term``) in closed form and the rule on the rest.
 One off-window fill rule (``_off_window``) serves all: the closed-form
-continuation when available, otherwise the decay class.  The kernel tables depend on the grid, split,
-far range and height alone, and are kept only in a ``shared_tables`` scope.
+continuation when available, otherwise the decay class.  The kernel tables
+depend on the grid, split, far range and height alone, and are kept only in
+a ``shared_tables`` scope.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from .grid import (BOUNDED, DecayClass, Grid1D, HalfPlaneField,
 # The far kernel P_y(x-u), |u| >= W, has its poles outside the Bernstein
 # ellipse of [-L, L] with rho = w + sqrt(w^2 - 1), w = W/L, so 16 Chebyshev
 # nodes interpolate it to rho**-16: 5.8**-16 (6e-13) at 3L, 17.9**-16 at 9L.
-# BMO-type data keep 9L: at 3L the far nodes alias P_1*e^{ix} on the rig
-# grid by 5e-4, against 4e-5 at 9L.
+# BMO-type data keep 9L for H and the Cauchy rows, which read declared terms
+# as the continuation, and for the P_y rows of undeclared data: at 3L the
+# far nodes alias P_1*e^{ix} with no declared term on the rig grid by 5e-4,
+# against 4e-5 at 9L.
 _SPLIT_DECAYING = 3
 _SPLIT_LOG_GROWTH = 9
 _TAIL_NODES = 256
@@ -187,33 +191,20 @@ def _geometry(grid: Grid1D, factor: int, v_max: float) -> SimpleNamespace:
         alt=1.0 - 2.0 * (k & 1), taps_x2=(dx * k) ** 2)
 
 
-def _height_table(g: SimpleNamespace, grid: Grid1D, y):
-    """(rfft of the near taps, far kernel on Chebyshev x by far u, near-
-    trapezoid kernel mass at each node) of height y on geometry g; for y
-    None the Hilbert taps and far kernel, and no mass."""
-    dx, n, span = grid.dx, grid.n, g.span
+def _height_table(g: SimpleNamespace, grid: Grid1D, y, cauchy: bool):
+    """(rffts of the near taps, far kernels on Chebyshev x by far u) of P_y at
+    height y on geometry g, then Q_y's for the Cauchy rows; H's for y None."""
     if y is None:
-        taps = (1.0 - g.alt) / (np.pi * dx * np.where(g.k == 0, 1, g.k))
-        return (np.fft.rfft(taps),
-                (1.0 / g.far_x + 1.0 / g.u_far) / np.pi, None)
-    taps = y / (np.pi * (g.taps_x2 + y * y)) \
-        * (1.0 - np.exp(-np.pi * y / dx) * g.alt)
-    spec = np.fft.rfft(taps)
-    kernel = y / (np.pi * (g.far_x2 + y * y))
-    cum = np.zeros(span + n + 1)    # near-trapezoid kernel mass at each
-    np.cumsum(taps, out=cum[1:])    # node, from running tap sums
-    return spec, kernel, dx * (cum[span + 1:span + n + 1] - cum[:n]
-                               - 0.5 * (taps[:n] + taps[span:span + n]))
-
-
-def _cauchy_table(g: SimpleNamespace, grid: Grid1D, y: float):
-    """(rffts of the near taps of P_y and Q_y, far kernels of P_y and Q_y) of
-    height y on geometry g, as ``_height_table``'s but with no kernel mass."""
+        taps = (1.0 - g.alt) / (np.pi * grid.dx * np.where(g.k == 0, 1, g.k))
+        return (np.fft.rfft([taps]),
+                [(1.0 / g.far_x + 1.0 / g.u_far) / np.pi])
     taps = y / (np.pi * (g.taps_x2 + y * y)) \
         * (1.0 - np.exp(-np.pi * y / grid.dx) * g.alt)
     denom = np.pi * (g.far_x2 + y * y)
-    return (np.fft.rfft([taps, taps * (grid.dx / y) * g.k]), y / denom,
-            g.far_x / denom + 1.0 / (np.pi * g.u_far))
+    if not cauchy:
+        return np.fft.rfft([taps]), [y / denom]
+    return (np.fft.rfft([taps, taps * (grid.dx / y) * g.k]),
+            [y / denom, g.far_x / denom + 1.0 / (np.pi * g.u_far)])
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -222,26 +213,26 @@ def _direct_heights(f0: SampledFunction, heights,
     """Line quadrature split at |u| = W, W = 3L for integrable decay and 9L
     for BMO-type data: rows P_y f at the heights, with cauchy the Cauchy rows
     (P_y f + i Q_y f)/2, Q_y(x) = x/(pi(x^2 + y^2)), or for heights None the
-    row H(f - f(-L)), the y -> 0 member of Q_y.
+    row H f, the y -> 0 member of Q_y.
 
-    Near part: the trapezoid on [-W, W] convolved by real FFTs with
-    band-limited taps, dx*P_y(k dx)*(1 - (-1)^k e^{-pi y/dx}), consistent at
-    heights below dx; for Q_y the same times k dx / y, for H their limit
-    (1 - (-1)^k)/(pi k).  Far part: log-spaced nodes in |u| on [W, v_max],
-    v_max = max(1e8, 1e4 * y_top), with fourth-order Gregory end weights,
-    sampled once in absolute u (offsets x-u would carry f's oscillation into
-    the far part); the kernel is analytic in x there, so it is interpolated
-    from 16 Chebyshev nodes of [-L, L]: a slice equals its row of any ladder
-    topping out below y = 1e4 bit for bit.  P_y divides each node by its
-    discrete kernel mass, exact on constants and in the small-y limit.  Q_y
-    and H act on f - f(-L), so constants give exact zeros, with the far
-    kernel Q_y(x-u) + 1/(pi u) and, beyond +-v_max with end values held,
-    -x (f(v_max) + f(-v_max)) / (pi v_max).  The Cauchy rows read P_y from
-    the same shifted samples, undivided, and add f(-L) back.  The P_y rows of
-    an input with declared terms are their exact extensions plus the rule
-    on the rest, the samples minus the terms' samples, zero off the window;
-    a zero rest runs no quadrature.  H and the Cauchy rows read the terms'
-    sum as the continuation.  Tables are memoised only in a
+    Every row reads f - f(-L), so constants give exact zeros.  Near part:
+    the trapezoid on [-W, W] convolved by real FFTs with band-limited taps,
+    dx*P_y(k dx)*(1 - (-1)^k e^{-pi y/dx}), consistent at heights below dx;
+    for Q_y the same times k dx / y, for H their limit (1 - (-1)^k)/(pi k).
+    Far part: log-spaced nodes in |u| on [W, v_max], v_max = max(1e8,
+    1e4 * y_top), with fourth-order Gregory end weights, sampled once in
+    absolute u (offsets x-u would carry f's oscillation into the far part);
+    the kernel is analytic in x there, so it is interpolated from 16
+    Chebyshev nodes of [-L, L]: a slice equals its row of any ladder topping
+    out below y = 1e4 bit for bit.  Beyond +-v_max the end values are held:
+    their kernel mass adds y (f(v_max) + f(-v_max)) / (pi v_max) to P_y,
+    which then adds f(-L) back, and the far kernel of Q_y and H, Q_y(x-u) +
+    1/(pi u), subtracts x (f(v_max) + f(-v_max)) / (pi v_max).  So P_y of
+    real data is exactly twice the real part of its Cauchy row.  The P_y
+    rows of an input with declared terms are their exact extensions plus the
+    rule on the rest, the samples minus the terms' samples, zero off the
+    window; a zero rest runs no quadrature.  H and the Cauchy rows read the
+    terms' sum as the continuation.  Tables are memoised only in a
     ``shared_tables`` scope; float64 overflow raises PreconditionError."""
     hilbert = heights is None
     if not hilbert and not np.all(np.isfinite(heights) & (heights > 0)):
@@ -260,18 +251,17 @@ def _direct_heights(f0: SampledFunction, heights,
     g = _table(_geometry, key, *key)
     real = f0.is_real
 
-    off = _off_window(f0, g.points)
-    ext, _, _ = extended_window(f0, factor)
     shift = f0.values[0]
-    if hilbert or cauchy:   # constants give exact zeros under Q_y and H
-        off, ext = off - shift, ext - shift
-    # weighted values and weights (the kernel mass) of the far nodes, one
-    # column each, so one product per height yields both
+    off = _off_window(f0, g.points) - shift
+    ext = extended_window(f0, factor)[0] - shift
+    # the far nodes' weighted values, one column per real part
     cont = off[1:]
     cols = [cont.real] if real else [cont.real, cont.imag]
-    far_cols = np.column_stack(cols + [np.ones(g.u_far.size)]) * g.jac
-    ends = np.array([c[_TAIL_NODES - 1] + c[-1] for c in cols])  # f(+-v)
-    held = ends[:, None] * grid.nodes / (np.pi * g.u[-1])
+    far_cols = np.column_stack(cols) * g.jac
+    ends = np.array([c[_TAIL_NODES - 1] + c[-1] for c in cols])[:, None]
+
+    def held(x):    # f(+-v_max) held beyond +-v_max, times x / (pi v_max)
+        return ends * x / (np.pi * g.u[-1])
 
     # near trapezoid: samples at u_m = -W + m*dx, m = 0..factor*n, times weights
     near = grid.dx * np.append(ext, off[0])
@@ -283,32 +273,20 @@ def _direct_heights(f0: SampledFunction, heights,
     def row(parts):     # the real and imaginary parts as one row
         return parts[0] if real else parts[0] + 1j * parts[1]
 
-    def near_sums(spec):
-        return np.fft.irfft(near_spec * spec, size)[..., span:span + n]
-
-    def far_sums(kernel, cols):     # one row per column of cols
-        return (g.interp @ (kernel @ cols)).T
-
-    if hilbert:
-        spec, kernel, _ = _table(_height_table, (*key, None), g, grid, None)
-        return _finite(row(near_sums(spec)
-                           + far_sums(kernel, far_cols[:, :-1]) - held))
-    out = np.zeros((heights.size, n), dtype=np.complex128)
-    for i, y in enumerate(heights):
-        if cauchy:
-            specs, p_kernel, q_kernel = _table(_cauchy_table, (*key, y),
-                                               g, grid, y)
-            p, q = near_sums(specs[:, None])
-            p = row(p + far_sums(p_kernel, far_cols[:, :-1])) + shift
-            q = row(q + far_sums(q_kernel, far_cols[:, :-1]) - held)
-            out[i] = 0.5 * (p + 1j * q)
-            continue
-        taps_spec, kernel, near_mass = _table(_height_table, (*key, y),
-                                              g, grid, y)
-        far = far_sums(kernel, far_cols)
-        # discrete partition of unity: constants are reproduced exactly
-        out[i] = row((near_sums(taps_spec) + far[:-1]) / (near_mass + far[-1]))
-        del taps_spec, kernel, near_mass  # free before the next are built
+    ys = [None] if hilbert else heights
+    out = np.zeros((len(ys), n), dtype=np.complex128)
+    for i, y in enumerate(ys):
+        specs, kernels = _table(_height_table, (*key, cauchy, y),
+                                g, grid, y, cauchy)
+        near_sums = np.fft.irfft(near_spec * specs[:, None], size)
+        sums = [s[..., span:span + n] + (g.interp @ (k @ far_cols)).T
+                for s, k in zip(near_sums, kernels)]
+        del specs, kernels  # free before the next are built
+        if hilbert:
+            return _finite(row(sums[0] - held(grid.nodes)))
+        p = row(sums[0] + held(y)) + shift
+        out[i] = 0.5 * (p + 1j * row(sums[1] - held(grid.nodes))) \
+            if cauchy else p
     return _finite(out)
 
 

@@ -170,20 +170,17 @@ class TestTrialPairs:
         # 8 height tables, 1 geometry
         geometries, heights = [], []
         build_geometry = transforms._geometry
+        build_height = transforms._height_table
 
         def geometry(grid, factor, v_max):
             geometries.append((factor, v_max))
             return build_geometry(grid, factor, v_max)
 
-        def counted(build):
-            def height(g, grid, y):
-                heights.append((g.span // grid.n, y))     # span = factor * n
-                return build(g, grid, y)
-            return height
+        def height(g, grid, y, cauchy):
+            heights.append((g.span // grid.n, y))     # span = factor * n
+            return build_height(g, grid, y, cauchy)
         monkeypatch.setattr(transforms, "_geometry", geometry)
-        for name in ("_height_table", "_cauchy_table"):
-            monkeypatch.setattr(transforms, name,
-                                counted(getattr(transforms, name)))
+        monkeypatch.setattr(transforms, "_height_table", height)
         trial_pairs(grid1024, 10, 41)
         pair_ys = make_ladder(0.5 * grid1024.dx, 1.5, 8).levels
         assert sorted(heights) == [(3, y) for y in pair_ys]

@@ -169,6 +169,35 @@ class TestPoissonExtend:
             poisson_extend(f0, make_ladder(1e-3, 1e3, count))
             assert sum(seen) <= 9 * n + 1 + 2 * 256
 
+    @pytest.mark.parametrize("L", [16, 64])
+    @pytest.mark.parametrize("make", [
+        lib.gaussian, lib.gaussian_deriv, lib.poisson_bump, lib.conjugate_bump,
+        lib.windowed_cos,
+        lambda g: _stripped(lib.bmo_mixture(g, np.random.default_rng(5)))],
+        ids=["gaussian", "gaussian_deriv", "p1", "q1", "wcos",
+             "stripped_mixture"])
+    def test_twice_the_real_cauchy_row(self, make, L):
+        # one row rule: P_y of real data is the Cauchy row's P_y, bit for bit
+        f0 = make(make_grid(L, 1024))
+        lad = make_ladder(0.5 * f0.grid.dx, 1e3, 24)
+        assert np.array_equal(poisson_extend(f0, lad).values,
+                              2 * holomorphic_extension(f0, lad).values.real)
+
+    def test_gaussian_against_faddeeva(self, rig_grid, rig_ladder):
+        # P_y e^{-u^2} = Re w(x + iy); measured 6.7e-16 over the whole window
+        z = rig_grid.nodes + 1j * rig_ladder.y[:, None]
+        out = poisson_extend(lib.gaussian(rig_grid), rig_ladder)
+        assert max_abs(out.values, wofz(z).real) <= 1e-13
+
+    def test_cauchy_rows_of_p1(self, rig_grid, rig_ladder):
+        # (P_y + i Q_y) p1 / 2 = i / (2 pi (z + i)); measured 3.5e-11 of
+        # max|p1| over the whole window
+        f0 = lib.poisson_bump(rig_grid)
+        z = rig_grid.nodes + 1j * rig_ladder.y[:, None]
+        out = holomorphic_extension(f0, rig_ladder)
+        assert max_abs(out.values, 1j / (2 * np.pi * (z + 1j))) <= \
+            1e-10 * max_abs(f0.values)
+
 
 class TestHilbert:
     def test_conjugate_kernel(self, rig_grid):
@@ -447,8 +476,7 @@ class TestWindowIndependence:
             lambda g: make(g, c, w), lambda f: szego_project(f).values)
         assert max_abs(small, big) <= 1e-13 * top
 
-    # 6.2e-15 measured: the Cauchy rows of decaying data need no division
-    # by the kernel mass, which carries the far nodes' error in P_y
+    # 6.2e-15 measured
     @given(st.sampled_from([lib.gaussian, lib.gaussian_deriv]), _centres,
            _widths)
     def test_holomorphic_extension_of_a_bump(self, make, c, w):
@@ -466,16 +494,16 @@ class TestWindowIndependence:
                 holomorphic_extension(f, self._ladder)).values)
         assert max_abs(small, big) <= 1e-13 * top
 
-    # 5.1e-9 measured
+    # 4.1e-16 measured
     @given(_centres, _widths)
     def test_poisson_extend_of_a_bump(self, c, w):
         small, big, top = _on_both_windows(
             lambda g: lib.gaussian_deriv(g, c, w),
             lambda f: poisson_extend(f, self._ladder).values)
-        assert max_abs(small, big) <= 1e-7 * top
+        assert max_abs(small, big) <= 1e-13 * top
 
     def test_poisson_extend_of_sgn(self):
-        # 1.7e-8 measured
+        # 0 measured: the declared term extends in closed form
         small, big, top = _on_both_windows(
             lib.sign_step, lambda f: poisson_extend(f, self._ladder).values)
         assert max_abs(small, big) <= 1e-7 * top
@@ -537,8 +565,8 @@ class TestOverflow:
     @staticmethod
     def _input(kind):
         g = make_grid(16, 1024)
-        if kind == "constant":          # its far values times weights do,
-            c = lib.constant(g, 1e306)  # on the rule, with no declared term
+        if kind == "constant":          # on the rule, with no declared term
+            c = lib.constant(g, 1e306)
             return SampledFunction(g, c.values, c.decay,
                                    continuation=c.continuation)
         if kind == "flat":              # its sum and its far values overflow
@@ -573,19 +601,31 @@ class TestOverflow:
             warnings.simplefilter("error")
             assert np.all(poisson_slice(f0, 1.0).values == 1e306)
 
-    @pytest.mark.parametrize("kind", ["constant", "flat", "modulus"])
+    @staticmethod
+    def _extend(op, f0):
+        if op == "poisson_slice":
+            return poisson_slice(f0, 1.0).values
+        return poisson_extend(f0, make_ladder(0.5 * f0.grid.dx, 1.5, 8)).values
+
+    @pytest.mark.parametrize("kind", ["flat", "modulus"])
     @pytest.mark.parametrize("op", ["poisson_slice", "poisson_extend"])
     def test_poisson_precondition_error(self, op, kind):
-        # the constant's far values times their weights overflow at the
-        # far-node product; the others overflow in the near convolution
+        # the flat samples' far values, less f(-L), overflow at the far-node
+        # product; the modulus overflows in the near convolution
         f0 = self._input(kind)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(PreconditionError, match="overflow"):
-                if op == "poisson_slice":
-                    poisson_slice(f0, 1.0)
-                else:
-                    poisson_extend(f0, make_ladder(0.5 * f0.grid.dx, 1.5, 8))
+                self._extend(op, f0)
+
+    @pytest.mark.parametrize("op", ["poisson_slice", "poisson_extend"])
+    def test_large_constant_extends_without_overflow(self, op):
+        # the rule reads f - f(-L), zero for the stripped constant, and adds
+        # f(-L) back, as H and the Cauchy rows do
+        f0 = self._input("constant")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.all(self._extend(op, f0) == 1e306)
 
 
 class TestSharedTables:

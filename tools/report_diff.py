@@ -14,20 +14,20 @@ The set: the six suites at n=1024 with y_min 1e-3 and 0.1; all eight norms
 of one input named with --function and read with --input, and from
 --function again at y_min 1e-3; llog of a saved tall narrow Gaussian, and
 llog and hlog of a saved tall narrow odd bump, whose gauges lie below their
-maxima; hlog of a saved modulus, whose holomorphic extension overflows
-float64, and of a saved constant, whose non-decaying class the gauge
-refuses; bmoalog of exp_ix; factorize from --field,
---function and --input, from --field with --function, and from a field it
-cannot factorize; hankel on four symbols, on exp_ix with the hankel suite's
-50 trials at y_min 0.1 (the study that suite reports), and on the input
-file at the default config; the input and config errors; hankel and
-bmoalog on a saved exp_ix, whose header declares its term, so both exit 0
-with the reports of --function exp_ix, and norm on a copy of the input
-whose header says power:inf; bmo at the default config on one, sgn and logabs
-(ties, data that prunes nothing, a jump, a log singularity) and of the
-saved constant whose window sums overflow (exit 3); and the six suites at
-the default config (L=64, n=4096, 48 levels), which take most of the few
-minutes a run needs.
+maxima; hlog of a saved modulus and of a saved flat rapid 1e306, whose
+holomorphic extensions overflow float64; bmoalog of exp_ix; factorize from
+--field, --function and --input, from --field with --function, and from a
+field it cannot factorize; hankel on five symbols, q1 among them, the one
+whose P_y rows take the 9L line rule with no declared terms, on exp_ix with
+the hankel suite's 50 trials at y_min 0.1 (the study that suite reports),
+and on the input file at the default config; the input and config errors;
+hankel and bmoalog on a saved exp_ix, whose header declares its term, so
+both exit 0 with the reports of --function exp_ix, and norm on a copy of
+the input whose header says power:inf; bmo at the default config on one,
+sgn and logabs (ties, data that prunes nothing, a jump, a log singularity)
+and of a saved declared 1e306 constant whose window sums overflow (exit 3);
+and the six suites at the default config (L=64, n=4096, 48 levels), which
+take most of the few minutes a run needs.
 
 A Python warning in stderr names the file and line that raised it; the
 tree's path and the line number are masked before the comparison, so code
@@ -54,8 +54,10 @@ SYMBOL_INPUT = "in/exp_ix.txt"
 POWER_INF_INPUT = "in/gbump_odd_power_inf.txt"
 BUMP_INPUT = "in/tall_bump.txt"
 ODD_BUMP_INPUT = "in/tall_odd_bump.txt"
-# finite samples whose transforms or window sums overflow float64
-OVERFLOW_INPUTS = ("in/huge_modulus.txt", "in/huge_constant.txt")
+# finite samples whose holomorphic extensions overflow float64
+OVERFLOW_INPUTS = ("in/huge_modulus.txt", "in/huge_flat.txt")
+# a declared constant whose window sums overflow float64
+HUGE_CONSTANT = "in/huge_constant.txt"
 SAVE_INPUT = ("from pathlib import Path\n"
               "import numpy as np\n"
               "from hardylog.grid import (RAPID, SampledFunction, make_grid, "
@@ -73,8 +75,9 @@ SAVE_INPUT = ("from pathlib import Path\n"
               "vals[grid.n // 2] = 1.5e308 + 1.5e308j\n"
               "save_function(SampledFunction(grid, vals, RAPID), "
               f"{OVERFLOW_INPUTS[0]!r})\n"
-              "save_function(constant(grid, 1e306), "
-              f"{OVERFLOW_INPUTS[1]!r})\n"
+              "save_function(SampledFunction(grid, np.full(grid.n, 1e306), "
+              f"RAPID), {OVERFLOW_INPUTS[1]!r})\n"
+              f"save_function(constant(grid, 1e306), {HUGE_CONSTANT!r})\n"
               f"text = Path({INPUT!r}).read_text()\n"
               f"Path({POWER_INF_INPUT!r}).write_text("
               "text.replace('decay=rapid', 'decay=power:inf', 1))\n")
@@ -104,8 +107,7 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
     cmds += [(f"norm_{n}_tall_odd_bump", at_005,
               ["norm", "--input", ODD_BUMP_INPUT, "--norm", n])
              for n in ("llog", "hlog")]
-    # one stderr line names the overflow or the non-decaying class, with no
-    # numpy warning
+    # one stderr line names the overflow, with no numpy warning
     cmds += [(f"norm_hlog_overflow_{k}", SMALL,
               ["norm", "--input", path, "--norm", "hlog"])
              for k, path in enumerate(OVERFLOW_INPUTS)]
@@ -124,7 +126,7 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
     ]
     cmds += [(f"hankel_{s}", SMALL + ["--seed", "3"],
               ["hankel", "--function", s, "--trials", "5"])
-             for s in ("exp_ix", "sgn", "one", "logabs")]
+             for s in ("exp_ix", "sgn", "one", "logabs", "q1")]
     # the study verify --suite hankel reports, as the command prints it
     cmds.append(("hankel_exp_ix_suite_trials", SMALL + ["--y-min", "0.1"],
                  ["hankel", "--function", "exp_ix", "--trials", "50"]))
@@ -158,7 +160,7 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
               ["norm", "--function", s, "--norm", "bmo"])
              for s in ("one", "sgn", "logabs")]
     cmds.append(("norm_bmo_overflow_constant", SMALL,
-                 ["norm", "--input", OVERFLOW_INPUTS[1], "--norm", "bmo"]))
+                 ["norm", "--input", HUGE_CONSTANT, "--norm", "bmo"]))
     cmds += [(f"verify_{s}_rig", [], ["verify", "--suite", s]) for s in SUITES]
     return cmds
 
