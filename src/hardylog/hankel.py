@@ -9,9 +9,9 @@ import numpy as np
 from . import library as lib
 from .grid import (Grid1D, HeightLadder, PreconditionError, SampledFunction,
                    line_integral, make_ladder, product_decay)
-from .spaces import bmoa_log_seminorm, bmo_plus_norm, hp_norm
-from .transforms import (holomorphic_extension, poisson_extend, poisson_slice,
-                         shared_tables, szego_project)
+from .spaces import bmoa_log_seminorm, bmo_plus_norm
+from .transforms import (holomorphic_slice, poisson_extend, poisson_slice,
+                         szego_project)
 
 _DEGENERATE_SEMINORM = 1e-12
 
@@ -60,30 +60,28 @@ def trial_pairs(grid: Grid1D, trials: int, seed: int
                 ) -> list[tuple[SampledFunction, SampledFunction, float]]:
     """Seeded test pairs (f0, g0, g_plus) for the boundedness study.
 
-    f0 is the boundary slice of a projected odd-Gaussian bump extended over
-    the 8-level pair ladder (dx/2 to 1.5), scaled to unit sup-of-heights L1
-    norm there.  g0 is a bounded random BMO mixture extended to the lowest
-    pair height, the boundary value the form reads, and g_plus the mixture's
-    augmented BMO norm.  No draw depends on a symbol, so one list serves
+    f0 is the Cauchy row at y0 = dx/2 of an odd-Gaussian bump, scaled to unit
+    H^1 norm, and g0 is P_y0 of a bounded random BMO mixture, the boundary
+    values the form reads; g_plus is the mixture's augmented BMO norm.  The
+    H^1 norm is the sup over heights of the rows' L1 norms, and P_y contracts
+    L1, so the sup sits at the lowest height and the norm is the L1 integral
+    of the row at y0 itself.  No draw depends on a symbol, so one list serves
     every symbol, and the first k pairs are those of trial_pairs(grid, k,
-    seed).  One ``shared_tables`` scope builds the kernel tables of the 8
-    pair heights and of the mixtures' height once per call, not per draw.
+    seed).
     """
-    pair_ladder = make_ladder(0.5 * grid.dx, 1.5, 8)
+    y0 = 0.5 * grid.dx
     rng = np.random.default_rng(seed)
     pairs = []
-    with shared_tables():
-        for _ in range(trials):
-            center = rng.uniform(-grid.L / 4, grid.L / 4)
-            width = rng.uniform(0.5, 4.0)
-            f_field = holomorphic_extension(
-                lib.gaussian_deriv(grid, center, width), pair_ladder)
-            scale = 1.0 / hp_norm(f_field, 1.0).value
-            f0 = SampledFunction(grid, f_field.values[0] * scale,
-                                 f_field.decay)
-            mixture = lib.bmo_mixture(grid, rng)
-            g0 = poisson_slice(mixture, pair_ladder.levels[0])
-            pairs.append((f0, g0, bmo_plus_norm(mixture).value))
+    for _ in range(trials):
+        center = rng.uniform(-grid.L / 4, grid.L / 4)
+        width = rng.uniform(0.5, 4.0)
+        row = holomorphic_slice(lib.gaussian_deriv(grid, center, width), y0)
+        # hp_norm's arithmetic for p = 1: bit for bit the ladder's sup
+        f0 = row.with_values(row.values * (
+            1.0 / line_integral(grid, np.abs(row.values), row.decay.p)))
+        mixture = lib.bmo_mixture(grid, rng)
+        pairs.append((f0, poisson_slice(mixture, y0),
+                      bmo_plus_norm(mixture).value))
     return pairs
 
 

@@ -1,7 +1,14 @@
 """Brute-force reference implementations for cross-validating the fast
 operator kernels.  Everything here is real-space summation or exhaustive
-scanning: no FFTs, no shared solver code beyond plain grid arithmetic.
-Intended for test-time use; costs are quadratic and sizes are capped.
+scanning, with no FFTs.  One piece is shared with the fast path: pv_sum and
+poisson_sum read their samples off the window from
+``transforms.extended_window``, which fills them by the fast path's own
+``_off_window`` rule.  On inputs without a continuation, such as
+szego_project output, both sides then carry the same fill error (the power
+law keeps only the leading term of a 1/x^2 tail), so agreement there, as in
+the benchmark gate's oracle.poisson_fft check on projected bumps, cannot
+show it.  Intended for test-time use; costs are quadratic and sizes are
+capped.
 """
 
 from __future__ import annotations

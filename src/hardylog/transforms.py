@@ -9,14 +9,12 @@ far nodes where the kernel is interpolated in x.  P_y takes the declared
 terms of an input (``grid.Term``) in closed form and the rule on the rest.
 One off-window fill rule (``_off_window``) serves all: the closed-form
 continuation when available, otherwise the decay class.  The kernel tables
-depend on the grid, split, far range and height alone, and are kept only in
-a ``shared_tables`` scope.
+depend on the grid, split, far range and height alone; a call builds its
+own and frees each height's before the next.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -45,7 +43,6 @@ _GREGORY_ENDS = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 # (~1e-5), genuinely nonzero means two decades higher
 _MEAN_ZERO_REL = 1e-4
 _OVERFLOW = "the samples or their transform overflow float64"
-_SHARED: ContextVar = ContextVar("shared_tables", default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -139,28 +136,6 @@ def _szego_decay(f0: SampledFunction) -> DecayClass:
 # Poisson extension
 # ---------------------------------------------------------------------------
 
-@contextmanager
-def shared_tables():
-    """Keep the line rule's kernel tables for the block, so a loop over
-    inputs builds each once, and free them on exit; nested scopes share the
-    outer tables.  Nothing is kept outside a scope, as the 9L tables of one
-    48-level ladder hold MBs.  ``hankel.trial_pairs`` and ``suite_lemma31``
-    open one."""
-    token = _SHARED.set({} if _SHARED.get() is None else _SHARED.get())
-    try:
-        yield
-    finally:
-        _SHARED.reset(token)
-
-
-def _table(build, key: tuple, *args):
-    """build(*args), memoised under (build, *key) in a shared_tables scope."""
-    shared = _SHARED.get()
-    if shared is not None and (build, *key) not in shared:
-        shared[build, *key] = build(*args)
-    return build(*args) if shared is None else shared[build, *key]
-
-
 def _geometry(grid: Grid1D, factor: int, v_max: float) -> SimpleNamespace:
     """Tables of the split W = factor*L: far nodes u and their Gregory
     weights times the jacobian, Chebyshev offsets x - u and the n x 16
@@ -232,8 +207,9 @@ def _direct_heights(f0: SampledFunction, heights,
     rows of an input with declared terms are their exact extensions plus the
     rule on the rest, the samples minus the terms' samples, zero off the
     window; a zero rest runs no quadrature.  H and the Cauchy rows read the
-    terms' sum as the continuation.  Tables are memoised only in a
-    ``shared_tables`` scope; float64 overflow raises PreconditionError."""
+    terms' sum as the continuation.  Each height's tables are built for this
+    call and freed before the next height's; float64 overflow raises
+    PreconditionError."""
     hilbert = heights is None
     if not hilbert and not np.all(np.isfinite(heights) & (heights > 0)):
         raise PreconditionError("extension heights must be positive and finite")
@@ -247,8 +223,7 @@ def _direct_heights(f0: SampledFunction, heights,
         return _finite(out.astype(np.complex128))
     factor = _SPLIT_DECAYING if f0.decay.integrable else _SPLIT_LOG_GROWTH
     v_max = 1e8 if hilbert else max(1e8, 1e4 * float(heights[-1]))
-    key = (grid, factor, v_max)
-    g = _table(_geometry, key, *key)
+    g = _geometry(grid, factor, v_max)
     real = f0.is_real
 
     shift = f0.values[0]
@@ -276,8 +251,7 @@ def _direct_heights(f0: SampledFunction, heights,
     ys = [None] if hilbert else heights
     out = np.zeros((len(ys), n), dtype=np.complex128)
     for i, y in enumerate(ys):
-        specs, kernels = _table(_height_table, (*key, cauchy, y),
-                                g, grid, y, cauchy)
+        specs, kernels = _height_table(g, grid, y, cauchy)
         near_sums = np.fft.irfft(near_spec * specs[:, None], size)
         sums = [s[..., span:span + n] + (g.interp @ (k @ far_cols)).T
                 for s, k in zip(near_sums, kernels)]
@@ -311,6 +285,13 @@ def poisson_slice(f0: SampledFunction, y: float) -> SampledFunction:
     """Single-height harmonic extension, returned as boundary-type samples."""
     vals = _direct_heights(f0, np.asarray([float(y)]))[0]
     return SampledFunction(f0.grid, vals, _field_decay(f0.decay))
+
+
+def holomorphic_slice(f0: SampledFunction, y: float) -> SampledFunction:
+    """Single-height Cauchy row (P_y f0 + i Q_y f0)/2, with the decay of
+    holomorphic_extension's rows: each row of that field at height y."""
+    vals = _direct_heights(f0, np.asarray([float(y)]), cauchy=True)[0]
+    return SampledFunction(f0.grid, vals, _field_decay(_szego_decay(f0)))
 
 
 def holomorphic_extension(f0: SampledFunction, ladder: HeightLadder):

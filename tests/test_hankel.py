@@ -13,8 +13,9 @@ from hardylog.grid import (PreconditionError, SampledFunction, load_function,
                            make_grid, make_ladder, power_decay, save_function)
 from hardylog.hankel import (boundedness_study, hankel_apply, hankel_form,
                              symbol_ladder, trial_pairs)
-from hardylog.spaces import bmoa_log_seminorm
-from hardylog.transforms import poisson_extend, szego_project
+from hardylog.spaces import bmoa_log_seminorm, hp_norm
+from hardylog.transforms import (holomorphic_extension, poisson_extend,
+                                 szego_project)
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,9 @@ def grid1024():
 
 
 def boundary_f(grid, ladder):
-    """Slice 0 of the extended projected odd bump, as the study draws it."""
+    """Slice 0 of the Poisson extension of the projected odd bump: an H^1
+    boundary value of the study's kind, unscaled (the study draws the bump's
+    Cauchy row at dx/2 and scales it to unit H^1 norm)."""
     return poisson_extend(szego_project(lib.gaussian_deriv(grid)),
                           ladder).slice_at(0)
 
@@ -141,16 +144,26 @@ class TestTrialPairs:
             assert p1 == p2
 
     def test_g0_is_lowest_slice_of_pair_extension(self, grid1024):
-        # the study extends g at the one height the form reads; that slice
-        # is bit for bit the lowest row of the full pair-ladder extension
-        lad = make_ladder(0.5 * grid1024.dx, 1.5, 8)
-        rng = np.random.default_rng(41)
-        for _, g0, _ in trial_pairs(grid1024, 3, 41):
-            rng.uniform(-grid1024.L / 4, grid1024.L / 4)
-            rng.uniform(0.5, 4.0)
-            mixture = lib.bmo_mixture(grid1024, rng)
-            full = poisson_extend(mixture, lad)
-            assert np.array_equal(g0.values, full.values[0])
+        # each pair is bit for bit its definition over the 8-level pair
+        # ladder: f0 the lowest Cauchy row of the bump's extension, scaled to
+        # unit H^1 norm, whose sup sits at that lowest row; g0 the lowest
+        # row of the mixture's Poisson extension
+        for grid in (grid1024, make_grid(16, 256)):
+            lad = make_ladder(0.5 * grid.dx, 1.5, 8)
+            rng = np.random.default_rng(41)
+            for f0, g0, _ in trial_pairs(grid, 3, 41):
+                center = rng.uniform(-grid.L / 4, grid.L / 4)
+                width = rng.uniform(0.5, 4.0)
+                field = holomorphic_extension(
+                    lib.gaussian_deriv(grid, center, width), lad)
+                norm = hp_norm(field, 1.0)
+                assert norm.attaining_parameter == lad.levels[0]
+                assert np.array_equal(f0.values,
+                                      field.values[0] * (1.0 / norm.value))
+                assert f0.decay == field.decay
+                mixture = lib.bmo_mixture(grid, rng)
+                full = poisson_extend(mixture, lad)
+                assert np.array_equal(g0.values, full.values[0])
 
     def test_suite_draws_each_pair_once(self, monkeypatch):
         calls = []
@@ -165,9 +178,9 @@ class TestTrialPairs:
         assert len(calls) == 50
 
     def test_builds_each_height_table_once(self, grid1024, monkeypatch):
-        # ten draws share the 8 pair heights (W = 3L, extended bumps, Cauchy
-        # tables); the mixtures' terms extend in closed form, with no table:
-        # 8 height tables, 1 geometry
+        # each draw reads one Cauchy row at dx/2 (W = 3L) and no other; the
+        # mixtures' terms extend in closed form, with no table: per draw one
+        # geometry and one height table, freed with the call
         geometries, heights = [], []
         build_geometry = transforms._geometry
         build_height = transforms._height_table
@@ -177,14 +190,13 @@ class TestTrialPairs:
             return build_geometry(grid, factor, v_max)
 
         def height(g, grid, y, cauchy):
-            heights.append((g.span // grid.n, y))     # span = factor * n
+            heights.append((g.span // grid.n, y, cauchy))   # span = factor*n
             return build_height(g, grid, y, cauchy)
         monkeypatch.setattr(transforms, "_geometry", geometry)
         monkeypatch.setattr(transforms, "_height_table", height)
         trial_pairs(grid1024, 10, 41)
-        pair_ys = make_ladder(0.5 * grid1024.dx, 1.5, 8).levels
-        assert sorted(heights) == [(3, y) for y in pair_ys]
-        assert geometries == [(3, 1e8)]
+        assert heights == [(3, 0.5 * grid1024.dx, True)] * 10
+        assert geometries == [(3, 1e8)] * 10
 
 
 class TestStudy:

@@ -14,8 +14,8 @@ from hardylog.grid import (BOUNDED, LOG_GROWTH, HeightLadder,
                            power_decay)
 from hardylog.maximal import max_interval_average, nontangential_max
 from hardylog.transforms import (boundary_value, hilbert_transform,
-                                 holomorphic_extension, poisson_extend,
-                                 poisson_slice, szego_project)
+                                 holomorphic_extension, holomorphic_slice,
+                                 poisson_extend, poisson_slice, szego_project)
 
 
 def _same(f0):
@@ -81,8 +81,11 @@ class TestPoissonExtend:
                 (2 / np.pi) * np.arctan(x / y)
             assert max_abs(err[away]) <= 1e-4
         # the ladder's lowest row is the slice at that height
-        assert np.array_equal(poisson_extend(f0, lad).values[0],
-                              poisson_slice(f0, dx / 8).values)
+        for extend, slice_at in ((poisson_extend, poisson_slice),
+                                 (holomorphic_extension, holomorphic_slice)):
+            field, row = extend(f0, lad), slice_at(f0, dx / 8)
+            assert np.array_equal(field.values[0], row.values)
+            assert row.decay == field.decay
 
     def test_slice_keeps_the_bound(self, rig_grid):
         # averaging a bounded function keeps it bounded, and log|x| unbounded
@@ -626,80 +629,6 @@ class TestOverflow:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert np.all(self._extend(op, f0) == 1e306)
-
-
-class TestSharedTables:
-    """A shared_tables scope memoises the line rule's kernel tables and
-    changes no output bit."""
-
-    @staticmethod
-    def _input(kind, grid):
-        if kind == "decaying":          # W = 3L
-            return lib.gaussian(grid)
-        if kind == "log_growth":        # W = 9L for H, closed-form P_y
-            return lib.bmo_mixture(grid, np.random.default_rng(5))
-        if kind == "stripped":          # W = 9L for both
-            return _stripped(lib.bmo_mixture(grid, np.random.default_rng(5)))
-        if kind == "projected":         # complex, power decay
-            return szego_project(lib.gaussian_deriv(grid, 0.3, 1.0))
-        # rapid samples with no continuation
-        return SampledFunction(grid, lib.gaussian(grid).values, lib.RAPID)
-
-    @staticmethod
-    def _outputs(f0):
-        lad = make_ladder(0.5 * f0.grid.dx, 1.5, 8)
-        return [poisson_extend(f0, lad).values,
-                poisson_extend(f0, make_ladder(1e-3, 1e3, 12)).values,
-                poisson_slice(f0, lad.levels[0]).values,
-                poisson_slice(f0, 10.0).values,
-                hilbert_transform(f0).values]
-
-    @pytest.mark.parametrize("kind", ["decaying", "log_growth", "stripped",
-                                      "projected", "rapid_samples"])
-    def test_bit_for_bit_inside_and_outside(self, kind):
-        f0 = self._input(kind, make_grid(16, 1024))
-        outside = self._outputs(f0)
-        with transforms.shared_tables():
-            first = self._outputs(f0)
-            again = self._outputs(f0)   # every table now comes from the scope
-            assert len(transforms._SHARED.get()) > 0
-        for a, b, c in zip(outside, first, again):
-            assert np.array_equal(a, b) and np.array_equal(a, c)
-
-    def test_grids_with_same_n_do_not_share(self):
-        g1, g2 = make_grid(16, 1024), make_grid(32, 1024)
-        lad = make_ladder(0.5 * g1.dx, 1.5, 8)
-        alone = [poisson_extend(lib.gaussian(g), lad).values for g in (g1, g2)]
-        with transforms.shared_tables():
-            both = [poisson_extend(lib.gaussian(g), lad).values
-                    for g in (g1, g2)]
-            geometries = [k for k in transforms._SHARED.get()
-                          if k[0] is transforms._geometry]
-        assert {k[1] for k in geometries} == {g1, g2}
-        for a, b in zip(alone, both):
-            assert np.array_equal(a, b)
-
-    def test_nothing_kept_outside_a_scope(self):
-        poisson_slice(lib.gaussian(make_grid(16, 1024)), 1.0)
-        assert transforms._SHARED.get() is None
-
-    def test_state_restored_after_exit_error_and_nesting(self):
-        f0 = lib.gaussian(make_grid(16, 1024))
-        with transforms.shared_tables():
-            outer = transforms._SHARED.get()
-            poisson_slice(f0, 1.0)
-            with transforms.shared_tables():
-                assert transforms._SHARED.get() is outer
-                poisson_slice(f0, 2.0)
-            assert transforms._SHARED.get() is outer
-            assert {k[-1] for k in outer if k[0] is
-                    transforms._height_table} == {1.0, 2.0}
-        assert transforms._SHARED.get() is None
-        with pytest.raises(RuntimeError):
-            with transforms.shared_tables():
-                poisson_slice(f0, 1.0)
-                raise RuntimeError
-        assert transforms._SHARED.get() is None
 
 
 class TestBoundaryValue:
