@@ -24,9 +24,8 @@ from .grid import (Grid1D, HeightLadder, PreconditionError, _atomic_write,
                    integrate, load_function, make_grid, make_ladder,
                    save_function)
 from .hankel import _check_symbol, boundedness_study, trial_pairs
-from .spaces import (NormReport, THETA, bmo_norm, bmo_plus_norm,
-                     bmoa_log_seminorm, carleson_ratio, hlog_norm, hp_norm,
-                     luxemburg_norm)
+from .spaces import (NormReport, bmo_norm, bmo_plus_norm, bmoa_log_seminorm,
+                     carleson_ratio, hlog_norm, hp_norm, luxemburg_norm)
 from .suites import SUITES
 from .transforms import holomorphic_extension
 
@@ -38,7 +37,7 @@ EXIT_RESIDUAL = 4
 
 # boundary norms take the samples, field norms the holomorphic extension
 BOUNDARY_NORMS = {"l1": lambda f0: NormReport(float(integrate(f0.abs()))),
-                  "llog": lambda f0: luxemburg_norm(f0, THETA),
+                  "llog": luxemburg_norm,
                   "bmo": bmo_norm, "bmoplus": bmo_plus_norm}
 FIELD_NORMS = {"h1": lambda h: hp_norm(h, 1.0), "hlog": hlog_norm,
                "bmoalog": bmoa_log_seminorm, "carleson": carleson_ratio}

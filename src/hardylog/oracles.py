@@ -16,7 +16,7 @@ from __future__ import annotations
 import numpy as np
 
 from .grid import PreconditionError, SampledFunction
-from .spaces import THETA, Weight, weight_eval
+from .spaces import THETA, weight_eval
 from .transforms import extended_window
 
 _BRUTE_CAP = 4096
@@ -112,9 +112,10 @@ def bmo_bruteforce(f0: SampledFunction) -> float:
     return best
 
 
-def luxemburg_scan(f0: SampledFunction, w: Weight = THETA) -> float:
-    """Geometric scan over the gauge parameter (1e4 steps spanning eight
-    decades around the L1 mass) followed by local bisection refinement."""
+def luxemburg_scan(f0: SampledFunction) -> float:
+    """Luxemburg gauge of theta: a geometric scan over the gauge parameter
+    (1e4 steps spanning eight decades around the L1 mass) followed by local
+    bisection refinement."""
     mags = np.abs(f0.values)
     if not mags.any():
         return 0.0
@@ -122,7 +123,7 @@ def luxemburg_scan(f0: SampledFunction, w: Weight = THETA) -> float:
     x = grid.nodes
 
     def phi_many(lams):
-        v = weight_eval(w, x[None, :], mags[None, :] / lams[:, None])
+        v = weight_eval(THETA, x[None, :], mags[None, :] / lams[:, None])
         total = grid.dx * (v.sum(axis=1) - 0.5 * (v[:, 0] + v[:, -1]))
         if decay.tag == "power":
             total = total + (v[:, 0] * abs(x[0]) +

@@ -1,16 +1,16 @@
-"""Norms and seminorms: the logarithmic Musielak weights and their Luxemburg
-gauges, mean oscillation (BMO) with its augmented norm, sup-over-heights
-Hardy norms, and Carleson-type tent energies with and without the
-logarithmic weight.
+"""Norms and seminorms: the logarithmic Musielak weights and the Luxemburg
+gauge of theta, mean oscillation (BMO) with its augmented norm,
+sup-over-heights Hardy norms, and Carleson-type tent energies with and
+without the logarithmic weight.
 
 Luxemburg gauges are solved by one doubling bracket and bisection over all
 rows at once (every slice of a field for hlog_norm, one row for
 luxemburg_norm); each row replays the steps it would take alone, so its
 gauge, step count and bracket do not depend on the other rows.  A step at
 lam >= M, the row's max|f|, has every t = |f|/lam <= 1, where log+ t = 0 and
-the weights are homogeneous: phi(lam) = phi(M) * (M/lam)^d.  One quadrature
-per row at M, run when the row first probes lam >= M, then decides phi > 1
-and |phi - 1| <= tol at every such step, wherever a slack of 8(n + 16)
+theta is linear in t: phi(lam) = phi(M) * M/lam.  One quadrature per row
+at M, run when the row first probes lam >= M, then decides phi > 1 and
+|phi - 1| <= tol at every such step, wherever a slack of 8(n + 16)
 roundoffs, plus an absolute term for subnormal t, keeps the computed
 quadrature on the same side of 1 and 1 +- tol as the closed form.  The
 other steps, below M or inside the slack, run the quadrature, so every
@@ -96,10 +96,6 @@ def THETA1(x, t):
     return THETA(x, t) ** 2
 
 
-# w(x, t) = t^d * w(x, 1) for t <= 1, where log+ t = 0, with d per weight
-_DEGREE = {THETA: 1, THETA0: 2, THETA1: 2}
-
-
 def weight_eval(w: Weight, x, t):
     """Evaluate the weight; scalar or broadcast arrays, t >= 0 required."""
     x = np.asarray(x, dtype=np.float64)
@@ -155,11 +151,11 @@ def weight_integral(grid: Grid1D, magnitudes: np.ndarray, decay,
     return line_integral(grid, vals, decay.p)
 
 
-def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: Weight):
-    """Luxemburg gauges of the rows of mags, all rows bracketed and bisected
-    together.
+def _gauges(grid: Grid1D, mags: np.ndarray, decay):
+    """Luxemburg gauges of theta for the rows of mags, all rows bracketed
+    and bisected together.
 
-    phi(lam) = integral of w(x, |f|/lam) dx is continuous and strictly
+    phi(lam) = integral of theta(x, |f|/lam) dx is continuous and strictly
     decreasing in lam where a row is nonzero.  Each row starts at its L1
     guess and doubles (phi > 1 there) or halves (phi <= 1) until
     phi(lo) > 1 >= phi(hi), in at most _GAUGE_DOUBLINGS steps, then bisects
@@ -172,29 +168,31 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: Weight):
     The decisions come from a closed form where it is certified.  Let M be
     the row's max|f|.  For lam >= M every computed t = |f|/lam is <= 1
     (rounding is monotone), so log+ t is exactly 0, the denominator
-    1 + log+|x| is the same double at every such lam, and a weight of
-    degree d (_DEGREE) is t^d * w(x, 1): in exact arithmetic on those
-    doubles, phi(lam) = phi(M) * (M/lam)^d.  With u the unit roundoff, the
-    computed quadrature is within about (2n + 8)u of that, relative: at
-    most 5u per weight (t, then a square and a division, or a division and
-    a square), (n - 1)u for any sum of n nonnegative terms, doubled because
-    the half end weights are subtracted from it (the result is at least
-    half the sum), and a few u for dx and the power-tail term.  The
-    prediction pred = phi(M) * (M/lam)^d adds 3u to the error of phi(M),
-    so the computed phi(lam) is within (4n + 19)u of it; the slack
+    1 + log+|x| is the same double at every such lam, and theta(x, t) is
+    t / (1 + log+|x|): in exact arithmetic on those doubles,
+    phi(lam) = phi(M) * M/lam.  With u the unit roundoff, the computed
+    quadrature is within about (2n + 8)u of that, relative: 2u per weight
+    (t, then one division), (n - 1)u for any sum of n nonnegative terms,
+    doubled because the half end weights are subtracted from it (the result
+    is at least half the sum), and a few u for dx and the power-tail term.
+    The prediction pred = phi(M) * (M/lam) adds 2u to the error of phi(M),
+    so the computed phi(lam) is within (4n + 18)u of it; the slack
     8(n + 16)u is more than twice that, which also covers forming the
-    interval ends.  A subnormal t errs by an absolute 2^-1075 instead, at
-    most 8 of those per weight, so the two quadratures err by at most
-    2^-1071 times the quadrature mass dx*n + (|x_0| + |x_{n-1}|)/(p - 1);
-    _ABS_SLACK (2^-1060) times the mass covers it.  Where both ends of
-    [pred(1 - slack) - abs, pred(1 + slack) + abs] lie on the same side of
-    1, of 1 - tol and of 1 + tol, the quadrature's decisions are known
-    without running it.  It runs, in one batch per step, only on rows
-    probed below M, rows whose interval straddles one of those points,
-    rows whose prediction is not finite, and every row of a weight without
-    a declared degree; phi(M) is one more batch, at the step where rows
-    first probe lam >= M, so a row that never does pays none; the final
-    integrals are one batch after the loop.
+    interval ends.  A subnormal t or weight errs by an absolute 2^-1075
+    instead, at most 2 of those per weight, so the two quadratures err by
+    at most 2^-1073 times the quadrature mass
+    dx*n + (|x_0| + |x_{n-1}|)/(p - 1); _ABS_SLACK (2^-1060) times the mass
+    covers it.  Both constants are kept at values that would also cover 5u
+    and 8 absolute roundoffs per weight: a tighter slack would move only
+    which steps run the quadrature, never a returned number.
+
+    Where both ends of [pred(1 - slack) - abs, pred(1 + slack) + abs] lie
+    on the same side of 1, of 1 - tol and of 1 + tol, the quadrature's
+    decisions are known without running it.  It runs, in one batch per
+    step, only on rows probed below M, rows whose interval straddles one of
+    those points and rows whose prediction is not finite; phi(M) is one
+    more batch, at the step where rows first probe lam >= M, so a row that
+    never does pays none; the final integrals are one batch after the loop.
     Each row thus makes the decisions, and returns the numbers, of a
     quadrature at every step, bit for bit.
     """
@@ -209,35 +207,30 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: Weight):
     hi = lo.copy()
 
     def phi(rows, lam):
-        return weight_integral(grid, mags[rows], decay, w, lam[:, None])
+        return weight_integral(grid, mags[rows], decay, THETA, lam[:, None])
 
     active = rows = np.flatnonzero(mags.any(axis=1))
-    degree = _DEGREE.get(w)
-    if degree is not None:
-        # phi(M) per row, NaN until computed
-        top, at_top = mags.max(axis=1), np.full(count, np.nan)
-        slack = 8.0 * (n + 16) * _U
-        tail = (0.0 if decay.p is None else
-                (abs(grid.nodes[0]) + abs(grid.nodes[-1])) / (decay.p - 1.0))
-        absolute = _ABS_SLACK * (grid.dx * n + tail)
+    # phi(M) per row, NaN until computed
+    top, at_top = mags.max(axis=1), np.full(count, np.nan)
+    slack = 8.0 * (n + 16) * _U
+    tail = (0.0 if decay.p is None else
+            (abs(grid.nodes[0]) + abs(grid.nodes[-1])) / (decay.p - 1.0))
+    absolute = _ABS_SLACK * (grid.dx * n + tail)
 
     def decide(rows, lam):
         """phi(lam) > 1 and |phi(lam) - 1| <= tol per row."""
-        over = np.zeros(rows.size, dtype=bool)
-        near, exact = over.copy(), ~over
-        if degree is not None:
-            # phi(M) once per row, at the first step that probes lam >= M
-            first = rows[~(lam < top[rows]) & np.isnan(at_top[rows])]
-            if first.size:
-                at_top[first] = phi(first, top[first])
-            with np.errstate(all="ignore"):
-                pred = at_top[rows] * (top[rows] / lam) ** degree
-                low = pred * (1.0 - slack) - absolute
-                high = pred * (1.0 + slack) + absolute
-            over, near = high > 1.0, np.abs(high - 1.0) <= _GAUGE_TOL
-            exact = ((lam < top[rows]) | ~np.isfinite(pred)
-                     | (over != (low > 1.0))
-                     | (near != (np.abs(low - 1.0) <= _GAUGE_TOL)))
+        # phi(M) once per row, at the first step that probes lam >= M
+        first = rows[~(lam < top[rows]) & np.isnan(at_top[rows])]
+        if first.size:
+            at_top[first] = phi(first, top[first])
+        with np.errstate(all="ignore"):
+            pred = at_top[rows] * (top[rows] / lam)
+            low = pred * (1.0 - slack) - absolute
+            high = pred * (1.0 + slack) + absolute
+        over, near = high > 1.0, np.abs(high - 1.0) <= _GAUGE_TOL
+        exact = ((lam < top[rows]) | ~np.isfinite(pred)
+                 | (over != (low > 1.0))
+                 | (near != (np.abs(low - 1.0) <= _GAUGE_TOL)))
         if exact.any():
             val = phi(rows[exact], lam[exact])
             over[exact] = val > 1.0
@@ -272,8 +265,8 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay, w: Weight):
     return value, its, integral, lo, hi
 
 
-def luxemburg_norm(f0: SampledFunction, w: Weight = THETA) -> NormReport:
-    """Gauge norm inf{lam > 0 : integral of w(x, |f|/lam) <= 1}.
+def luxemburg_norm(f0: SampledFunction) -> NormReport:
+    """Gauge norm inf{lam > 0 : integral of theta(x, |f|/lam) <= 1}.
 
     A doubling bracket plus bisection (the one-row case of the solver that
     hlog_norm runs over all slices at once); the report carries the bracket
@@ -285,8 +278,7 @@ def luxemburg_norm(f0: SampledFunction, w: Weight = THETA) -> NormReport:
     if not mags.any():
         return NormReport(0.0, attaining_parameter=None, iterations=0,
                           tolerance=_GAUGE_TOL)
-    value, its, integral, lo, hi = _gauges(f0.grid, mags[None, :], f0.decay,
-                                           w)
+    value, its, integral, lo, hi = _gauges(f0.grid, mags[None, :], f0.decay)
     return NormReport(float(value[0]), attaining_parameter=None,
                       iterations=int(its[0]), tolerance=_GAUGE_TOL,
                       flags={"integral": float(integral[0]),
@@ -517,7 +509,7 @@ def hlog_norm(field: HalfPlaneField) -> NormReport:
     if not field.decay.integrable:
         raise NonIntegrableError("Luxemburg gauge needs integrable decay")
     value, its, _, _, _ = _gauges(field.grid, np.abs(field.values),
-                                  field.decay, THETA)
+                                  field.decay)
     k = int(np.argmax(value))
     return NormReport(float(value[k]), attaining_parameter=field.ladder.levels[k],
                       iterations=int(its.sum()), tolerance=_GAUGE_TOL)

@@ -98,10 +98,13 @@ def _finite(out: np.ndarray) -> np.ndarray:
 
 def _hilbert_out_decay(f0: SampledFunction) -> DecayClass:
     # Honest tail bookkeeping: the transform of mean-free integrable data
-    # picks up a 1/x^2 tail; a nonzero mean degrades that to 1/x, which is
-    # flagged non-integrable via the log_growth marker.
-    if f0.decay.tag == "log_growth" or not _is_mean_zero(f0):
+    # picks up a 1/x^2 tail; a nonzero mean degrades that to (mass/pi)/x,
+    # bounded but not integrable.  Non-decaying data, bounded or not, may
+    # give growing output: H(sgn) is (2/pi) log|x|.
+    if f0.decay.tag == "log_growth":
         return LOG_GROWTH
+    if not _is_mean_zero(f0):
+        return BOUNDED
     if f0.decay.tag == "rapid":
         return power_decay(2.0)
     return power_decay(min(f0.decay.p, 1.5))

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,10 @@ import hardylog
 from hardylog import cli, suites
 from hardylog import library as lib
 from hardylog.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION,
-                          RunConfig, load_config, main)
-from hardylog.grid import (BOUNDED, RAPID, SampledFunction, make_grid,
-                           make_ladder, save_function)
+                          EXIT_RESIDUAL, RunConfig, load_config, main)
+from hardylog.grid import (BOUNDED, PreconditionError, RAPID,
+                           SampledFunction, make_grid, make_ladder,
+                           save_function)
 
 SMALL = ["--grid-L", "16", "--grid-n", "1024"]
 
@@ -46,6 +48,21 @@ class TestConfig:
         cfgfile.write_text("grid_m=512\n")
         with pytest.raises(Exception):
             load_config(str(cfgfile), {}, {})
+
+    @pytest.mark.parametrize("text, message", [
+        ("grid_n=abc\n", "bad value for grid_n: 'abc'"),
+        ("grid_n 512\n", "run.cfg:1: expected key=value")],
+        ids=["bad_value", "no_equals"])
+    def test_malformed_config_is_parse_error(self, tmp_path, capsys, text,
+                                             message):
+        cfgfile = tmp_path / "run.cfg"
+        cfgfile.write_text(text)
+        out = tmp_path / "out"
+        rc = main(["--config", str(cfgfile), "--out", str(out), "norm",
+                   "--function", "chi_half", "--norm", "l1"])
+        assert rc == EXIT_PARSE
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_hash_ignores_out_dir(self):
         a = RunConfig(out="/tmp/a")
@@ -202,7 +219,7 @@ class TestNormCommand:
 
     def test_malformed_file(self, tmp_path):
         bad = tmp_path / "bad.txt"
-        for content in (b"garbage\n", b"\xff\xfe binary\n"):
+        for content in (b"garbage\n", b"\xff\xfe binary\n", b"", b" \n\n"):
             bad.write_bytes(content)
             rc = main(SMALL + ["--out", str(tmp_path), "norm",
                                "--input", str(bad), "--norm", "l1"])
@@ -219,6 +236,12 @@ class TestNormCommand:
         rc = main(SMALL + ["--out", str(tmp_path), "norm",
                            "--input", str(path), "--norm", "l1"])
         assert rc == EXIT_PARSE
+
+    def test_named_function_rejects_unknown_name(self):
+        # the parser's choices stop unknown names before the library sees
+        # them; the library checks them itself for other callers
+        with pytest.raises(PreconditionError, match="unknown function 'nope'"):
+            lib.named_function("nope", make_grid(16, 1024))
 
     def test_requires_exactly_one_source(self, tmp_path):
         rc = main(SMALL + ["--out", str(tmp_path), "norm", "--norm", "l1"])
@@ -428,6 +451,18 @@ class TestFactorizeCommand:
         for name in ("factor_f0.txt", "factorization.json"):
             assert (tmp_path / name).stat().st_mode & 0o777 == 0o644
 
+    def test_residual_above_tolerance_exits_4(self, tmp_path, monkeypatch,
+                                              capsys):
+        factorize = cli.factorize
+        monkeypatch.setattr(cli, "factorize",
+                            lambda h: replace(factorize(h), residual=1e-9))
+        rc = main(SMALL + ["--out", str(tmp_path), "factorize",
+                           "--field", "inv_sq"])
+        assert rc == EXIT_RESIDUAL
+        assert "residual above 1e-10" in capsys.readouterr().err
+        rep = json.loads((tmp_path / "factorization.json").read_text())
+        assert rep["residual"] == 1e-9
+
     def test_unknown_field(self, tmp_path):
         rc = main(SMALL + ["--out", str(tmp_path), "factorize",
                            "--field", "nope"])
@@ -479,6 +514,17 @@ class TestVerifyCommand:
             (out2 / "verify_cr.csv").read_bytes()
         assert (out1 / "verify_cr.json").read_bytes() == \
             (out2 / "verify_cr.json").read_bytes()
+
+    def test_thm11_runs_szego_cases_on_a_resolvable_ladder(self):
+        # a ladder from dx/2 up resolves the projected Gaussian, so the
+        # suite adds cauchy_bump and szego_gauss to its two closed forms
+        rows, summary = suites.suite_thm11(
+            RunConfig(grid_l=16, grid_n=256, y_min=0.1))
+        assert summary["pass"] is True
+        assert [r[0] for r in rows] == [
+            f"{name}:{kind}" for kind in ("residual", "l1_doubling")
+            for name in ("inv_sq", "cauchy_pair", "cauchy_bump",
+                         "szego_gauss")]
 
 
 class TestHankelCommand:

@@ -81,6 +81,11 @@ class TestBuildG:
         # smooth away from the maximal function's kinks; compare in sup norm
         assert max_abs(bv.f0.values.real - b.values.real) <= 0.01
 
+    def test_requires_real_symbol(self, small_grid):
+        lad = make_ladder(0.1, 10.0, 8)
+        with pytest.raises(PreconditionError, match="must be real"):
+            build_g(lib.constant(small_grid, 2.0 + 1.0j), lad)
+
     def test_requires_unit_lower_bound(self, rig_grid):
         lad = make_ladder(0.1, 10.0, 8)
         small = lib.constant(rig_grid, 0.5)

@@ -1,3 +1,4 @@
+import os
 import tempfile
 import warnings
 from pathlib import Path
@@ -32,6 +33,13 @@ class TestMakeGrid:
         assert g.nodes[-1] == 4.0 - g.dx
         assert np.allclose(g.nodes[1:] + g.nodes[:0:-1], 0.0)
 
+    @pytest.mark.parametrize("x", [-4.5, 4.0, 100.0])
+    def test_index_of_outside_window(self, x):
+        g = make_grid(4, 64)
+        assert (g.index_of(-4.0), g.index_of(0.0)) == (0, 32)
+        with pytest.raises(PreconditionError, match="outside grid window"):
+            g.index_of(x)
+
     @pytest.mark.parametrize("L,n", [(1, 15), (1, 12), (0, 16), (-2, 16), (1, 8),
                                      (np.inf, 16), (1e308, 16)])
     def test_rejects_bad_parameters(self, L, n):
@@ -53,6 +61,10 @@ class TestDecayClass:
     def test_unknown_tag(self):
         with pytest.raises(PreconditionError):
             DecayClass("fast")
+
+    def test_decaying_tag_takes_no_exponent(self):
+        with pytest.raises(PreconditionError, match="takes no exponent"):
+            DecayClass("rapid", 2.0)
 
     @pytest.mark.parametrize("text", ["power:inf", "power:nan", "power:-inf"])
     def test_power_requires_finite_p(self, text):
@@ -115,6 +127,12 @@ class TestSampledFunction:
         f = SampledFunction(small_grid, np.zeros(small_grid.n), RAPID)
         with pytest.raises(ValueError):
             f.values[0] = 1.0
+
+    def test_tail_and_continuation_are_exclusive(self, small_grid):
+        with pytest.raises(PreconditionError, match="own continuation"):
+            SampledFunction(small_grid, np.ones(small_grid.n), BOUNDED,
+                            tail=(Term("const", 1.0),),
+                            continuation=np.ones_like)
 
     def test_bounded_inferred(self, small_grid):
         f = SampledFunction(small_grid, np.zeros(small_grid.n), RAPID)
@@ -321,6 +339,17 @@ class TestSerialization:
         # a plain log_growth header states no bound
         path.write_text(head.replace(":bounded", "") + "\n" + body)
         assert load_function(path).decay == LOG_GROWTH
+
+    def test_failed_rename_leaves_no_file(self, tmp_path, small_grid,
+                                          monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        f = SampledFunction(small_grid, np.zeros(small_grid.n), RAPID)
+        with pytest.raises(OSError, match="rename refused"):
+            save_function(f, tmp_path / "f.txt")
+        assert not list(tmp_path.iterdir())
 
     def test_malformed_header(self, tmp_path):
         p = tmp_path / "bad.txt"

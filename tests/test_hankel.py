@@ -71,6 +71,11 @@ class TestHankelApply:
         with pytest.raises(PreconditionError):
             hankel_apply(la, f0)
 
+    def test_rejects_mismatched_grids(self, rig_grid, small_grid):
+        with pytest.raises(PreconditionError, match="different grids"):
+            hankel_apply(lib.constant(small_grid, 1.0),
+                         lib.gaussian(rig_grid))
+
     def test_rejects_non_integrable_argument(self, rig_grid):
         b0 = lib.exp_osc(rig_grid, 1.0)
         with pytest.raises(PreconditionError):

@@ -8,7 +8,7 @@ from hardylog.grid import (PreconditionError, RAPID, SampledFunction,
                            make_grid)
 from hardylog.oracles import (bmo_bruteforce, hilbert_pv_direct,
                               luxemburg_scan, poisson_direct, poisson_sum)
-from hardylog.spaces import THETA, luxemburg_norm
+from hardylog.spaces import luxemburg_norm
 
 
 class TestHilbertOracle:
@@ -111,6 +111,6 @@ class TestLuxemburgScan:
         for _ in range(3):
             f = lib.gaussian(small_grid, rng.uniform(-4, 4),
                              rng.uniform(0.5, 2), rng.uniform(0.5, 8))
-            fast = luxemburg_norm(f, THETA).value
-            slow = luxemburg_scan(f, THETA)
+            fast = luxemburg_norm(f).value
+            slow = luxemburg_scan(f)
             assert abs(fast - slow) / slow <= 1e-5

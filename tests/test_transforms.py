@@ -12,6 +12,7 @@ from hardylog.grid import (BOUNDED, LOG_GROWTH, HeightLadder,
                            NonIntegrableError, PreconditionError,
                            SampledFunction, integrate, make_grid, make_ladder,
                            power_decay)
+from hardylog.hankel import hankel_apply
 from hardylog.maximal import max_interval_average, nontangential_max
 from hardylog.transforms import (boundary_value, hilbert_transform,
                                  holomorphic_extension, holomorphic_slice,
@@ -319,6 +320,20 @@ class TestUnboundedOutputs:
     def test_szego_flat_component_is_bounded(self, rig_grid):
         # a nonzero mean leaves a constant, which is bounded
         assert szego_project(lib.gaussian(rig_grid)).decay == BOUNDED
+
+    @pytest.mark.parametrize("name, peak", [
+        # 2/sqrt(pi) max Dawson and the max of x/(pi(x^2 + 1))
+        ("gaussian", 2.0 / np.sqrt(np.pi) * 0.5410442246),
+        ("p1", 0.5 / np.pi)])
+    def test_hilbert_of_integrable_mass_is_bounded(self, name, peak):
+        # a nonzero mean leaves Hf ~ (mass/pi)/x: bounded but not
+        # integrable, as for the projection, so Hf is a Hankel symbol
+        g = make_grid(16, 1024)
+        f = lib.named_function(name, g)
+        h = hilbert_transform(f)
+        assert h.decay == szego_project(f).decay == BOUNDED
+        assert abs(np.max(np.abs(h.values)) - peak) <= 1e-3
+        hankel_apply(h, lib.gaussian(g))
 
 
 _centres, _widths = st.floats(-4.0, 4.0), st.floats(0.25, 3.0)

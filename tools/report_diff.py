@@ -14,7 +14,9 @@ The set: the six suites at n=1024 with y_min 1e-3 and 0.1; all eight norms
 of one input named with --function and read with --input, and from
 --function again at y_min 1e-3; llog of a saved tall narrow Gaussian, and
 llog and hlog of a saved tall narrow odd bump, whose gauges lie below their
-maxima; hlog of a saved modulus and of a saved flat rapid 1e306, whose
+maxima; llog of a saved flat row of ones with a power:1.001 tail, whose
+gauge brackets by doubling (8489.09 from an L1 guess of 32, in 35 steps);
+hlog of a saved modulus and of a saved flat rapid 1e306, whose
 holomorphic extensions overflow float64; bmoalog of exp_ix; factorize from
 --field, --function and --input, from --field with --function, and from a
 field it cannot factorize; hankel on five symbols, q1 among them, the one
@@ -54,6 +56,8 @@ SYMBOL_INPUT = "in/exp_ix.txt"
 POWER_INF_INPUT = "in/gbump_odd_power_inf.txt"
 BUMP_INPUT = "in/tall_bump.txt"
 ODD_BUMP_INPUT = "in/tall_odd_bump.txt"
+# ones with a slow power tail: the gauge doubles its L1 guess to bracket
+FLAT_INPUT = "in/flat_power_tail.txt"
 # finite samples whose holomorphic extensions overflow float64
 OVERFLOW_INPUTS = ("in/huge_modulus.txt", "in/huge_flat.txt")
 # a declared constant whose window sums overflow float64
@@ -61,7 +65,7 @@ HUGE_CONSTANT = "in/huge_constant.txt"
 SAVE_INPUT = ("from pathlib import Path\n"
               "import numpy as np\n"
               "from hardylog.grid import (RAPID, SampledFunction, make_grid, "
-              "save_function)\n"
+              "power_decay, save_function)\n"
               "from hardylog.library import (constant, gaussian, "
               "gaussian_deriv, named_function)\n"
               "grid = make_grid(16, 1024)\n"
@@ -71,6 +75,8 @@ SAVE_INPUT = ("from pathlib import Path\n"
               f"{BUMP_INPUT!r})\n"
               "save_function(gaussian_deriv(grid, 0.0, 0.05, 10.0), "
               f"{ODD_BUMP_INPUT!r})\n"
+              "save_function(SampledFunction(grid, np.ones(grid.n), "
+              f"power_decay(1.001)), {FLAT_INPUT!r})\n"
               "vals = np.zeros(grid.n, dtype=complex)\n"
               "vals[grid.n // 2] = 1.5e308 + 1.5e308j\n"
               "save_function(SampledFunction(grid, vals, RAPID), "
@@ -107,6 +113,9 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
     cmds += [(f"norm_{n}_tall_odd_bump", at_005,
               ["norm", "--input", ODD_BUMP_INPUT, "--norm", n])
              for n in ("llog", "hlog")]
+    # tail-dominated: phi > 1 at the L1 guess, so the bracket doubles
+    cmds.append(("norm_llog_flat_power_tail", SMALL,
+                 ["norm", "--input", FLAT_INPUT, "--norm", "llog"]))
     # one stderr line names the overflow, with no numpy warning
     cmds += [(f"norm_hlog_overflow_{k}", SMALL,
               ["norm", "--input", path, "--norm", "hlog"])
