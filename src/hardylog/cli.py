@@ -39,7 +39,7 @@ EXIT_RESIDUAL = 4
 BOUNDARY_NORMS = {"l1": lambda f0: NormReport(float(integrate(f0.abs()))),
                   "llog": luxemburg_norm,
                   "bmo": bmo_norm, "bmoplus": bmo_plus_norm}
-FIELD_NORMS = {"h1": lambda h: hp_norm(h, 1.0), "hlog": hlog_norm,
+FIELD_NORMS = {"h1": hp_norm, "hlog": hlog_norm,
                "bmoalog": bmoa_log_seminorm, "carleson": carleson_ratio}
 
 
@@ -271,7 +271,8 @@ def main(argv=None) -> int:
         overrides = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
         cfg = load_config(args.config, dict(os.environ), overrides)
         cfg.validate()
-    except (PreconditionError, OSError) as exc:
+    # numpy refuses an array size it cannot index with ValueError
+    except (PreconditionError, OSError, ValueError, MemoryError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
@@ -291,6 +292,9 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition violated: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
+    except OSError as exc:      # the reports could not be written
+        print(f"output error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 if __name__ == "__main__":

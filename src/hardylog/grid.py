@@ -323,10 +323,8 @@ class SampledFunction:
     def is_real(self) -> bool:
         return bool(np.all(self.values.imag == 0.0))
 
-    def with_values(self, values: np.ndarray, decay: Optional[DecayClass] = None
-                    ) -> "SampledFunction":
-        return SampledFunction(self.grid, values,
-                               self.decay if decay is None else decay)
+    def with_values(self, values: np.ndarray) -> "SampledFunction":
+        return SampledFunction(self.grid, values, self.decay)
 
     def abs(self) -> "SampledFunction":
         """|f| on the grid; integrate reads no continuation, so none is kept."""

@@ -76,7 +76,7 @@ def trial_pairs(grid: Grid1D, trials: int, seed: int
         center = rng.uniform(-grid.L / 4, grid.L / 4)
         width = rng.uniform(0.5, 4.0)
         row = holomorphic_slice(lib.gaussian_deriv(grid, center, width), y0)
-        # hp_norm's arithmetic for p = 1: bit for bit the ladder's sup
+        # hp_norm's arithmetic on one row: bit for bit the ladder's sup
         f0 = row.with_values(row.values * (
             1.0 / line_integral(grid, np.abs(row.values), row.decay.p)))
         mixture = lib.bmo_mixture(grid, rng)
@@ -92,6 +92,11 @@ def boundedness_study(b0: SampledFunction, pairs: list) -> dict:
     symbol_ladder.  The reported ratio divides by sqrt(seminorm) * ||g||, f
     being normalized already; a symbol with vanishing tent seminorm
     (constants) is flagged degenerate instead of ratioed.
+
+    The extension is P_y b, real for a real symbol, while bmoa_log_seminorm
+    takes 2|b'|^2, which is |grad b|^2 only for holomorphic b; so a real
+    symbol's seminorm differs from norm --norm bmoalog's, which reads the
+    Cauchy rows (at L=16, n=1024, p1: 0.0303 here, 0.486 there).
     """
     if not pairs:
         raise PreconditionError("need at least one trial")

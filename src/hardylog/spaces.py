@@ -1,7 +1,7 @@
 """Norms and seminorms: the logarithmic Musielak weights and the Luxemburg
-gauge of theta, mean oscillation (BMO) with its augmented norm,
-sup-over-heights Hardy norms, and Carleson-type tent energies with and
-without the logarithmic weight.
+gauge of theta, mean oscillation (BMO) with its augmented norm, the H^1
+norm and its log-weighted analogue over heights, and Carleson-type tent
+energies with and without the logarithmic weight.
 
 Luxemburg gauges are solved by one doubling bracket and bisection over all
 rows at once (every slice of a field for hlog_norm, one row for
@@ -162,8 +162,8 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay):
     until |phi(mid) - 1| <= tol = _GAUGE_TOL or 200 midpoints.  Every step
     decides phi > 1 and |phi - 1| <= tol for all rows still searching, at
     each row's own next point, so each row takes exactly the steps it would
-    take alone.  Returns per row the gauge, the step count, the final
-    integral and the final [lo, hi]; all-zero rows get gauge 0 in 0 steps.
+    take alone.  Returns per row the gauge, the step count and the final
+    [lo, hi]; all-zero rows get gauge 0 in 0 steps.
 
     The decisions come from a closed form where it is certified.  Let M be
     the row's max|f|.  For lam >= M every computed t = |f|/lam is <= 1
@@ -192,12 +192,11 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay):
     step, only on rows probed below M, rows whose interval straddles one of
     those points and rows whose prediction is not finite; phi(M) is one
     more batch, at the step where rows first probe lam >= M, so a row that
-    never does pays none; the final integrals are one batch after the loop.
-    Each row thus makes the decisions, and returns the numbers, of a
-    quadrature at every step, bit for bit.
+    never does pays none.  Each row thus makes the decisions, and returns
+    the numbers, of a quadrature at every step, bit for bit.
     """
     count, n = mags.shape
-    value, integral = np.zeros(count), np.zeros(count)
+    value = np.zeros(count)
     its, left = np.zeros(count, dtype=np.int64), np.full(count, 200)
     with np.errstate(over="ignore"):
         lo = grid.dx * mags.sum(axis=1) + 1e-300
@@ -209,7 +208,7 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay):
     def phi(rows, lam):
         return weight_integral(grid, mags[rows], decay, THETA, lam[:, None])
 
-    active = rows = np.flatnonzero(mags.any(axis=1))
+    rows = np.flatnonzero(mags.any(axis=1))
     # phi(M) per row, NaN until computed
     top, at_top = mags.max(axis=1), np.full(count, np.nan)
     slack = 8.0 * (n + 16) * _U
@@ -261,8 +260,7 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay):
         done |= bisect & (left[rows] == 0)
         value[rows[done]] = probe[done]
         rows = rows[~done]
-    integral[active] = phi(active, value[active])
-    return value, its, integral, lo, hi
+    return value, its, lo, hi
 
 
 def luxemburg_norm(f0: SampledFunction) -> NormReport:
@@ -274,11 +272,12 @@ def luxemburg_norm(f0: SampledFunction) -> NormReport:
     """
     if not f0.decay.integrable:
         raise NonIntegrableError("Luxemburg gauge needs integrable decay")
-    mags = np.abs(f0.values)
+    mags = np.abs(f0.values)[None, :]
     if not mags.any():
         return NormReport(0.0, attaining_parameter=None, iterations=0,
                           tolerance=_GAUGE_TOL)
-    value, its, integral, lo, hi = _gauges(f0.grid, mags[None, :], f0.decay)
+    value, its, lo, hi = _gauges(f0.grid, mags, f0.decay)
+    integral = weight_integral(f0.grid, mags, f0.decay, THETA, value[:, None])
     return NormReport(float(value[0]), attaining_parameter=None,
                       iterations=int(its[0]), tolerance=_GAUGE_TOL,
                       flags={"integral": float(integral[0]),
@@ -305,21 +304,18 @@ def _window_counts(grid: Grid1D) -> tuple[int, ...]:
     return tuple(sorted(counts))
 
 
-def _family_sup(grid: Grid1D, top) -> NormReport:
+def _family_sup(grid: Grid1D, tops: dict) -> NormReport:
     """sup over the interval family of per-window scores.
 
-    top(count) gives (k, s, size) for the windows of `count` samples: the
-    first offset k of their highest score s (-inf when none of them can
-    win) and the number of windows, or None to skip that count.  Ties keep
-    the first offset of the first count, and the report carries the
-    attaining interval {x0, r} and the number of windows swept."""
+    tops maps a window count to (k, s): the first offset k of the highest
+    score s among the windows of that many samples (-inf when none of them
+    can win).  Each count present adds its n + 1 - count windows to the
+    number swept; a count left out adds none.  Ties keep the first offset
+    of the smallest count, and the report carries the attaining interval
+    {x0, r} and the number of windows swept."""
     best, best_iv, scanned = 0.0, None, 0
-    for count in _window_counts(grid):
-        t = top(count)
-        if t is None:
-            continue
-        k, s, size = t
-        scanned += size
+    for count, (k, s) in sorted(tops.items()):
+        scanned += grid.n + 1 - count
         if s > best:
             best = float(s)
             best_iv = {"x0": float(grid.nodes[k] + (count - 1) * grid.dx / 2.0),
@@ -328,9 +324,9 @@ def _family_sup(grid: Grid1D, top) -> NormReport:
 
 
 def _first_max(s: np.ndarray):
-    """(k, s[k], s.size) for the first-index maximum k of s."""
+    """(k, s[k]) for the first-index maximum k of s."""
     k = int(np.argmax(s))
-    return k, s[k], s.size
+    return k, s[k]
 
 
 def _prefix(x: np.ndarray) -> np.ndarray:
@@ -417,13 +413,6 @@ def _scores(vals: np.ndarray, prefix: np.ndarray, count: int,
     return out
 
 
-def _score(vals: np.ndarray, prefix: np.ndarray, count: int, k: int):
-    """_scores(vals, prefix, count, [k])[0], the same rounded operations
-    without the gather."""
-    mean = (prefix[k + count] - prefix[k]) / count
-    return np.abs(vals[k:k + count] - mean).mean()
-
-
 @np.errstate(over="ignore", invalid="ignore")
 def bmo_norm(f0: SampledFunction) -> NormReport:
     """Mean-oscillation seminorm: sup over the interval family of the window
@@ -450,23 +439,20 @@ def bmo_norm(f0: SampledFunction) -> NormReport:
         if tops[count] < lb:
             break
         k = int(np.argmax(bounds[count]))
-        lb = max(lb, _score(vals, prefix, count, k))
+        lb = max(lb, _scores(vals, prefix, count, np.array([k]))[0])
 
     best = {}
     for count in order:
         if tops[count] < lb:        # and so are all later tops
             break
         keep = np.flatnonzero(~(bounds[count] < lb))    # NaN bounds are kept
-        k, s, _ = _first_max(_scores(vals, prefix, count, keep))
+        k, s = _first_max(_scores(vals, prefix, count, keep))
         best[count] = int(keep[k]), s
         lb = max(lb, s)
     if not all(np.isfinite(s) for _, s in best.values()):
         raise PreconditionError("window sums of the samples overflow float64")
-
-    def top(count):
-        return (*best.get(count, (0, -np.inf)), vals.size + 1 - count)
-
-    return _family_sup(f0.grid, top)
+    # pruned counts still count their windows
+    return _family_sup(f0.grid, {c: best.get(c, (0, -np.inf)) for c in tops})
 
 
 def bmo_plus_norm(f0: SampledFunction) -> NormReport:
@@ -482,21 +468,14 @@ def bmo_plus_norm(f0: SampledFunction) -> NormReport:
 # sup-over-heights norms
 # ---------------------------------------------------------------------------
 
-def hp_norm(field: HalfPlaneField, p: float) -> NormReport:
-    """sup over ladder heights of the slice L^p integral, to the power 1/p."""
-    if not p > 0:
-        raise PreconditionError("p must be positive")
+def hp_norm(field: HalfPlaneField) -> NormReport:
+    """The H^1 norm: sup over ladder heights of the slice L1 integral, with
+    the field's power tail, if any."""
     if not field.decay.integrable:
         raise NonIntegrableError("field slices are not integrable")
-    q = None
-    if field.decay.tag == "power":
-        q = field.decay.p * p
-        if q <= 1.0:
-            raise NonIntegrableError(
-                f"|f|^{p:g} with tail exponent {q:g} is not integrable")
-    integrals = line_integral(field.grid, np.abs(field.values) ** p, q)
+    integrals = line_integral(field.grid, np.abs(field.values), field.decay.p)
     k = int(np.argmax(integrals))
-    return NormReport(float(integrals[k]) ** (1.0 / p),
+    return NormReport(float(integrals[k]),
                       attaining_parameter=field.ladder.levels[k],
                       iterations=field.ladder.count)
 
@@ -508,8 +487,7 @@ def hlog_norm(field: HalfPlaneField) -> NormReport:
     gauge, step count and bracket are those luxemburg_norm gives alone."""
     if not field.decay.integrable:
         raise NonIntegrableError("Luxemburg gauge needs integrable decay")
-    value, its, _, _, _ = _gauges(field.grid, np.abs(field.values),
-                                  field.decay)
+    value, its, _, _ = _gauges(field.grid, np.abs(field.values), field.decay)
     k = int(np.argmax(value))
     return NormReport(float(value[k]), attaining_parameter=field.ladder.levels[k],
                       iterations=int(its.sum()), tolerance=_GAUGE_TOL)
@@ -557,18 +535,17 @@ def _tent_sweep(field: HalfPlaneField, energy: np.ndarray, ratio_fn):
     levels = field.ladder.y
     prefix = np.concatenate(
         (np.zeros((levels.size, 1)), np.cumsum(energy, axis=1)), axis=1)
-
-    def top(count):
+    tops = {}
+    for count in _window_counts(grid):
         r = count * grid.dx / 2.0
         w = _height_weights(levels, r)
-        if w is None:
-            return None
+        if w is None:       # no height below r: the count is skipped
+            continue
         sums = prefix[:w.size, count:] - prefix[:w.size, :-count]
         boxes = (w @ sums) * grid.dx
         x0s = grid.nodes[:boxes.size] + (count - 1) * grid.dx / 2.0
-        return _first_max(ratio_fn(boxes, x0s, r))
-
-    return _family_sup(grid, top)
+        tops[count] = _first_max(ratio_fn(boxes, x0s, r))
+    return _family_sup(grid, tops)
 
 
 def carleson_ratio(g_field: HalfPlaneField) -> NormReport:

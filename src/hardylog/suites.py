@@ -95,7 +95,7 @@ def suite_prop31(cfg):
     ffam = _h1_family(grid, ladder)
     gfam = _bmoa_family(grid, ladder)
     rows = []
-    fnorms = {n: hp_norm(f, 1.0).value for n, f in ffam}
+    fnorms = {n: hp_norm(f).value for n, f in ffam}
     gnorms = {n: bmo_plus_norm(g.slice_at(0)).value for n, g in gfam}
     for fn, f in ffam:
         for gn, g in gfam:

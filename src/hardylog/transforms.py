@@ -294,15 +294,14 @@ def holomorphic_slice(f0: SampledFunction, y: float) -> SampledFunction:
     """Single-height Cauchy row (P_y f0 + i Q_y f0)/2, with the decay of
     holomorphic_extension's rows: each row of that field at height y."""
     vals = _direct_heights(f0, np.asarray([float(y)]), cauchy=True)[0]
-    return SampledFunction(f0.grid, vals, _field_decay(_szego_decay(f0)))
+    return SampledFunction(f0.grid, vals, _szego_decay(f0))
 
 
 def holomorphic_extension(f0: SampledFunction, ladder: HeightLadder):
     """Cauchy rows (P_y f0 + i Q_y f0)/2 on grid x ladder: the Poisson
     extension of szego_project(f0), read from f0's own off-window fill."""
     vals = _direct_heights(f0, ladder.y, cauchy=True)
-    return HalfPlaneField(f0.grid, ladder, vals,
-                          _field_decay(_szego_decay(f0)))
+    return HalfPlaneField(f0.grid, ladder, vals, _szego_decay(f0))
 
 
 # ---------------------------------------------------------------------------

@@ -76,10 +76,15 @@ class TestConfig:
                                        ["--y-min", "2", "--y-max", "1"],
                                        ["--seed", "-1"], ["--grid-L", "inf"],
                                        ["--grid-L", "1e308"],
-                                       ["--y-max", "inf"]],
+                                       ["--y-max", "inf"],
+                                       # 2^60: numpy refuses the size
+                                       # before it allocates anything
+                                       ["--grid-n", str(2 ** 60)],
+                                       ["--levels", str(2 ** 60)]],
                              ids=["low_top", "few_levels", "negative_levels",
                                   "inverted", "negative_seed", "infinite_L",
-                                  "overflowing_L", "infinite_top"])
+                                  "overflowing_L", "infinite_top",
+                                  "unindexable_grid", "unindexable_ladder"])
     def test_bad_ladder_is_parse_error(self, tmp_path, flags, norm):
         # every ladder, grid and seed rule rejects the config up front,
         # whether or not the command would use it
@@ -87,6 +92,13 @@ class TestConfig:
                                    "--function", "gbump_odd", "--norm", norm])
         assert rc == EXIT_PARSE
         assert not list(tmp_path.iterdir())
+
+    def test_out_under_a_file_is_output_error(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        rc = main(SMALL + ["--out", str(tmp_path / "file" / "out"), "norm",
+                           "--function", "gbump_odd", "--norm", "l1"])
+        assert rc == EXIT_PARSE
+        assert capsys.readouterr().err.startswith("output error: ")
 
     def test_env_override_end_to_end(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HARDYLOG_GRID_N", "1024")

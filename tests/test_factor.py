@@ -112,7 +112,7 @@ class TestFactorize:
         assert np.all(np.abs(res.f0.values) <=
                       np.abs(res.h0.values) + 1e-15)
         # sup over heights of the quotient is attained at the boundary
-        rep = hp_norm(res.f_field, 1.0)
+        rep = hp_norm(res.f_field)
         assert rep.attaining_parameter == rig_ladder.levels[0]
 
     def test_mass_stable_under_domain_doubling(self, rig_ladder):
@@ -158,9 +158,9 @@ class TestProduct:
         h = product(F, G)
         res = factorize(h)
         assert res.residual <= 1e-12
-        new_f_h1 = hp_norm(res.f_field, 1.0).value
+        new_f_h1 = hp_norm(res.f_field).value
         assert np.isfinite(new_f_h1)
         lhs = hlog_norm(h).value
-        rhs = hp_norm(F, 1.0).value * \
+        rhs = hp_norm(F).value * \
             bmo_plus_norm(boundary_value(G).f0).value
         assert lhs <= 50.0 * rhs

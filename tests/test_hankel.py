@@ -161,7 +161,7 @@ class TestTrialPairs:
                 width = rng.uniform(0.5, 4.0)
                 field = holomorphic_extension(
                     lib.gaussian_deriv(grid, center, width), lad)
-                norm = hp_norm(field, 1.0)
+                norm = hp_norm(field)
                 assert norm.attaining_parameter == lad.levels[0]
                 assert np.array_equal(f0.values,
                                       field.values[0] * (1.0 / norm.value))

@@ -19,8 +19,10 @@ gauge brackets by doubling (8489.09 from an L1 guess of 32, in 35 steps);
 hlog of a saved modulus and of a saved flat rapid 1e306, whose
 holomorphic extensions overflow float64; bmoalog of exp_ix; factorize from
 --field, --function and --input, from --field with --function, and from a
-field it cannot factorize; hankel on five symbols, q1 among them, the one
-whose P_y rows take the 9L line rule with no declared terms, on exp_ix with
+field it cannot factorize; hankel on six symbols, among them q1, the one whose P_y
+rows take the 9L line rule with no declared terms, and p1, the one real
+decaying symbol, extended through its callable continuation, whose study
+seminorm is not the one norm --norm bmoalog reports; hankel on exp_ix with
 the hankel suite's 50 trials at y_min 0.1 (the study that suite reports),
 and on the input file at the default config; the input and config errors;
 hankel and bmoalog on a saved exp_ix, whose header declares its term, so
@@ -135,7 +137,7 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
     ]
     cmds += [(f"hankel_{s}", SMALL + ["--seed", "3"],
               ["hankel", "--function", s, "--trials", "5"])
-             for s in ("exp_ix", "sgn", "one", "logabs", "q1")]
+             for s in ("exp_ix", "sgn", "one", "logabs", "q1", "p1")]
     # the study verify --suite hankel reports, as the command prints it
     cmds.append(("hankel_exp_ix_suite_trials", SMALL + ["--y-min", "0.1"],
                  ["hankel", "--function", "exp_ix", "--trials", "50"]))
