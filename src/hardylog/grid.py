@@ -485,10 +485,9 @@ def save_function(f: SampledFunction, path) -> None:
     header = f"# L={f.grid.L:.17g} n={f.grid.n} decay={f.decay}"
     if f.tail:
         header += " tail=" + ";".join(str(t) for t in f.tail)
-    lines = [header]
-    for x, v in zip(f.grid.nodes, f.values):
-        lines.append(f"{x:.17g} {v.real:.17g} {v.imag:.17g}")
-    _atomic_write(Path(path), "\n".join(lines) + "\n")
+    rows = map("{:.17g} {:.17g} {:.17g}".format, f.grid.nodes.tolist(),
+               f.values.real.tolist(), f.values.imag.tolist())
+    _atomic_write(Path(path), "\n".join((header, *rows)) + "\n")
 
 
 def load_function(path) -> SampledFunction:

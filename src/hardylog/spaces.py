@@ -57,7 +57,15 @@ from .grid import (Grid1D, HalfPlaneField, NonIntegrableError,
 E = float(np.e)
 
 _RADIUS_LADDER_STEPS = 16
-_OSC_CHUNK = 1 << 22     # elements per sliding-window chunk
+# Elements per chunk of scored windows: 2 MB real or 4 MB complex, about
+# one core's L2, so each chunk's deviations are reduced from cache.  It is
+# about (n+1)^2/4 at n = 1024, so up to n = 1024 a count's windows split
+# only where (n+1-c) c > 2^18, i.e. counts 490..535 at n = 1024, and every
+# other sweep there allocates as with one chunk per count.  Not 1 << 16:
+# its blocks of at most 1 MB no longer raise glibc's dynamic mmap threshold
+# past the line rule's and the gauges' arrays, which then fault in fresh
+# pages on every call (harmonic wall time +6-9%).
+_OSC_CHUNK = 1 << 18
 _U = 2.0 ** -53          # unit roundoff of float64
 _TINY = 4.0 * np.finfo(float).tiny   # squares lost to underflow
 _ABS_SLACK = 2.0 ** -1060            # rounding of subnormal scores and bounds
@@ -401,15 +409,26 @@ def _oscillation_bounds(vals: np.ndarray, counts) -> dict:
 def _scores(vals: np.ndarray, prefix: np.ndarray, count: int,
             offsets: np.ndarray) -> np.ndarray:
     """Scores of the windows of `count` samples at offsets: the average of
-    |f - m| over the window, m the window mean from a prefix difference."""
-    windows = np.lib.stride_tricks.sliding_window_view(vals, count)
+    |f - m| over the window, m the window mean from a prefix difference.
+
+    The windows are gathered _OSC_CHUNK elements at a time into a copy,
+    which real data turns into |f - m| in place; the samples are never
+    written.  Each window is reduced along its own row, so a window scores
+    the same alone or in any chunk."""
+    s = vals.strides[0]
+    windows = np.lib.stride_tricks.as_strided(
+        vals, (vals.size + 1 - count, count), (s, s), writeable=False)
     means = (prefix[offsets + count] - prefix[offsets]) / count
     chunk = max(1, _OSC_CHUNK // count)
     out = np.empty(offsets.size)
     for a in range(0, offsets.size, chunk):
         dev = windows[offsets[a:a + chunk]]
         dev -= means[a:a + chunk, None]
-        out[a:a + chunk] = np.abs(dev).mean(axis=1)
+        if dev.dtype.kind == "c":
+            dev = np.abs(dev)
+        else:
+            np.abs(dev, out=dev)
+        out[a:a + chunk] = dev.mean(axis=1)
     return out
 
 

@@ -330,6 +330,21 @@ class TestSerialization:
         with pytest.raises(PreconditionError):
             Term(kind, coef, w=w, s=s)
 
+    def test_rows_are_the_per_sample_format(self, tmp_path):
+        # signed zero, subnormals, huge and tiny magnitudes, a power of two
+        # past 2^53 and a repeating fraction, real and imaginary
+        edge = np.array([-0.0, 5e-324, -5e-324, 1e306, -1e-300, 2.0 ** 60,
+                         1.0 / 3.0])
+        grid = make_grid(2.0, 16)
+        values = np.resize(edge, 16) + 1j * np.resize(-edge[::-1], 16)
+        for f in (SampledFunction(grid, values.real, RAPID),
+                  SampledFunction(grid, values, power_decay(2.0))):
+            path = tmp_path / "f.txt"
+            save_function(f, path)
+            body = path.read_text().split("\n", 1)[1]
+            assert body == "".join(f"{x:.17g} {v.real:.17g} {v.imag:.17g}\n"
+                                   for x, v in zip(grid.nodes, f.values))
+
     def test_bounded_header(self, tmp_path, small_grid):
         path = tmp_path / "sgn.txt"
         save_function(lib.sign_step(small_grid), path)

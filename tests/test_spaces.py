@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -816,3 +817,46 @@ class TestPrunedSweep:
             batched = spaces._scores(vals, prefix, count, offsets)
             assert [spaces._scores(vals, prefix, count, np.array([k]))[0]
                     for k in offsets] == list(batched)
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    @pytest.mark.parametrize("complex_", [False, True])
+    def test_chunking_cannot_change_a_score(self, chunk, complex_,
+                                            monkeypatch):
+        # n = 1024 splits counts 512 and 513 at the default chunk too
+        grid = make_grid(8.0, 1024)
+        rng = np.random.default_rng(chunk)
+        vals = lib.bmo_mixture(grid, rng).values.real
+        if complex_:
+            vals = vals + 1j * rng.standard_normal(grid.n)
+        prefix = spaces._prefix(vals)
+        cases = []
+        for count in _window_counts(grid):
+            every = np.arange(grid.n + 1 - count)
+            cases += [(count, every),
+                      (count, every[rng.random(every.size) < 0.3])]
+        default = [spaces._scores(vals, prefix, c, k) for c, k in cases]
+        monkeypatch.setattr(spaces, "_OSC_CHUNK", chunk)
+        for (count, offsets), expected in zip(cases, default):
+            assert spaces._scores(vals, prefix, count, offsets).tobytes() \
+                == expected.tobytes()
+
+    def test_samples_are_not_written(self, small_grid):
+        f = lib.bmo_mixture(small_grid, np.random.default_rng(3))
+        before = f.values.copy()
+        bmo_norm(f)
+        assert f.values.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("name", ["mixture", "zeros"])
+    def test_peak_memory_at_n4096(self, rig_grid, name):
+        # zeros prune nothing, so every window of every count is scored
+        f = (lib.bmo_mixture(rig_grid, np.random.default_rng(0))
+             if name == "mixture"
+             else SampledFunction(rig_grid, np.zeros(rig_grid.n), RAPID))
+        _window_counts(rig_grid)    # the per-grid cache is not one sweep's
+        tracemalloc.start()
+        try:
+            bmo_norm(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8e6

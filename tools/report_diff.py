@@ -28,7 +28,8 @@ and on the input file at the default config; the input and config errors;
 hankel and bmoalog on a saved exp_ix, whose header declares its term, so
 both exit 0 with the reports of --function exp_ix, and norm on a copy of
 the input whose header says power:inf; bmo at the default config on one,
-sgn and logabs (ties, data that prunes nothing, a jump, a log singularity)
+sgn, logabs and exp_ix (ties, data that prunes nothing, a jump, a log
+singularity, complex windows whose larger counts span several chunks)
 and of a saved declared 1e306 constant whose window sums overflow (exit 3);
 and the six suites at the default config (L=64, n=4096, 48 levels), which
 take most of the few minutes a run needs.
@@ -165,11 +166,12 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
          ["norm", "--input", POWER_INF_INPUT, "--norm", "l1"]),
     ]
     # the BMO sweep at the rig size: windows that tie and data that prunes
-    # nothing (one), a jump (sgn), a log singularity (logabs); and a saved
+    # nothing (one), a jump (sgn), a log singularity (logabs), complex
+    # windows scored in several chunks per count (exp_ix); and a saved
     # constant whose window sums overflow, which must exit 3
     cmds += [(f"norm_bmo_{s}_default_config", [],
               ["norm", "--function", s, "--norm", "bmo"])
-             for s in ("one", "sgn", "logabs")]
+             for s in ("one", "sgn", "logabs", "exp_ix")]
     cmds.append(("norm_bmo_overflow_constant", SMALL,
                  ["norm", "--input", HUGE_CONSTANT, "--norm", "bmo"]))
     cmds += [(f"verify_{s}_rig", [], ["verify", "--suite", s]) for s in SUITES]
