@@ -3,19 +3,12 @@ gauge of theta, mean oscillation (BMO) with its augmented norm, the H^1
 norm and its log-weighted analogue over heights, and Carleson-type tent
 energies with and without the logarithmic weight.
 
-Luxemburg gauges are solved by one doubling bracket and bisection over all
-rows at once (every slice of a field for hlog_norm, one row for
-luxemburg_norm); each row replays the steps it would take alone, so its
-gauge, step count and bracket do not depend on the other rows.  A step at
-lam >= M, the row's max|f|, has every t = |f|/lam <= 1, where log+ t = 0 and
-theta is linear in t: phi(lam) = phi(M) * M/lam.  One quadrature per row
-at M, run when the row first probes lam >= M, then decides phi > 1 and
-|phi - 1| <= tol at every such step, wherever a slack of 8(n + 16)
-roundoffs, plus an absolute term for subnormal t, keeps the computed
-quadrature on the same side of 1 and 1 +- tol as the closed form.  The
-other steps, below M or inside the slack, run the quadrature, so every
-decision, and every returned number, is the one a quadrature at each step
-gives, bit for bit.
+Luxemburg gauges are solved for all rows at once (every slice of a field
+for hlog_norm, one row for luxemburg_norm), each row as it would be alone.
+For lam >= M, the row's max|f|, every t = |f|/lam is <= 1, where log+ t = 0
+and theta is linear in t: phi(lam) = phi(M) * M/lam.  So a row with
+phi(M) >= 1 has its gauge in closed form, M * phi(M), the integral of
+|f| / (1 + log+|x|); only a row with phi(M) < 1 searches below M.
 
 Suprema over intervals run over a finite two-part family: every window whose
 sample count is a power of two at every offset, plus node-centered windows
@@ -70,7 +63,7 @@ _U = 2.0 ** -53          # unit roundoff of float64
 _TINY = 4.0 * np.finfo(float).tiny   # squares lost to underflow
 _ABS_SLACK = 2.0 ** -1060            # rounding of subnormal scores and bounds
 _GAUGE_TOL = 1e-8        # |phi - 1| at which a Luxemburg bisection stops
-_GAUGE_DOUBLINGS = 200   # bracket steps before a gauge gives up
+_GAUGE_HALVINGS = 200    # bracket steps before a gauge gives up
 
 
 class BracketError(PreconditionError):
@@ -97,11 +90,6 @@ def THETA(x, t):
 def THETA0(x, t):
     """theta0(x,t) = theta(x, t^2)"""
     return THETA(x, t * t)
-
-
-def THETA1(x, t):
-    """theta1(x,t) = theta(x, t)^2"""
-    return THETA(x, t) ** 2
 
 
 def weight_eval(w: Weight, x, t):
@@ -160,112 +148,60 @@ def weight_integral(grid: Grid1D, magnitudes: np.ndarray, decay,
 
 
 def _gauges(grid: Grid1D, mags: np.ndarray, decay):
-    """Luxemburg gauges of theta for the rows of mags, all rows bracketed
-    and bisected together.
+    """Luxemburg gauges of theta for the rows of mags, all rows solved
+    together.
 
     phi(lam) = integral of theta(x, |f|/lam) dx is continuous and strictly
-    decreasing in lam where a row is nonzero.  Each row starts at its L1
-    guess and doubles (phi > 1 there) or halves (phi <= 1) until
-    phi(lo) > 1 >= phi(hi), in at most _GAUGE_DOUBLINGS steps, then bisects
-    until |phi(mid) - 1| <= tol = _GAUGE_TOL or 200 midpoints.  Every step
-    decides phi > 1 and |phi - 1| <= tol for all rows still searching, at
-    each row's own next point, so each row takes exactly the steps it would
-    take alone.  Returns per row the gauge, the step count and the final
-    [lo, hi]; all-zero rows get gauge 0 in 0 steps.
-
-    The decisions come from a closed form where it is certified.  Let M be
-    the row's max|f|.  For lam >= M every computed t = |f|/lam is <= 1
-    (rounding is monotone), so log+ t is exactly 0, the denominator
-    1 + log+|x| is the same double at every such lam, and theta(x, t) is
-    t / (1 + log+|x|): in exact arithmetic on those doubles,
-    phi(lam) = phi(M) * M/lam.  With u the unit roundoff, the computed
-    quadrature is within about (2n + 8)u of that, relative: 2u per weight
-    (t, then one division), (n - 1)u for any sum of n nonnegative terms,
-    doubled because the half end weights are subtracted from it (the result
-    is at least half the sum), and a few u for dx and the power-tail term.
-    The prediction pred = phi(M) * (M/lam) adds 2u to the error of phi(M),
-    so the computed phi(lam) is within (4n + 18)u of it; the slack
-    8(n + 16)u is more than twice that, which also covers forming the
-    interval ends.  A subnormal t or weight errs by an absolute 2^-1075
-    instead, at most 2 of those per weight, so the two quadratures err by
-    at most 2^-1073 times the quadrature mass
-    dx*n + (|x_0| + |x_{n-1}|)/(p - 1); _ABS_SLACK (2^-1060) times the mass
-    covers it.  Both constants are kept at values that would also cover 5u
-    and 8 absolute roundoffs per weight: a tighter slack would move only
-    which steps run the quadrature, never a returned number.
-
-    Where both ends of [pred(1 - slack) - abs, pred(1 + slack) + abs] lie
-    on the same side of 1, of 1 - tol and of 1 + tol, the quadrature's
-    decisions are known without running it.  It runs, in one batch per
-    step, only on rows probed below M, rows whose interval straddles one of
-    those points and rows whose prediction is not finite; phi(M) is one
-    more batch, at the step where rows first probe lam >= M, so a row that
-    never does pays none.  Each row thus makes the decisions, and returns
-    the numbers, of a quadrature at every step, bit for bit.
+    decreasing in lam where a row is nonzero.  One batched quadrature gives
+    phi(M) per row, M the row's max|f|; a row with phi(M) >= 1 has its
+    gauge M * phi(M) in 0 steps, bracket [gauge, gauge].  Every other row
+    has its gauge below M: from hi = M it halves until phi(lo) > 1, in at
+    most _GAUGE_HALVINGS steps, then bisects until |phi(mid) - 1| <= tol =
+    _GAUGE_TOL or 200 midpoints, one batched quadrature per step.  Returns
+    per row the gauge, the step count and the final [lo, hi]; all-zero rows
+    get gauge 0 in 0 steps.
     """
-    count, n = mags.shape
-    value = np.zeros(count)
-    its, left = np.zeros(count, dtype=np.int64), np.full(count, 200)
+    count = mags.shape[0]
     with np.errstate(over="ignore"):
-        lo = grid.dx * mags.sum(axis=1) + 1e-300
-    if not np.isfinite(lo).all():
+        mass = grid.dx * mags.sum(axis=1)
+    if not np.isfinite(mass).all():
         raise PreconditionError(
             "|f| or its L1 mass overflows float64; the gauge needs both finite")
-    hi = lo.copy()
 
     def phi(rows, lam):
         return weight_integral(grid, mags[rows], decay, THETA, lam[:, None])
 
-    rows = np.flatnonzero(mags.any(axis=1))
-    # phi(M) per row, NaN until computed
-    top, at_top = mags.max(axis=1), np.full(count, np.nan)
-    slack = 8.0 * (n + 16) * _U
-    tail = (0.0 if decay.p is None else
-            (abs(grid.nodes[0]) + abs(grid.nodes[-1])) / (decay.p - 1.0))
-    absolute = _ABS_SLACK * (grid.dx * n + tail)
-
-    def decide(rows, lam):
-        """phi(lam) > 1 and |phi(lam) - 1| <= tol per row."""
-        # phi(M) once per row, at the first step that probes lam >= M
-        first = rows[~(lam < top[rows]) & np.isnan(at_top[rows])]
-        if first.size:
-            at_top[first] = phi(first, top[first])
-        with np.errstate(all="ignore"):
-            pred = at_top[rows] * (top[rows] / lam)
-            low = pred * (1.0 - slack) - absolute
-            high = pred * (1.0 + slack) + absolute
-        over, near = high > 1.0, np.abs(high - 1.0) <= _GAUGE_TOL
-        exact = ((lam < top[rows]) | ~np.isfinite(pred)
-                 | (over != (low > 1.0))
-                 | (near != (np.abs(low - 1.0) <= _GAUGE_TOL)))
-        if exact.any():
-            val = phi(rows[exact], lam[exact])
-            over[exact] = val > 1.0
-            near[exact] = np.abs(val - 1.0) <= _GAUGE_TOL
-        return over, near
-
-    # per row: +1 doubles hi, -1 halves lo, 0 bisects [lo, hi]
-    mode = np.zeros(count, dtype=np.int64)
-    mode[rows] = np.where(decide(rows, lo[rows])[0], 1, -1)
+    top = mags.max(axis=1)
+    rows = np.flatnonzero(top)
+    at_top = phi(rows, top[rows])
+    value = np.zeros(count)
+    value[rows] = top[rows] * at_top
+    # the other rows search below M, from lo = hi = M
+    rows = rows[at_top < 1.0]
+    value[rows] = top[rows]
+    lo, hi = value.copy(), value.copy()
+    its, left = np.zeros(count, dtype=np.int64), np.full(count, 200)
+    halving = np.ones(count, dtype=bool)
     while rows.size:
-        m = mode[rows]
+        h = halving[rows]
         its[rows] += 1
-        stuck = (m != 0) & (its[rows] > _GAUGE_DOUBLINGS)
-        if stuck.any():
-            side = "upper" if m[stuck][0] > 0 else "lower"
+        if (h & (its[rows] > _GAUGE_HALVINGS)).any():
             raise BracketError(
-                f"no {side} bracket after {_GAUGE_DOUBLINGS} doublings")
+                f"no lower bracket after {_GAUGE_HALVINGS} halvings")
         a, b = lo[rows], hi[rows]
-        probe = np.where(m > 0, b * 2.0, np.where(m < 0, a * 0.5, 0.5 * (a + b)))
-        over, near = decide(rows, probe)
-        bisect = m == 0
-        done = bisect & near
-        to_lo = (m < 0) | (bisect & ~done & over)
-        to_hi = (m > 0) | (bisect & ~done & ~over)
+        probe = np.where(h, 0.5 * a, 0.5 * (a + b))
+        val = phi(rows, probe)
+        over = val > 1.0
+        done = ~h & (np.abs(val - 1.0) <= _GAUGE_TOL)
+        # a halving moves [lo, hi] to [probe, lo]; a midpoint replaces the
+        # end on its side of the root
+        hi[rows[h]] = a[h]
+        to_lo = h | (over & ~done)
+        to_hi = ~h & ~over & ~done
         lo[rows[to_lo]], hi[rows[to_hi]] = probe[to_lo], probe[to_hi]
-        mode[rows[((m > 0) & ~over) | ((m < 0) & over)]] = 0
-        left[rows] -= bisect
-        done |= bisect & (left[rows] == 0)
+        halving[rows[h & over]] = False
+        left[rows] -= ~h
+        done |= ~h & (left[rows] == 0)
         value[rows[done]] = probe[done]
         rows = rows[~done]
     return value, its, lo, hi
@@ -274,9 +210,9 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay):
 def luxemburg_norm(f0: SampledFunction) -> NormReport:
     """Gauge norm inf{lam > 0 : integral of theta(x, |f|/lam) <= 1}.
 
-    A doubling bracket plus bisection (the one-row case of the solver that
-    hlog_norm runs over all slices at once); the report carries the bracket
-    and the achieved integral.
+    The one-row case of the solver that hlog_norm runs over all slices at
+    once: M * phi(M) where phi(M) >= 1, else halving and bisection below M.
+    The report carries the final bracket and the achieved integral.
     """
     if not f0.decay.integrable:
         raise NonIntegrableError("Luxemburg gauge needs integrable decay")
@@ -502,8 +438,8 @@ def hp_norm(field: HalfPlaneField) -> NormReport:
 def hlog_norm(field: HalfPlaneField) -> NormReport:
     """sup over ladder heights of the slice Luxemburg gauge with theta.
 
-    One bracket-and-bisect run solves every slice at once; each slice's
-    gauge, step count and bracket are those luxemburg_norm gives alone."""
+    One solver run covers every slice at once; each slice's gauge and step
+    count are those luxemburg_norm gives alone."""
     if not field.decay.integrable:
         raise NonIntegrableError("Luxemburg gauge needs integrable decay")
     value, its, _, _ = _gauges(field.grid, np.abs(field.values), field.decay)

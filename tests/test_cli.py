@@ -386,8 +386,8 @@ class TestInputFileProperties:
 
     def test_overflowing_modulus_llog_is_precondition_error(self, tmp_path,
                                                             capsys):
-        # finite parts, but |f| = inf: the gauge says so instead of halving
-        # an inf L1 guess until the bracket gives up
+        # finite parts, but |f| = inf: the gauge says so before any
+        # quadrature, and no bracket error follows
         g = make_grid(16, 1024)
         vals = np.zeros(g.n, dtype=complex)
         vals[g.n // 2] = 1.5e308 + 1.5e308j

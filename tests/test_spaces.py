@@ -13,7 +13,7 @@ from hardylog.grid import (HalfPlaneField, NonIntegrableError,
                            sample_field)
 from hardylog.oracles import bmo_bruteforce
 from hardylog.spaces import (BracketError, NormReport, THETA,
-                             THETA0, THETA1, bmo_norm, bmo_plus_norm,
+                             THETA0, bmo_norm, bmo_plus_norm,
                              bmoa_log_seminorm, carleson_ratio, hlog_norm,
                              hp_norm, luxemburg_norm, spectral_derivative,
                              weight_eval, weight_integral, _gauges,
@@ -30,11 +30,6 @@ class TestWeights:
         # theta0(0,2) = 4/(1 + 0.5*log 4)
         assert abs(weight_eval(THETA0, 0.0, 2.0) -
                    4.0 / (1.0 + 0.5 * np.log(4.0))) < 1e-14
-
-    def test_theta1_is_square(self):
-        x, t = 2.7, 5.1
-        assert abs(weight_eval(THETA1, x, t) -
-                   weight_eval(THETA, x, t) ** 2) < 1e-14
 
     def test_zero_at_zero_and_increasing(self):
         t = np.linspace(0.0, 50.0, 4001)
@@ -122,55 +117,58 @@ class TestLuxemburg:
             luxemburg_norm(lib.sign_step(small_grid))
 
     def test_bracket_exhaustion(self, small_grid, monkeypatch):
-        f = lib.gaussian(small_grid, amplitude=100.0)
-        monkeypatch.setattr(spaces, "_GAUGE_DOUBLINGS", 0)
+        # a narrow unit bump has its gauge, 0.038, below max|f| = 1: it
+        # halves 5 times from 1 before phi > 1, and the message names the
+        # limit
+        f = lib.gaussian(small_grid, width=0.05)
+        monkeypatch.setattr(spaces, "_GAUGE_HALVINGS", 0)
         with pytest.raises(BracketError):
             luxemburg_norm(f)
-        # the message names the side and the limit: a very wide bump needs
-        # 4 halvings of its L1 guess
-        wide = lib.gaussian(make_grid(1e6, 512), width=4e5)
-        monkeypatch.setattr(spaces, "_GAUGE_DOUBLINGS", 4)
-        assert luxemburg_norm(wide).iterations > 4
-        monkeypatch.setattr(spaces, "_GAUGE_DOUBLINGS", 3)
-        with pytest.raises(BracketError, match=r"no lower bracket after 3 "):
-            luxemburg_norm(wide)
-        # a flat row with a slow power tail has phi > 1 at its guess and
-        # doubles 9 times
-        g = make_grid(16, 256)
-        flat = SampledFunction(g, np.ones(g.n), power_decay(1.001))
-        with pytest.raises(BracketError, match=r"no upper bracket after 3 "):
-            luxemburg_norm(flat)
+        monkeypatch.setattr(spaces, "_GAUGE_HALVINGS", 5)
+        assert luxemburg_norm(f).iterations > 5
+        monkeypatch.setattr(spaces, "_GAUGE_HALVINGS", 4)
+        with pytest.raises(BracketError, match=r"no lower bracket after 4 "):
+            luxemburg_norm(f)
 
     def test_flags_are_final_integral_and_bracket(self, small_grid):
-        for f in (lib.gaussian(small_grid, 1.0, 2.0),
-                  lib.gaussian(small_grid, width=0.05)):
-            rep = luxemburg_norm(f)
-            mags = np.abs(f.values)
-            lo, hi = rep.flags["bracket"]
-            assert rep.flags["integral"] == weight_integral(
-                small_grid, mags, f.decay, THETA, rep.value)
-            assert rep.value == 0.5 * (lo + hi)
-            assert weight_integral(small_grid, mags, f.decay, THETA, lo) > 1.0
-            assert weight_integral(small_grid, mags, f.decay, THETA,
-                                   hi) <= 1.0
+        # closed form: phi(max|f|) >= 1, the bracket is the gauge itself
+        f = lib.gaussian(small_grid, 1.0, 2.0)
+        rep = luxemburg_norm(f)
+        mags = np.abs(f.values)
+        assert rep.iterations == 0
+        assert rep.flags["bracket"] == [rep.value, rep.value]
+        assert rep.flags["integral"] == weight_integral(
+            small_grid, mags, f.decay, THETA, rep.value)
+        # below max|f|: the gauge is the last midpoint of a bracket that
+        # straddles the root
+        f = lib.gaussian(small_grid, width=0.05)
+        rep = luxemburg_norm(f)
+        mags = np.abs(f.values)
+        lo, hi = rep.flags["bracket"]
+        assert rep.flags["integral"] == weight_integral(
+            small_grid, mags, f.decay, THETA, rep.value)
+        assert rep.value == 0.5 * (lo + hi)
+        assert weight_integral(small_grid, mags, f.decay, THETA, lo) > 1.0
+        assert weight_integral(small_grid, mags, f.decay, THETA, hi) <= 1.0
 
 
 def _scalar_gauge(grid, mags, decay, tol=1e-8):
-    """The one-row doubling bracket and bisection of theta, step by step:
-    value, iterations, final integral and final bracket."""
+    """The one-row gauge of theta, step by step: M * phi(M) where
+    phi(M) >= 1 for M = max|f|, else halving from M and bisection; value,
+    iterations, final integral and final bracket."""
     def phi(lam):
         return weight_integral(grid, mags, decay, THETA, lam)
 
-    lo = hi = grid.dx * mags.sum() + 1e-300
-    its = 0
-    if phi(lo) > 1.0:
-        while phi(hi) > 1.0:
-            hi *= 2.0
-            its += 1
-    else:
-        while phi(lo) <= 1.0:
-            lo *= 0.5
-            its += 1
+    top = mags.max()
+    if phi(top) >= 1.0:
+        value = top * phi(top)
+        return value, 0, phi(value), [value, value]
+    lo, its = top, 0
+    while True:
+        hi, lo = lo, 0.5 * lo
+        its += 1
+        if phi(lo) > 1.0:
+            break
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         val = phi(mid)
@@ -186,10 +184,10 @@ def _scalar_gauge(grid, mags, decay, tol=1e-8):
 
 _PROP_GRID = make_grid(16, 512)
 _X = _PROP_GRID.nodes
-# the unit indicator: its first probe is lam = max|f| = 1, where phi = 1
+# the unit indicator: phi(max|f|) = 1, the boundary of the closed form
 _CHI = np.abs(lib.indicator(_PROP_GRID, -0.5, 0.5).values)
-# 0.9(1 - x^2) on |x| < 1, where theta(x, t) = t: phi at the L1 guess is 1
-# up to rounding, so the closed form must leave that probe to the quadrature
+# 0.9(1 - x^2) on |x| < 1, where theta(x, t) = t: phi(max|f|) = 4/3, so
+# the gauge is its L1 mass 1.2 in closed form
 _CAP = 0.9 * np.maximum(1.0 - _X * _X, 0.0)
 _bumps = st.lists(
     st.one_of(st.none(),
@@ -199,8 +197,17 @@ _bumps = st.lists(
 _decays = st.one_of(st.just(RAPID), st.floats(1.05, 4.0).map(power_decay))
 
 
+def _rows(bumps):
+    """Rows on _PROP_GRID from None (zeros), (log10 amplitude, center,
+    width) for a Gaussian, or the samples themselves."""
+    return np.array([np.zeros(_X.size) if b is None else
+                     b if isinstance(b, np.ndarray) else
+                     10.0 ** b[0] * np.exp(-((_X - b[1]) / b[2]) ** 2)
+                     for b in bumps])
+
+
 class TestBatchedGauge:
-    """hlog_norm and _gauges solve all rows in one bisection; each row must
+    """hlog_norm and _gauges solve all rows in one batch; each row must
     come out exactly as the one-row solver gives it."""
 
     @given(_bumps, _decays)
@@ -213,12 +220,7 @@ class TestBatchedGauge:
     @example([(-300.0, 1.0, 0.5), (300.0, -1.0, 0.5)], power_decay(1.5))
     @example([_CHI, _CAP], RAPID)
     def test_rows_replay_one_row_solver(self, bumps, decay):
-        """Rows are None (zeros), (log10 amplitude, center, width) for a
-        Gaussian, or the samples themselves."""
-        mags = np.array([np.zeros(_X.size) if b is None else
-                         b if isinstance(b, np.ndarray) else
-                         10.0 ** b[0] * np.exp(-((_X - b[1]) / b[2]) ** 2)
-                         for b in bumps])
+        mags = _rows(bumps)
         value, its, lo, hi = _gauges(_PROP_GRID, mags, decay)
         for k, row in enumerate(mags):
             rep = luxemburg_norm(SampledFunction(_PROP_GRID, row, decay))
@@ -230,6 +232,37 @@ class TestBatchedGauge:
             assert (rep.value, rep.iterations, rep.flags["integral"],
                     rep.flags["bracket"]) == _scalar_gauge(
                         _PROP_GRID, row, decay)
+
+    @given(_bumps, _decays)
+    @example([_CHI, _CAP, (3.0, 0.0, 0.05), (-3.0, 0.0, 3.0)],
+             power_decay(1.05))
+    def test_closed_form_above_the_max(self, bumps, decay):
+        """A row with phi(M) >= 1 at M = max|f| has the gauge M * phi(M) in
+        0 steps, where the integral is 1 to rounding; any other row has its
+        gauge below M."""
+        for row in _rows(bumps):
+            if not row.any():
+                continue
+            top = row.max()
+            at_top = weight_integral(_PROP_GRID, row, decay, THETA, top)
+            rep = luxemburg_norm(SampledFunction(_PROP_GRID, row, decay))
+            if at_top < 1.0:
+                assert rep.value < top
+                continue
+            assert (rep.value, rep.iterations) == (top * at_top, 0)
+            assert abs(rep.flags["integral"] - 1.0) <= 1e-14
+
+    def test_subnormal_row_in_closed_form(self):
+        # slices of a product that underflows: magnitudes of a few
+        # subnormal steps, the tails flushed to 0
+        row = 1e-320 * np.exp(-(_X / 4.0) ** 2)
+        top = row.max()
+        assert 0.0 < top < np.finfo(float).tiny
+        at_top = weight_integral(_PROP_GRID, row, RAPID, THETA, top)
+        assert at_top >= 1.0
+        value, its, lo, hi = _gauges(_PROP_GRID, row[None, :], RAPID)
+        assert (value[0], its[0]) == (top * at_top, 0)
+        assert lo[0] == hi[0] == value[0]
 
     @pytest.fixture
     def stacked(self, small_grid):
@@ -270,8 +303,9 @@ class TestBatchedGauge:
 
     def test_hlog_certified_probes_skip_the_quadrature(self, stacked,
                                                        monkeypatch):
-        # one batch at each slice's max|f|; every probe of this field is
-        # decided by the closed form, and hlog_norm reads no final integral
+        # one batch at each slice's max|f|, where every slice of this field
+        # has phi >= 1 and takes the closed form; hlog_norm reads no final
+        # integral
         calls = []
         quadrature = spaces.line_integral
 
@@ -283,10 +317,11 @@ class TestBatchedGauge:
         hlog_norm(stacked)
         assert len(calls) == 1
 
-    def test_no_quadrature_at_an_unprobed_max(self, small_grid, monkeypatch):
-        # every probe of this tall narrow bump lies below its max|f|, so
-        # phi(max|f|) is never needed: one quadrature at the L1 guess, one
-        # at each of the 26 steps and one for the final integral
+    def test_one_quadrature_per_step_below_the_max(self, small_grid,
+                                                   monkeypatch):
+        # this tall narrow bump has phi(max|f|) < 1, so its gauge lies
+        # below max|f|: one quadrature at max|f|, one at each of the 27
+        # steps (2 halvings, 25 midpoints) and one for the final integral
         f = lib.gaussian(small_grid, 1.0, 0.3, amplitude=4.0)
         calls = []
         quadrature = spaces.line_integral
@@ -297,14 +332,14 @@ class TestBatchedGauge:
 
         monkeypatch.setattr(spaces, "line_integral", counting)
         rep = luxemburg_norm(f)
-        assert len(calls) == 28
+        assert rep.iterations == 27 and len(calls) == 29
         assert (rep.value, rep.iterations, rep.flags["integral"],
                 rep.flags["bracket"]) == _scalar_gauge(
                     small_grid, np.abs(f.values), f.decay)
 
     def test_overflowing_modulus_is_precondition_error(self, small_grid):
-        # finite parts whose modulus is inf: rejected up front, not after
-        # 200 halvings of an inf guess, and with no warning
+        # finite parts whose modulus is inf: rejected up front, with no
+        # warning
         vals = np.zeros(small_grid.n, dtype=complex)
         vals[small_grid.n // 2] = 1.5e308 + 1.5e308j
         fld = HalfPlaneField(small_grid, make_ladder(0.1, 4.0, 8),

@@ -15,24 +15,25 @@ of one input named with --function and read with --input, and from
 --function again at y_min 1e-3; llog of a saved tall narrow Gaussian, and
 llog and hlog of a saved tall narrow odd bump, whose gauges lie below their
 maxima; llog of a saved flat row of ones with a power:1.001 tail, whose
-gauge brackets by doubling (8489.09 from an L1 guess of 32, in 35 steps);
-hlog of a saved modulus and of a saved flat rapid 1e306, whose
-holomorphic extensions overflow float64; bmoalog of exp_ix; factorize from
---field, --function and --input, from --field with --function, and from a
-field it cannot factorize; hankel on six symbols, among them q1, the one whose P_y
-rows take the 9L line rule with no declared terms, and p1, the one real
-decaying symbol, extended through its callable continuation, whose study
-seminorm is not the one norm --norm bmoalog reports; hankel on exp_ix with
-the hankel suite's 50 trials at y_min 0.1 (the study that suite reports),
-and on the input file at the default config; the input and config errors;
-hankel and bmoalog on a saved exp_ix, whose header declares its term, so
-both exit 0 with the reports of --function exp_ix, and norm on a copy of
-the input whose header says power:inf; bmo at the default config on one,
-sgn, logabs and exp_ix (ties, data that prunes nothing, a jump, a log
-singularity, complex windows whose larger counts span several chunks)
-and of a saved declared 1e306 constant whose window sums overflow (exit 3);
-and the six suites at the default config (L=64, n=4096, 48 levels), which
-take most of the few minutes a run needs.
+gauge is the closed form max|f| * phi(max|f|) (8489.09 in 0 steps); llog of
+chi_half, whose phi(max|f|) is exactly 1, the boundary between the closed
+form and the search below the max; hlog of a saved modulus and of a saved
+flat rapid 1e306, whose holomorphic extensions overflow float64; bmoalog of
+exp_ix; factorize from --field, --function and --input, from --field with
+--function, and from a field it cannot factorize; hankel on six symbols,
+among them q1, the one whose P_y rows take the 9L line rule with no declared
+terms, and p1, the one real decaying symbol, extended through its callable
+continuation, whose study seminorm is not the one norm --norm bmoalog
+reports; hankel on exp_ix with the hankel suite's 50 trials at y_min 0.1
+(the study that suite reports), and on the input file at the default config;
+the input and config errors; hankel and bmoalog on a saved exp_ix, whose
+header declares its term, so both exit 0 with the reports of --function
+exp_ix, and norm on a copy of the input whose header says power:inf; bmo at
+the default config on one, sgn, logabs and exp_ix (ties, data that prunes
+nothing, a jump, a log singularity, complex windows whose larger counts span
+several chunks) and of a saved declared 1e306 constant whose window sums
+overflow (exit 3); and the six suites at the default config (L=64, n=4096,
+48 levels), which take most of the few minutes a run needs.
 
 A Python warning in stderr names the file and line that raised it; the
 tree's path and the line number are masked before the comparison, so code
@@ -59,7 +60,7 @@ SYMBOL_INPUT = "in/exp_ix.txt"
 POWER_INF_INPUT = "in/gbump_odd_power_inf.txt"
 BUMP_INPUT = "in/tall_bump.txt"
 ODD_BUMP_INPUT = "in/tall_odd_bump.txt"
-# ones with a slow power tail: the gauge doubles its L1 guess to bracket
+# ones with a slow power tail: phi(max|f|) far above 1, the closed form
 FLAT_INPUT = "in/flat_power_tail.txt"
 # finite samples whose holomorphic extensions overflow float64
 OVERFLOW_INPUTS = ("in/huge_modulus.txt", "in/huge_flat.txt")
@@ -116,9 +117,12 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
     cmds += [(f"norm_{n}_tall_odd_bump", at_005,
               ["norm", "--input", ODD_BUMP_INPUT, "--norm", n])
              for n in ("llog", "hlog")]
-    # tail-dominated: phi > 1 at the L1 guess, so the bracket doubles
+    # tail-dominated: phi(max|f|) = 8489, so the gauge is in closed form
     cmds.append(("norm_llog_flat_power_tail", SMALL,
                  ["norm", "--input", FLAT_INPUT, "--norm", "llog"]))
+    # phi(max|f|) = 1 exactly: the closed form's boundary
+    cmds.append(("norm_llog_chi_half", SMALL,
+                 ["norm", "--function", "chi_half", "--norm", "llog"]))
     # one stderr line names the overflow, with no numpy warning
     cmds += [(f"norm_hlog_overflow_{k}", SMALL,
               ["norm", "--input", path, "--norm", "hlog"])
