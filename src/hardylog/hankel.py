@@ -94,9 +94,9 @@ def boundedness_study(b0: SampledFunction, pairs: list) -> dict:
     (constants) is flagged degenerate instead of ratioed.
 
     The extension is P_y b, real for a real symbol, while bmoa_log_seminorm
-    takes 2|b'|^2, which is |grad b|^2 only for holomorphic b; so a real
-    symbol's seminorm differs from norm --norm bmoalog's, which reads the
-    Cauchy rows (at L=16, n=1024, p1: 0.0303 here, 0.486 there).
+    takes 2|b'|^2, |grad b|^2 only for holomorphic b: on symbol_ladder at
+    L=16, n=1024, p1 reads 0.0303 here and 0.0162 on the Cauchy rows that
+    norm --norm bmoalog reads, while exp_ix reads 4.498 on both.
     """
     if not pairs:
         raise PreconditionError("need at least one trial")

@@ -87,15 +87,15 @@ def log_abs(grid: Grid1D) -> SampledFunction:
 
 
 def harmonic_freq(grid: Grid1D, freq: float) -> float:
-    """Nearest frequency that is exactly periodic on the grid window, so the
-    spectral derivative, the one periodic operator left, sees no seam."""
+    """Nearest frequency that is exactly periodic on the grid window.  No
+    operator needs it: exp_osc and field_exp_osc snap to it only because the
+    benchmark gate pins e^{iax} there and a test pairs the two."""
     k = max(1, round(freq * grid.L / np.pi))
     return np.pi * k / grid.L
 
 
 def exp_osc(grid: Grid1D, freq: float = 1.0) -> SampledFunction:
-    """Bounded oscillation exp(i*a*x), a snapped to a window harmonic for
-    the spectral derivative."""
+    """Bounded oscillation exp(i*a*x), a = harmonic_freq(grid, freq)."""
     return SampledFunction.declared(
         grid, (Term("exp", 1.0, w=harmonic_freq(grid, freq)),), BOUNDED)
 
@@ -134,8 +134,8 @@ def field_inv_square(grid: Grid1D, ladder: HeightLadder,
 
 def field_exp_osc(grid: Grid1D, ladder: HeightLadder,
                   freq: float = 1.0) -> HalfPlaneField:
-    """exp(i*a*z), bounded holomorphic, frequency snapped to a harmonic for
-    the spectral derivative."""
+    """exp(i*a*z), bounded holomorphic, a = harmonic_freq(grid, freq) as in
+    exp_osc."""
     a = harmonic_freq(grid, freq)
     return sample_field(grid, ladder, lambda z: np.exp(1j * a * z),
                         LOG_GROWTH)

@@ -7,7 +7,7 @@ from hypothesis import example, given, strategies as st
 
 from hardylog import library as lib
 from hardylog import spaces
-from hardylog.grid import (HalfPlaneField, NonIntegrableError,
+from hardylog.grid import (HalfPlaneField, LOG_GROWTH, NonIntegrableError,
                            PreconditionError, RAPID, SampledFunction,
                            integrate, make_grid, make_ladder, power_decay,
                            sample_field)
@@ -15,10 +15,10 @@ from hardylog.oracles import bmo_bruteforce
 from hardylog.spaces import (BracketError, NormReport, THETA,
                              THETA0, bmo_norm, bmo_plus_norm,
                              bmoa_log_seminorm, carleson_ratio, hlog_norm,
-                             hp_norm, luxemburg_norm, spectral_derivative,
-                             weight_eval, weight_integral, _gauges,
-                             _height_weights, _window_counts)
-from hardylog.transforms import poisson_extend
+                             hp_norm, luxemburg_norm, weight_eval,
+                             weight_integral, _gauges, _height_weights,
+                             _window_counts)
+from hardylog.transforms import holomorphic_extension, poisson_extend
 
 E = float(np.e)
 
@@ -150,6 +150,13 @@ class TestLuxemburg:
         assert rep.value == 0.5 * (lo + hi)
         assert weight_integral(small_grid, mags, f.decay, THETA, lo) > 1.0
         assert weight_integral(small_grid, mags, f.decay, THETA, hi) <= 1.0
+        # rows that meet the tolerance carry no achieved_tolerance flag
+        for f in (lib.gaussian(small_grid, 1.0, 2.0),
+                  lib.gaussian(small_grid, width=0.05),
+                  lib.gaussian_deriv(small_grid)):
+            rep = luxemburg_norm(f)
+            assert set(rep.flags) == {"integral", "bracket"}
+            assert abs(rep.flags["integral"] - 1.0) <= rep.tolerance
 
 
 def _scalar_gauge(grid, mags, decay, tol=1e-8):
@@ -263,6 +270,13 @@ class TestBatchedGauge:
         value, its, lo, hi = _gauges(_PROP_GRID, row[None, :], RAPID)
         assert (value[0], its[0]) == (top * at_top, 0)
         assert lo[0] == hi[0] == value[0]
+        # no double near a subnormal gauge brings phi within 1e-8 of 1, and
+        # the report says by how much it misses: 8.4e-6 here, 5.2e-3 on a
+        # flat 5e-324 row, whose gauge reads 6.4e-323
+        for mags in (row, np.full(_X.size, 5e-324)):
+            rep = luxemburg_norm(SampledFunction(_PROP_GRID, mags, RAPID))
+            missed = abs(rep.flags["integral"] - 1.0)
+            assert rep.flags["achieved_tolerance"] == missed > rep.tolerance
 
     @pytest.fixture
     def stacked(self, small_grid):
@@ -559,6 +573,52 @@ class TestTentEnergies:
             best = max(best, box * (abs(np.log(r)) + np.log(E + x0_edge)) / r)
         assert abs(rep.value - best) <= 0.03 * best
 
+    @pytest.mark.parametrize("name", ["sgn", "logabs"])
+    def test_slope_of_poisson_extension(self, name):
+        # d/dx P_y sgn = (2/pi) y/(x^2 + y^2) and d/dx P_y log|x| =
+        # x/(x^2 + y^2), within 1% of each row's max on rows y >= 4dx
+        # (2.6e-3 and 4.1e-3, at y = 4dx); the slices' ends differ, so a
+        # derivative that wrapped the window would miss by orders of magnitude
+        grid = make_grid(64, 1024)
+        lad = make_ladder(4.0 * grid.dx, 2.0 * grid.L, 24)
+        x, y = grid.nodes[None, :], lad.y[:, None]
+        f0, exact = {"sgn": (lib.sign_step(grid),
+                             2.0 / np.pi * y / (x * x + y * y)),
+                     "logabs": (lib.log_abs(grid), x / (x * x + y * y))}[name]
+        err = np.abs(spaces._slope(poisson_extend(f0, lad)) - exact)
+        assert np.all(err.max(axis=1) <= 0.01 * np.abs(exact).max(axis=1))
+
+    @pytest.mark.parametrize("snapped", [True, False])
+    def test_slope_of_exp_osc(self, rig_grid, snapped):
+        # d/dz e^{iaz} = ia e^{iaz} on the central half (3e-8 relative),
+        # whether or not a is a harmonic of the window; the second-order end
+        # columns within 1e-3 (3.3e-4)
+        lad = make_ladder(0.5 * rig_grid.dx, 2 * rig_grid.L, 48)
+        if snapped:
+            a = lib.harmonic_freq(rig_grid, 1.0)
+            fld = lib.field_exp_osc(rig_grid, lad, 1.0)
+        else:
+            a = 1.0
+            fld = sample_field(rig_grid, lad, lambda z: np.exp(1j * z),
+                               LOG_GROWTH)
+        z = rig_grid.nodes[None, :] + 1j * lad.y[:, None]
+        exact = 1j * a * np.exp(1j * a * z)
+        rel = np.abs(spaces._slope(fld) - exact) / np.abs(exact)
+        assert rel[:, rig_grid.n // 4:3 * rig_grid.n // 4].max() <= 1e-5
+        assert rel[:, [0, 1, -2, -1]].max() <= 1e-3
+
+    @pytest.mark.parametrize("name", ["p1", "sgn", "logabs"])
+    def test_carleson_window_law(self, name):
+        # at fixed dx = 1/32 the Carleson ratio of the Cauchy rows does not
+        # depend on the window (spread 0.3%, 0.8% and 1.3% over L = 16, 32,
+        # 64); a derivative that wrapped the window would add a jump at +-L
+        # whose share grows with L
+        lad = make_ladder(0.05, 1e3, 48)
+        values = [carleson_ratio(holomorphic_extension(
+            lib.named_function(name, grid), lad)).value
+            for grid in (make_grid(L, 64 * L) for L in (16, 32, 64))]
+        assert max(values) <= 1.02 * min(values)
+
     def test_quadratic_homogeneity(self, rig_grid):
         lad = make_ladder(0.5 * rig_grid.dx, 2 * rig_grid.L, 24)
         fld = lib.field_exp_osc(rig_grid, lad, 1.0)
@@ -696,7 +756,7 @@ class TestSharedSweep:
         lad = make_ladder(0.5 * grid.dx, 2.0 * grid.L, 16)
         for fld in (lib.field_exp_osc(grid, lad, 1.0),
                     lib.field_inv_square(grid, lad, 0.5)):
-            d2 = np.abs(spectral_derivative(fld)) ** 2
+            d2 = np.abs(spaces._slope(fld)) ** 2
             energy = d2 * lad.y[:, None]
             assert _as_tuple(carleson_ratio(fld)) == _scan(grid, _tent_scores(
                 fld, energy, lambda boxes, x0s, r: boxes / (2.0 * r)))

@@ -19,21 +19,24 @@ gauge is the closed form max|f| * phi(max|f|) (8489.09 in 0 steps); llog of
 chi_half, whose phi(max|f|) is exactly 1, the boundary between the closed
 form and the search below the max; hlog of a saved modulus and of a saved
 flat rapid 1e306, whose holomorphic extensions overflow float64; bmoalog of
-exp_ix; factorize from --field, --function and --input, from --field with
---function, and from a field it cannot factorize; hankel on six symbols,
-among them q1, the one whose P_y rows take the 9L line rule with no declared
-terms, and p1, the one real decaying symbol, extended through its callable
-continuation, whose study seminorm is not the one norm --norm bmoalog
-reports; hankel on exp_ix with the hankel suite's 50 trials at y_min 0.1
-(the study that suite reports), and on the input file at the default config;
-the input and config errors; hankel and bmoalog on a saved exp_ix, whose
-header declares its term, so both exit 0 with the reports of --function
-exp_ix, and norm on a copy of the input whose header says power:inf; bmo at
-the default config on one, sgn, logabs and exp_ix (ties, data that prunes
-nothing, a jump, a log singularity, complex windows whose larger counts span
-several chunks) and of a saved declared 1e306 constant whose window sums
-overflow (exit 3); and the six suites at the default config (L=64, n=4096,
-48 levels), which take most of the few minutes a run needs.
+exp_ix; carleson of p1, sgn and logabs and bmoalog of sgn at y_min 0.05,
+tents of slices whose ends differ, which a derivative that wrapped the
+window would read through a jump at +-L; factorize from --field,
+--function and --input, from --field with --function, and from a field it
+cannot factorize; hankel on six symbols, among them q1, the one whose P_y
+rows take the 9L line rule with no declared terms, and p1, the one real
+decaying symbol, extended through its callable continuation, whose study
+seminorm is not the one norm --norm bmoalog reports; hankel on exp_ix with
+the hankel suite's 50 trials at y_min 0.1 (the study that suite reports),
+and on the input file at the default config; the input and config errors;
+hankel and bmoalog on a saved exp_ix, whose header declares its term, so
+both exit 0 with the reports of --function exp_ix, and norm on a copy of
+the input whose header says power:inf; bmo at the default config on one,
+sgn, logabs and exp_ix (ties, data that prunes nothing, a jump, a log
+singularity, complex windows whose larger counts span several chunks) and
+of a saved declared 1e306 constant whose window sums overflow (exit 3); and
+the six suites at the default config (L=64, n=4096, 48 levels), which take
+most of the few minutes a run needs.
 
 A Python warning in stderr names the file and line that raised it; the
 tree's path and the line number are masked before the comparison, so code
@@ -140,6 +143,12 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
         ("norm_bmoalog_exp_ix", at_005,
          ["norm", "--function", "exp_ix", "--norm", "bmoalog"]),
     ]
+    # tents of slices whose ends differ: no derivative may wrap the window
+    cmds += [(f"norm_carleson_{s}", at_005,
+              ["norm", "--function", s, "--norm", "carleson"])
+             for s in ("p1", "sgn", "logabs")]
+    cmds.append(("norm_bmoalog_sgn", at_005,
+                 ["norm", "--function", "sgn", "--norm", "bmoalog"]))
     cmds += [(f"hankel_{s}", SMALL + ["--seed", "3"],
               ["hankel", "--function", s, "--trials", "5"])
              for s in ("exp_ix", "sgn", "one", "logabs", "q1", "p1")]
