@@ -512,7 +512,7 @@ def load_function(path) -> SampledFunction:
         decay = DecayClass.parse(m.group(3))
         tail = () if m.group(4) is None else tuple(
             Term.parse(t) for t in m.group(4).split(";"))
-        data = [[float(v) for v in r] for r in rows]
+        data = np.array([v for r in rows for v in r], dtype=np.float64)
     except ValueError as exc:
         raise PreconditionError(f"{path}: unparsable field ({exc})") from exc
     if len(rows) != n:
@@ -520,9 +520,11 @@ def load_function(path) -> SampledFunction:
     if any(len(r) != 3 for r in rows):
         raise PreconditionError(f"{path}: every sample row needs x re im")
     grid = make_grid(L, n)
-    dev = np.max(np.abs(np.array([r[0] for r in data]) - grid.nodes))
+    x, real, imag = data.reshape(n, 3).T
+    dev = np.max(np.abs(x - grid.nodes))
     if not dev <= 1e-9 * grid.dx:
         raise PreconditionError(
             f"{path}: x column is off the header's grid nodes by {dev:g}")
-    vals = np.array([complex(r[1], r[2]) for r in data])  # keeps signed zeros
+    vals = np.empty(n, dtype=np.complex128)
+    vals.real, vals.imag = real, imag   # real + 1j*imag loses signed zeros
     return SampledFunction(grid, vals, decay, tail=tail)

@@ -4,11 +4,12 @@ norm and its log-weighted analogue over heights, and Carleson-type tent
 energies with and without the logarithmic weight; none wraps the window.
 
 Luxemburg gauges are solved for all rows at once (every slice of a field
-for hlog_norm, one row for luxemburg_norm), each row as it would be alone.
-For lam >= M, the row's max|f|, every t = |f|/lam is <= 1, where log+ t = 0
-and theta is linear in t: phi(lam) = phi(M) * M/lam.  So a row with
-phi(M) >= 1 has its gauge in closed form, M * phi(M), the integral of
-|f| / (1 + log+|x|); only a row with phi(M) < 1 searches below M.
+for hlog_norm, one row for luxemburg_norm), each row as it would be alone,
+by one fixed-point loop lam <- lam * phi(lam) from M, the row's max|f|.
+For lam >= M every t = |f|/lam is <= 1, where log+ t = 0 and theta is
+linear in t, so lam * phi(lam) is the constant M * phi(M), the integral of
+|f| / (1 + log+|x|): a row with phi(M) >= 1 has that gauge in closed form,
+after the first step.  Below M the iterates fall monotonically to the root.
 
 Suprema over intervals run over a finite two-part family: every window whose
 sample count is a power of two at every offset, plus node-centered windows
@@ -62,12 +63,8 @@ _OSC_CHUNK = 1 << 18
 _U = 2.0 ** -53          # unit roundoff of float64
 _TINY = 4.0 * np.finfo(float).tiny   # squares lost to underflow
 _ABS_SLACK = 2.0 ** -1060            # rounding of subnormal scores and bounds
-_GAUGE_TOL = 1e-8        # |phi - 1| at which a Luxemburg bisection stops
-_GAUGE_HALVINGS = 200    # bracket steps before a gauge gives up
-
-
-class BracketError(PreconditionError):
-    """Luxemburg bracketing failed to enclose the unit-integral scale."""
+_GAUGE_TOL = 1e-8        # |phi - 1| at which a Luxemburg gauge stops
+_GAUGE_STEPS = 200       # steps below max|f| before a gauge stops
 
 
 # ---------------------------------------------------------------------------
@@ -151,68 +148,44 @@ def _gauges(grid: Grid1D, mags: np.ndarray, decay):
     """Luxemburg gauges of theta for the rows of mags, all rows solved
     together.
 
-    phi(lam) = integral of theta(x, |f|/lam) dx is continuous and strictly
-    decreasing in lam where a row is nonzero.  One batched quadrature gives
-    phi(M) per row, M the row's max|f|; a row with phi(M) >= 1 has its
-    gauge M * phi(M) in 0 steps, bracket [gauge, gauge].  Every other row
-    has its gauge below M: from hi = M it halves until phi(lo) > 1, in at
-    most _GAUGE_HALVINGS steps, then bisects until |phi(mid) - 1| <= tol =
-    _GAUGE_TOL or 200 midpoints, one batched quadrature per step.  Returns
-    per row the gauge, the step count and the final [lo, hi]; all-zero rows
-    get gauge 0 in 0 steps.
+    G(lam) = lam * phi(lam) = integral of |f| / (1 + log+|x| +
+    0.5*log+(|f|/lam)) dx is nondecreasing in lam, constant for lam >= M,
+    the row's max|f|, and its fixed point is the gauge, where its slope
+    is at most phi/2 <= 1/2.  So each row steps lam <- G(lam) from M, one
+    batched quadrature per step: the first step lands on M * phi(M), and
+    where that is >= M it is the gauge in closed form; below M the
+    iterates fall to the root, and the error at least halves per step.  A
+    row stops when |phi - 1| <= _GAUGE_TOL, when a step does not lower lam
+    (the closed form, or rounding), when a step underflows to 0 (the row
+    keeps its last lam) or after _GAUGE_STEPS steps below M.  Returns per
+    row the gauge and its step count; all-zero rows get 0 in 0 steps.
     """
-    count = mags.shape[0]
     with np.errstate(over="ignore"):
         mass = grid.dx * mags.sum(axis=1)
     if not np.isfinite(mass).all():
         raise PreconditionError(
             "|f| or its L1 mass overflows float64; the gauge needs both finite")
-
-    def phi(rows, lam):
-        return weight_integral(grid, mags[rows], decay, THETA, lam[:, None])
-
-    top = mags.max(axis=1)
-    rows = np.flatnonzero(top)
-    at_top = phi(rows, top[rows])
-    value = np.zeros(count)
-    value[rows] = top[rows] * at_top
-    # the other rows search below M, from lo = hi = M
-    rows = rows[at_top < 1.0]
-    value[rows] = top[rows]
-    lo, hi = value.copy(), value.copy()
-    its, left = np.zeros(count, dtype=np.int64), np.full(count, 200)
-    halving = np.ones(count, dtype=bool)
+    lam = mags.max(axis=1)
+    its = np.zeros(lam.size, dtype=np.int64)
+    rows = np.flatnonzero(lam)
     while rows.size:
-        h = halving[rows]
-        its[rows] += 1
-        if (h & (its[rows] > _GAUGE_HALVINGS)).any():
-            raise BracketError(
-                f"no lower bracket after {_GAUGE_HALVINGS} halvings")
-        a, b = lo[rows], hi[rows]
-        probe = np.where(h, 0.5 * a, 0.5 * (a + b))
-        val = phi(rows, probe)
-        over = val > 1.0
-        done = ~h & (np.abs(val - 1.0) <= _GAUGE_TOL)
-        # a halving moves [lo, hi] to [probe, lo]; a midpoint replaces the
-        # end on its side of the root
-        hi[rows[h]] = a[h]
-        to_lo = h | (over & ~done)
-        to_hi = ~h & ~over & ~done
-        lo[rows[to_lo]], hi[rows[to_hi]] = probe[to_lo], probe[to_hi]
-        halving[rows[h & over]] = False
-        left[rows] -= ~h
-        done |= ~h & (left[rows] == 0)
-        value[rows[done]] = probe[done]
+        old = lam[rows]
+        val = weight_integral(grid, mags[rows], decay, THETA, old[:, None])
+        step = old * val
+        lam[rows] = np.where(step > 0.0, step, old)
+        done = ((np.abs(val - 1.0) <= _GAUGE_TOL) | (step >= old)
+                | (step == 0.0) | (its[rows] == _GAUGE_STEPS))
         rows = rows[~done]
-    return value, its, lo, hi
+        its[rows] += 1
+    return lam, its
 
 
 def luxemburg_norm(f0: SampledFunction) -> NormReport:
     """Gauge norm inf{lam > 0 : integral of theta(x, |f|/lam) <= 1}.
 
     The one-row case of the solver that hlog_norm runs over all slices at
-    once: M * phi(M) where phi(M) >= 1, else halving and bisection below M.
-    The report carries the final bracket and the achieved integral, and
+    once: lam <- lam * phi(lam) from M = max|f|, which gives M * phi(M)
+    where phi(M) >= 1.  The report carries the achieved integral, and
     achieved_tolerance = |integral - 1| where that exceeds the tolerance, as
     on subnormal rows, whose neighbouring doubles straddle the root.
     """
@@ -222,10 +195,10 @@ def luxemburg_norm(f0: SampledFunction) -> NormReport:
     if not mags.any():
         return NormReport(0.0, attaining_parameter=None, iterations=0,
                           tolerance=_GAUGE_TOL)
-    value, its, lo, hi = _gauges(f0.grid, mags, f0.decay)
+    value, its = _gauges(f0.grid, mags, f0.decay)
     integral = float(weight_integral(f0.grid, mags, f0.decay, THETA,
                                      value[:, None])[0])
-    flags = {"integral": integral, "bracket": [float(lo[0]), float(hi[0])]}
+    flags = {"integral": integral}
     if abs(integral - 1.0) > _GAUGE_TOL:
         flags["achieved_tolerance"] = abs(integral - 1.0)
     return NormReport(float(value[0]), attaining_parameter=None,
@@ -447,7 +420,7 @@ def hlog_norm(field: HalfPlaneField) -> NormReport:
     count are those luxemburg_norm gives alone."""
     if not field.decay.integrable:
         raise NonIntegrableError("Luxemburg gauge needs integrable decay")
-    value, its, _, _ = _gauges(field.grid, np.abs(field.values), field.decay)
+    value, its = _gauges(field.grid, np.abs(field.values), field.decay)
     k = int(np.argmax(value))
     return NormReport(float(value[k]), attaining_parameter=field.ladder.levels[k],
                       iterations=int(its.sum()), tolerance=_GAUGE_TOL)

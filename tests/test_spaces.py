@@ -12,7 +12,7 @@ from hardylog.grid import (HalfPlaneField, LOG_GROWTH, NonIntegrableError,
                            integrate, make_grid, make_ladder, power_decay,
                            sample_field)
 from hardylog.oracles import bmo_bruteforce
-from hardylog.spaces import (BracketError, NormReport, THETA,
+from hardylog.spaces import (NormReport, THETA,
                              THETA0, bmo_norm, bmo_plus_norm,
                              bmoa_log_seminorm, carleson_ratio, hlog_norm,
                              hp_norm, luxemburg_norm, weight_eval,
@@ -116,77 +116,75 @@ class TestLuxemburg:
         with pytest.raises(NonIntegrableError):
             luxemburg_norm(lib.sign_step(small_grid))
 
-    def test_bracket_exhaustion(self, small_grid, monkeypatch):
-        # a narrow unit bump has its gauge, 0.038, below max|f| = 1: it
-        # halves 5 times from 1 before phi > 1, and the message names the
-        # limit
+    def test_step_cap(self, small_grid, monkeypatch):
+        # a narrow unit bump has its gauge, 0.038, below max|f| = 1, which
+        # it reaches in 13 steps; a lower cap stops it there, short of the
+        # tolerance, and the report says by how much
         f = lib.gaussian(small_grid, width=0.05)
-        monkeypatch.setattr(spaces, "_GAUGE_HALVINGS", 0)
-        with pytest.raises(BracketError):
-            luxemburg_norm(f)
-        monkeypatch.setattr(spaces, "_GAUGE_HALVINGS", 5)
-        assert luxemburg_norm(f).iterations > 5
-        monkeypatch.setattr(spaces, "_GAUGE_HALVINGS", 4)
-        with pytest.raises(BracketError, match=r"no lower bracket after 4 "):
-            luxemburg_norm(f)
+        assert luxemburg_norm(f).iterations == 13
+        mags = np.abs(f.values)
+        top = mags.max()
+        for cap in (0, 1, 4):
+            monkeypatch.setattr(spaces, "_GAUGE_STEPS", cap)
+            rep = luxemburg_norm(f)
+            missed = abs(rep.flags["integral"] - 1.0)
+            assert rep.iterations == cap
+            assert rep.flags["achieved_tolerance"] == missed > rep.tolerance
+            if cap == 0:
+                # no step below max|f|: the gauge is the first, M * phi(M)
+                assert rep.value == top * weight_integral(
+                    small_grid, mags, f.decay, THETA, top)
 
-    def test_flags_are_final_integral_and_bracket(self, small_grid):
-        # closed form: phi(max|f|) >= 1, the bracket is the gauge itself
-        f = lib.gaussian(small_grid, 1.0, 2.0)
-        rep = luxemburg_norm(f)
-        mags = np.abs(f.values)
-        assert rep.iterations == 0
-        assert rep.flags["bracket"] == [rep.value, rep.value]
-        assert rep.flags["integral"] == weight_integral(
-            small_grid, mags, f.decay, THETA, rep.value)
-        # below max|f|: the gauge is the last midpoint of a bracket that
-        # straddles the root
-        f = lib.gaussian(small_grid, width=0.05)
-        rep = luxemburg_norm(f)
-        mags = np.abs(f.values)
-        lo, hi = rep.flags["bracket"]
-        assert rep.flags["integral"] == weight_integral(
-            small_grid, mags, f.decay, THETA, rep.value)
-        assert rep.value == 0.5 * (lo + hi)
-        assert weight_integral(small_grid, mags, f.decay, THETA, lo) > 1.0
-        assert weight_integral(small_grid, mags, f.decay, THETA, hi) <= 1.0
-        # rows that meet the tolerance carry no achieved_tolerance flag
+    def test_flags_are_final_integral(self, small_grid):
+        # the closed form (phi(max|f|) >= 1, 0 steps) and two gauges below
+        # max|f| report the integral at the gauge, within the tolerance,
+        # and no other flag
         for f in (lib.gaussian(small_grid, 1.0, 2.0),
                   lib.gaussian(small_grid, width=0.05),
                   lib.gaussian_deriv(small_grid)):
             rep = luxemburg_norm(f)
-            assert set(rep.flags) == {"integral", "bracket"}
+            assert set(rep.flags) == {"integral"}
+            assert rep.flags["integral"] == weight_integral(
+                small_grid, np.abs(f.values), f.decay, THETA, rep.value)
             assert abs(rep.flags["integral"] - 1.0) <= rep.tolerance
 
+    @pytest.mark.parametrize("nodes,integral", [(1, 0.03125), (40, 1.25)])
+    def test_subnormal_rows_keep_their_max(self, nodes, integral):
+        # 5e-324 on central nodes in |x| < 1 at dx = 1/32, 0 elsewhere: the
+        # first step, M * phi(M), underflows to 0 on one node and rounds
+        # back to M on 40, so the gauge keeps M, in 0 steps and with no
+        # warning, and the report says how far phi(M) is from 1
+        grid = make_grid(16, 1024)
+        vals = np.zeros(grid.n)
+        start = grid.n // 2 - nodes // 2
+        vals[start:start + nodes] = 5e-324
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = luxemburg_norm(SampledFunction(grid, vals, RAPID))
+        assert (rep.value, rep.iterations) == (5e-324, 0)
+        assert rep.flags == {"integral": integral,
+                             "achieved_tolerance": abs(integral - 1.0)}
 
-def _scalar_gauge(grid, mags, decay, tol=1e-8):
-    """The one-row gauge of theta, step by step: M * phi(M) where
-    phi(M) >= 1 for M = max|f|, else halving from M and bisection; value,
-    iterations, final integral and final bracket."""
+
+def _scalar_gauge(grid, mags, decay, tol=1e-8, steps=200):
+    """The one-row gauge of theta, step by step: lam <- lam * phi(lam) from
+    M = max|f| until |phi - 1| <= tol, a step that does not lower lam, a
+    step that underflows to 0 (lam stays) or `steps` steps below M; value,
+    iterations, final integral and every lam taken, M first."""
     def phi(lam):
         return weight_integral(grid, mags, decay, THETA, lam)
 
-    top = mags.max()
-    if phi(top) >= 1.0:
-        value = top * phi(top)
-        return value, 0, phi(value), [value, value]
-    lo, its = top, 0
+    path, its = [mags.max()], 0
     while True:
-        hi, lo = lo, 0.5 * lo
+        lam = path[-1]
+        val = phi(lam)
+        step = lam * val
+        if step > 0.0:
+            path.append(step)
+        if (abs(val - 1.0) <= tol or step >= lam or step == 0.0
+                or its == steps):
+            return path[-1], its, phi(path[-1]), path
         its += 1
-        if phi(lo) > 1.0:
-            break
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = phi(mid)
-        its += 1
-        if abs(val - 1.0) <= tol:
-            break
-        if val > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    return mid, its, val, [lo, hi]
 
 
 _PROP_GRID = make_grid(16, 512)
@@ -219,8 +217,8 @@ class TestBatchedGauge:
 
     @given(_bumps, _decays)
     @example([(3.0, 0.0, 0.05), (-3.0, 2.0, 0.05), None], RAPID)
-    # tall narrow bumps: each gauge is below max|f|, so every probe of the
-    # bisection is in the log regime
+    # tall narrow bumps: each gauge is below max|f|, so every step after
+    # the first is in the log regime
     @example([(1.0, 0.0, 0.05), (1.0, 2.0, 0.05)], RAPID)
     @example([(1.0, 0.0, 0.05), (1.0, 2.0, 0.05)], power_decay(2.0))
     @example([(-300.0, 0.0, 1.0), (300.0, 0.0, 1.0)], RAPID)
@@ -228,17 +226,22 @@ class TestBatchedGauge:
     @example([_CHI, _CAP], RAPID)
     def test_rows_replay_one_row_solver(self, bumps, decay):
         mags = _rows(bumps)
-        value, its, lo, hi = _gauges(_PROP_GRID, mags, decay)
+        value, its = _gauges(_PROP_GRID, mags, decay)
         for k, row in enumerate(mags):
             rep = luxemburg_norm(SampledFunction(_PROP_GRID, row, decay))
             assert (value[k], its[k]) == (rep.value, rep.iterations)
             if not row.any():
                 assert (rep.value, rep.iterations) == (0.0, 0)
                 continue
-            assert [lo[k], hi[k]] == rep.flags["bracket"]
-            assert (rep.value, rep.iterations, rep.flags["integral"],
-                    rep.flags["bracket"]) == _scalar_gauge(
-                        _PROP_GRID, row, decay)
+            one, steps, integral, path = _scalar_gauge(_PROP_GRID, row, decay)
+            assert (rep.value, rep.iterations, rep.flags["integral"]) == (
+                one, steps, integral)
+            if path[-1] >= path[0]:
+                # the closed form: one step, which does not lower lam
+                assert (len(path), steps) == (2, 0)
+            else:
+                # below max|f| every step lowers lam
+                assert all(a > b for a, b in zip(path, path[1:]))
 
     @given(_bumps, _decays)
     @example([_CHI, _CAP, (3.0, 0.0, 0.05), (-3.0, 0.0, 3.0)],
@@ -267,9 +270,8 @@ class TestBatchedGauge:
         assert 0.0 < top < np.finfo(float).tiny
         at_top = weight_integral(_PROP_GRID, row, RAPID, THETA, top)
         assert at_top >= 1.0
-        value, its, lo, hi = _gauges(_PROP_GRID, row[None, :], RAPID)
+        value, its = _gauges(_PROP_GRID, row[None, :], RAPID)
         assert (value[0], its[0]) == (top * at_top, 0)
-        assert lo[0] == hi[0] == value[0]
         # no double near a subnormal gauge brings phi within 1e-8 of 1, and
         # the report says by how much it misses: 8.4e-6 here, 5.2e-3 on a
         # flat 5e-324 row, whose gauge reads 6.4e-323
@@ -334,8 +336,8 @@ class TestBatchedGauge:
     def test_one_quadrature_per_step_below_the_max(self, small_grid,
                                                    monkeypatch):
         # this tall narrow bump has phi(max|f|) < 1, so its gauge lies
-        # below max|f|: one quadrature at max|f|, one at each of the 27
-        # steps (2 halvings, 25 midpoints) and one for the final integral
+        # below max|f|: one quadrature at max|f|, one at each of the 15
+        # steps below it and one for the final integral
         f = lib.gaussian(small_grid, 1.0, 0.3, amplitude=4.0)
         calls = []
         quadrature = spaces.line_integral
@@ -346,10 +348,9 @@ class TestBatchedGauge:
 
         monkeypatch.setattr(spaces, "line_integral", counting)
         rep = luxemburg_norm(f)
-        assert rep.iterations == 27 and len(calls) == 29
-        assert (rep.value, rep.iterations, rep.flags["integral"],
-                rep.flags["bracket"]) == _scalar_gauge(
-                    small_grid, np.abs(f.values), f.decay)
+        assert rep.iterations == 15 and len(calls) == 17
+        assert (rep.value, rep.iterations, rep.flags["integral"]) == \
+            _scalar_gauge(small_grid, np.abs(f.values), f.decay)[:3]
 
     def test_overflowing_modulus_is_precondition_error(self, small_grid):
         # finite parts whose modulus is inf: rejected up front, with no
@@ -363,10 +364,8 @@ class TestBatchedGauge:
             for norm in (lambda: luxemburg_norm(
                              SampledFunction(small_grid, vals, RAPID)),
                          lambda: hlog_norm(fld)):
-                with pytest.raises(PreconditionError,
-                                   match="overflows") as info:
+                with pytest.raises(PreconditionError, match="overflows"):
                     norm()
-                assert not isinstance(info.value, BracketError)
 
 
 class TestBmo:

@@ -17,7 +17,9 @@ llog and hlog of a saved tall narrow odd bump, whose gauges lie below their
 maxima; llog of a saved flat row of ones with a power:1.001 tail, whose
 gauge is the closed form max|f| * phi(max|f|) (8489.09 in 0 steps); llog of
 chi_half, whose phi(max|f|) is exactly 1, the boundary between the closed
-form and the search below the max; hlog of a saved modulus and of a saved
+form and the search below the max; llog of a saved rapid row that is 0
+but for 5e-324 at one node, whose first step M * phi(M) underflows to 0
+(the gauge keeps M, with no warning); hlog of a saved modulus and of a saved
 flat rapid 1e306, whose holomorphic extensions overflow float64; bmoalog of
 exp_ix; carleson of p1, sgn and logabs and bmoalog of sgn at y_min 0.05,
 tents of slices whose ends differ, which a derivative that wrapped the
@@ -69,6 +71,8 @@ FLAT_INPUT = "in/flat_power_tail.txt"
 OVERFLOW_INPUTS = ("in/huge_modulus.txt", "in/huge_flat.txt")
 # a declared constant whose window sums overflow float64
 HUGE_CONSTANT = "in/huge_constant.txt"
+# 0 but for one subnormal node: M * phi(M) underflows to 0
+SPIKE_INPUT = "in/spike.txt"
 SAVE_INPUT = ("from pathlib import Path\n"
               "import numpy as np\n"
               "from hardylog.grid import (RAPID, SampledFunction, make_grid, "
@@ -91,6 +95,10 @@ SAVE_INPUT = ("from pathlib import Path\n"
               "save_function(SampledFunction(grid, np.full(grid.n, 1e306), "
               f"RAPID), {OVERFLOW_INPUTS[1]!r})\n"
               f"save_function(constant(grid, 1e306), {HUGE_CONSTANT!r})\n"
+              "vals = np.zeros(grid.n)\n"
+              "vals[grid.n // 2] = 5e-324\n"
+              "save_function(SampledFunction(grid, vals, RAPID), "
+              f"{SPIKE_INPUT!r})\n"
               f"text = Path({INPUT!r}).read_text()\n"
               f"Path({POWER_INF_INPUT!r}).write_text("
               "text.replace('decay=rapid', 'decay=power:inf', 1))\n")
@@ -126,6 +134,9 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
     # phi(max|f|) = 1 exactly: the closed form's boundary
     cmds.append(("norm_llog_chi_half", SMALL,
                  ["norm", "--function", "chi_half", "--norm", "llog"]))
+    # the gauge keeps M where its first step underflows
+    cmds.append(("norm_llog_spike", SMALL,
+                 ["norm", "--input", SPIKE_INPUT, "--norm", "llog"]))
     # one stderr line names the overflow, with no numpy warning
     cmds += [(f"norm_hlog_overflow_{k}", SMALL,
               ["norm", "--input", path, "--norm", "hlog"])
