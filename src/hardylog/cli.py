@@ -9,6 +9,7 @@ with the same config and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -221,6 +222,7 @@ def cmd_hankel(args, cfg: RunConfig) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.cache     # built once per process; parsing never mutates it
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hardylog",

@@ -22,18 +22,19 @@ its samples, m the window mean from a prefix difference, and scores only
 the windows that can win.  For every window it first bounds that computed
 score, rounding included: by Cauchy-Schwarz, mean|f - m| is at most the
 window's standard deviation plus |m - exact mean|, and the deviation comes
-from prefix sums of scaled, centered samples with their rounding envelopes
-added.  LB is always a score some window attains: it starts as the best
-score among each count's highest-bound window, and rises to each count's
-best score as the counts are scored, in decreasing order of their top
-bound.  A window whose bound is below LB cannot reach the sup, so it is
-skipped, and a count whose top bound is below LB is skipped whole, its
-windows still counted.  A window that ties the final sup has a bound at
-least LB, so it is scored with the same formula as an exhaustive sweep,
-and the first-index maximum picks the same value, the same attaining
-{x0, r} and the same window count, bit for bit.  Overflow leaves inf or
-NaN bounds: their counts sort first and their windows are always scored,
-so the same error is raised.
+from two prefix sums of scaled, centered samples, with three rounding
+envelopes per call added.  LB is always a score some window attains.  One
+loop takes the counts in decreasing order of their top bound: a count's
+highest-bound window is scored and raises LB, then every window of the
+count whose bound reaches LB, and LB rises to the count's best score.  A
+window whose bound is below LB cannot reach the sup, so it is skipped, and
+the first count whose top bound is below LB ends the loop, the skipped
+counts' windows still counted.  A window that ties the final sup has a
+bound at least LB, so it is scored with the same formula as an exhaustive
+sweep, and the first-index maximum picks the same value, the same
+attaining {x0, r} and the same window count, bit for bit.  Overflow leaves
+inf or NaN bounds: their counts sort first and their windows are always
+scored, so the same error is raised.
 """
 
 from __future__ import annotations
@@ -265,10 +266,16 @@ def _oscillation_bounds(vals: np.ndarray, counts) -> dict:
     exactly, so tiny data cannot underflow.  g (2n+8 unit roundoffs) times
     the sum of a window's two end prefixes of |terms| bounds the rounding of
     its window sum; it is at least 8 roundoffs of the window sum itself,
-    which covers the subtractions, squares and divisions around it.
+    which covers the subtractions, squares and divisions around it.  A
+    prefix of |terms| never decreases, so the two end prefixes sum to at
+    most twice the total, and the envelopes are three scalars per call:
+    e1 = 2g sum|u|, e2 = 4g sum|u|^2 (twice 2g: the prefix sums' rounding
+    and the difference's) and e0 = 2g sum|f| for m, e0/c per count.  Each
+    is at least its window's envelope, looser by about 4n roundoffs of a
+    total; an overflowing sum|f| makes every bound inf.
 
-    Each count's row is built in three reused buffers, one rounded
-    operation at a time, in the order of the formulas in the comments."""
+    Each count's row is built in two reused buffers, one rounded operation
+    at a time, in the order of the formulas in the comments."""
     n = vals.size
     g = 2.0 * (n + 4) * _U
     bounds = {}
@@ -277,27 +284,24 @@ def _oscillation_bounds(vals: np.ndarray, counts) -> dict:
         scale = np.ldexp(1.0, np.frexp(np.max(np.abs(dev)))[1])
         u = dev / scale
         mag = np.abs(u)
-        p1, q1, p2, raw = (_prefix(x) for x in (
-            u, mag, mag * mag, np.abs(vals)))
-        buffers = np.empty((3, n))
+        p1, p2 = _prefix(u), _prefix(mag * mag)
+        e1 = 2.0 * g * mag.sum()
+        e2 = 4.0 * g * p2[-1]
+        e0 = 2.0 * g * np.abs(vals).sum()
+        buffers = np.empty((2, n))
         diff = buffers[0] if p1.dtype == buffers.dtype else np.empty(
             n, dtype=p1.dtype)
         for c in counts:
             m = n + 1 - c
-            a, b, v = buffers[:, :m]
-            # a = max(s1 - e1, 0)^2 / c, s1 = |p1[c:] - p1[:-c]| and
-            # e1 = g (q1[c:] + q1[:-c])
+            a, v = buffers[:, :m]
+            # a = max(s1 - e1, 0)^2 / c, s1 = |p1[c:] - p1[:-c]|
             np.absolute(np.subtract(p1[c:], p1[:-c], out=diff[:m]), out=a)
-            a -= np.multiply(g, np.add(q1[c:], q1[:-c], out=b), out=b)
+            a -= e1
             np.square(np.maximum(a, 0.0, out=a), out=a)
             a /= c
-            # v = var = (s2 + 2 e2 - a) / c, s2 = p2[c:] - p2[:-c] and
-            # e2 = g (p2[c:] + p2[:-c]); e2 twice: once for the prefix
-            # sums, once for this difference
-            np.multiply(g, np.add(p2[c:], p2[:-c], out=b), out=b)
-            b *= 2.0
+            # v = var = (s2 + e2 - a) / c, s2 = p2[c:] - p2[:-c]
             np.subtract(p2[c:], p2[:-c], out=v)
-            v += b
+            v += e2
             v -= a
             v /= c
             # v = sigma = sqrt(max(var, 0) + tiny) + 2u, the 2u for the
@@ -306,12 +310,9 @@ def _oscillation_bounds(vals: np.ndarray, counts) -> dict:
             v += _TINY
             np.sqrt(v, out=v)
             v += 2.0 * _U
-            # bound = (scale sigma + mean_err) (1 + 4(c + 8)u) with
-            # mean_err = g (raw[c:] + raw[:-c]) / c
-            np.multiply(g, np.add(raw[c:], raw[:-c], out=a), out=a)
-            a /= c
+            # bound = (scale sigma + e0 / c) (1 + 4(c + 8)u)
             v *= scale
-            v += a
+            v += e0 / c
             v *= 1.0 + 4.0 * (c + 8) * _U
             # a score overflows in its window sum, so c * bound must too
             v *= c
@@ -353,11 +354,11 @@ def bmo_norm(f0: SampledFunction) -> NormReport:
     order n*eps*|c|, not exactly zero: each window mean is a rounded
     difference of prefix sums of the samples.
 
-    Only windows that can win are scored (see the module docstring): LB
-    starts at the best of each count's highest-bound window and rises with
-    each count scored, counts in decreasing order of their top bound.  A
-    count whose top bound is NaN or inf sorts first and is always scored;
-    a score that overflows float64 raises PreconditionError."""
+    Only windows that can win are scored (see the module docstring), in
+    one loop over the counts in decreasing order of their top bound that
+    ends at the first top bound below LB.  A count whose top bound is NaN
+    or inf sorts first and is always scored; a score that overflows
+    float64 raises PreconditionError."""
     vals = f0.values.real if f0.is_real else f0.values
     prefix = _prefix(vals)
     bounds = _oscillation_bounds(vals, _window_counts(f0.grid))
@@ -365,19 +366,14 @@ def bmo_norm(f0: SampledFunction) -> NormReport:
     order = sorted(tops, key=lambda c: -np.inf if np.isnan(tops[c])
                    else -tops[c])
 
-    # LB tries each count's highest-bound window, highest first, until no
-    # count is left whose top bound could raise it; a NaN score leaves it
-    lb = -np.inf
-    for count in order:
-        if tops[count] < lb:
-            break
-        k = int(np.argmax(bounds[count]))
-        lb = max(lb, _scores(vals, prefix, count, np.array([k]))[0])
-
-    best = {}
+    # each count's highest-bound window raises LB before the count's other
+    # windows meet it; a NaN score leaves LB as it is
+    lb, best = -np.inf, {}
     for count in order:
         if tops[count] < lb:        # and so are all later tops
             break
+        k = int(np.argmax(bounds[count]))
+        lb = max(lb, _scores(vals, prefix, count, np.array([k]))[0])
         keep = np.flatnonzero(~(bounds[count] < lb))    # NaN bounds are kept
         k, s = _first_max(_scores(vals, prefix, count, keep))
         best[count] = int(keep[k]), s

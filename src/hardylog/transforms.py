@@ -100,7 +100,8 @@ def _hilbert_out_decay(f0: SampledFunction) -> DecayClass:
     # Honest tail bookkeeping: the transform of mean-free integrable data
     # picks up a 1/x^2 tail; a nonzero mean degrades that to (mass/pi)/x,
     # bounded but not integrable.  Non-decaying data, bounded or not, may
-    # give growing output: H(sgn) is (2/pi) log|x|.
+    # give growing output: H(sgn) is (2/pi) log|x|.  The Szego projection
+    # and the Cauchy rows hold iHf/2, so they take this class too.
     if f0.decay.tag == "log_growth":
         return LOG_GROWTH
     if not _is_mean_zero(f0):
@@ -125,14 +126,9 @@ def szego_project(f0: SampledFunction) -> SampledFunction:
     the line onto boundary values of the upper half-plane.  Integrable data
     with a nonzero mean keep Hf's 1/x tail, which is bounded."""
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _finite(0.5 * (f0.values + 1j * hilbert_transform(f0).values))
-    return SampledFunction(f0.grid, out, _szego_decay(f0))
-
-
-def _szego_decay(f0: SampledFunction) -> DecayClass:
-    if f0.decay.tag == "log_growth":
-        return LOG_GROWTH
-    return _field_decay(f0.decay) if _is_mean_zero(f0) else BOUNDED
+        h = hilbert_transform(f0)
+        out = _finite(0.5 * (f0.values + 1j * h.values))
+    return SampledFunction(f0.grid, out, h.decay)
 
 
 # ---------------------------------------------------------------------------
@@ -294,14 +290,14 @@ def holomorphic_slice(f0: SampledFunction, y: float) -> SampledFunction:
     """Single-height Cauchy row (P_y f0 + i Q_y f0)/2, with the decay of
     holomorphic_extension's rows: each row of that field at height y."""
     vals = _direct_heights(f0, np.asarray([float(y)]), cauchy=True)[0]
-    return SampledFunction(f0.grid, vals, _szego_decay(f0))
+    return SampledFunction(f0.grid, vals, _hilbert_out_decay(f0))
 
 
 def holomorphic_extension(f0: SampledFunction, ladder: HeightLadder):
     """Cauchy rows (P_y f0 + i Q_y f0)/2 on grid x ladder: the Poisson
     extension of szego_project(f0), read from f0's own off-window fill."""
     vals = _direct_heights(f0, ladder.y, cauchy=True)
-    return HalfPlaneField(f0.grid, ladder, vals, _szego_decay(f0))
+    return HalfPlaneField(f0.grid, ladder, vals, _hilbert_out_decay(f0))
 
 
 # ---------------------------------------------------------------------------

@@ -290,6 +290,19 @@ class TestHilbert:
         p1 = lib.poisson_bump(rig_grid)
         assert hilbert_transform(p1).decay.tag == "log_growth"
 
+    @pytest.mark.parametrize("p", [1.2, 1.8, 3.0])
+    def test_projection_and_cauchy_rows_take_the_class_of_h(self, p):
+        # (f + iHf)/2 and its Cauchy rows hold iHf/2, so their tails fall
+        # no faster than H's
+        grid = make_grid(16, 1024)
+        f = SampledFunction(grid, lib.gaussian_deriv(grid).values,
+                            power_decay(p))
+        h = hilbert_transform(f).decay
+        assert h == power_decay(min(p, 1.5))
+        assert szego_project(f).decay == h
+        assert holomorphic_slice(f, 0.1).decay == h
+        assert holomorphic_extension(f, make_ladder(0.1, 10.0, 8)).decay == h
+
     def test_nonzero_mean_rapid_input_is_not_integrable(self, rig_grid):
         # H(gaussian) = (2/sqrt(pi)) D(x) ~ 1/(sqrt(pi) x): a 1/x tail
         h = hilbert_transform(lib.gaussian(rig_grid))

@@ -36,7 +36,9 @@ both exit 0 with the reports of --function exp_ix, and norm on a copy of
 the input whose header says power:inf; bmo at the default config on one,
 sgn, logabs and exp_ix (ties, data that prunes nothing, a jump, a log
 singularity, complex windows whose larger counts span several chunks) and
-of a saved declared 1e306 constant whose window sums overflow (exit 3); and
+of a saved declared 1e306 constant whose window sums overflow (exit 3);
+bmo of a saved row of 1e3 plus seeded 1e-12 noise, whose bounds are
+decided by their rounding envelopes, so no window is skipped; and
 the six suites at the default config (L=64, n=4096, 48 levels), which take
 most of the few minutes a run needs.
 
@@ -73,6 +75,9 @@ OVERFLOW_INPUTS = ("in/huge_modulus.txt", "in/huge_flat.txt")
 HUGE_CONSTANT = "in/huge_constant.txt"
 # 0 but for one subnormal node: M * phi(M) underflows to 0
 SPIKE_INPUT = "in/spike.txt"
+# 1e3 plus seeded 1e-12 noise: every BMO bound is decided by its rounding
+# envelopes, so the sweep prunes nothing
+RIPPLE_INPUT = "in/ripple.txt"
 SAVE_INPUT = ("from pathlib import Path\n"
               "import numpy as np\n"
               "from hardylog.grid import (RAPID, SampledFunction, make_grid, "
@@ -99,6 +104,10 @@ SAVE_INPUT = ("from pathlib import Path\n"
               "vals[grid.n // 2] = 5e-324\n"
               "save_function(SampledFunction(grid, vals, RAPID), "
               f"{SPIKE_INPUT!r})\n"
+              "vals = 1e3 + 1e-12 * np.random.default_rng(0)"
+              ".standard_normal(grid.n)\n"
+              "save_function(SampledFunction(grid, vals, RAPID), "
+              f"{RIPPLE_INPUT!r})\n"
               f"text = Path({INPUT!r}).read_text()\n"
               f"Path({POWER_INF_INPUT!r}).write_text("
               "text.replace('decay=rapid', 'decay=power:inf', 1))\n")
@@ -198,6 +207,8 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
              for s in ("one", "sgn", "logabs", "exp_ix")]
     cmds.append(("norm_bmo_overflow_constant", SMALL,
                  ["norm", "--input", HUGE_CONSTANT, "--norm", "bmo"]))
+    cmds.append(("norm_bmo_ripple", SMALL,
+                 ["norm", "--input", RIPPLE_INPUT, "--norm", "bmo"]))
     cmds += [(f"verify_{s}_rig", [], ["verify", "--suite", s]) for s in SUITES]
     return cmds
 
