@@ -1,11 +1,13 @@
 """Constructive multiplicative splitting h = f*g on the half-plane.
 
 The outer factor g is built from the boundary data: a logarithmic symbol
-b = log(e+|x|) + log(e + M(sqrt|h0|)) (real, >= 2 everywhere, bounded mean
+b = log|x + ie| + log(e + M(sqrt|h0|)) (real, >= 2 everywhere, bounded mean
 oscillation by the maximal-function log construction), completed to
 holomorphic boundary data b + iHb and extended by the Cauchy rows of b.
-The inner factor is the literal pointwise quotient f = h/g, which never
-degenerates because |g| >= Re g is pinned away from zero.
+b declares its growth as terms (``grid.Term``), so the main part of g is
+log(z + ie) + 1 - i pi/2 in closed form.  The inner factor is the literal
+pointwise quotient f = h/g, which never degenerates because |g| >= Re g is
+pinned away from zero.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (HalfPlaneField, HeightLadder, LOG_GROWTH,
-                   PreconditionError, SampledFunction, integrate,
+                   PreconditionError, SampledFunction, Term, integrate,
                    product_decay)
 from .maximal import max_interval_average
 from .spaces import E, bmo_plus_norm
@@ -40,30 +42,28 @@ class FactorizationResult:
 
 
 def coifman_rochberg_symbol(h0: SampledFunction) -> SampledFunction:
-    """Real symbol log(e+|x|) + log(e + M(sqrt|h0|)); every term is >= 1.
+    """Real symbol log|x + ie| + log(e + M(sqrt|h0|)); both parts are >= 1.
 
     The maximal sweep is applied to the square root directly (square roots
     of integrable data decay too slowly to carry an integrable tail tag, and
-    the sweep never integrates tails anyway).  The off-grid continuation is
-    log(e+|u|) + 1, the exact tail limit since M(sqrt|h0|) -> 0.
+    the sweep never integrates tails anyway).  The symbol declares the terms
+    log|u + ie| and 1, the exact tail since M(sqrt|h0|) -> 0; the rest,
+    log(e + M) - 1, is zero off the window.
     """
     if not h0.decay.integrable:
         raise PreconditionError("symbol construction needs integrable decay")
     grid = h0.grid
     m = max_interval_average(np.sqrt(np.abs(h0.values)))
-    vals = np.log(E + np.abs(grid.nodes)) + np.log(E + m)
-
-    def cont(u):
-        return np.log(E + np.abs(np.asarray(u, dtype=np.float64))) + 1.0
-
-    return SampledFunction(grid, vals, LOG_GROWTH, continuation=cont)
+    tail = (Term("log", 1.0, w=E), Term("const", 1.0))
+    vals = np.log(np.hypot(grid.nodes, E)) + np.log(E + m)
+    return SampledFunction(grid, vals, LOG_GROWTH, tail=tail)
 
 
 def build_g(b: SampledFunction, ladder: HeightLadder
             ) -> tuple[SampledFunction, HalfPlaneField]:
     """Holomorphic-type outer factor: twice the Szego projection of b,
-    g0 = b + iHb, and twice its Cauchy rows, P_y b + i Q_y b, read from b's
-    own continuation; |g0| >= b >= 1 pointwise."""
+    g0 = b + iHb, and twice its Cauchy rows, P_y b + i Q_y b, with b's
+    declared terms in closed form; |g0| >= b >= 1 pointwise."""
     if not b.is_real:
         raise PreconditionError("symbol must be real")
     if b.values.real.min() < 1.0:

@@ -152,7 +152,7 @@ def make_grid(L: float, n: int) -> Grid1D:
 # the fields each kind's text form lists, in order; the complex kinds
 # write their coefficient as re,im
 _TERM_FIELDS = {"exp": ("coef", "w"), "cos": ("coef", "w"),
-                "atan": ("coef", "s", "w"), "log": ("coef", "s"),
+                "atan": ("coef", "s", "w"), "log": ("coef", "s", "w"),
                 "const": ("coef",)}
 _COMPLEX_KINDS = ("exp", "const")
 
@@ -162,19 +162,19 @@ class Term:
     """One declared term of a boundary function, with exact samples, an
     exact Poisson extension and a text form ``kind:<numbers>``:
 
-    ======  ==========================  ==============================  =======
-    kind    term at u                   P_y extension at x              numbers
-    ======  ==========================  ==============================  =======
-    exp     c e^{iwu}                   c e^{-|w|y} e^{iwx}             re,im,w
-    cos     a cos(wu)                   a e^{-|w|y} cos(wx)             a,w
-    atan    a (2/pi) arctan((u-s)/w)    a (2/pi) arctan((x-s)/(w+y))    a,s,w
-    log     a log|u-s|                  a log|x-s+iy|                   a,s
-    const   c                           c                               re,im
-    ======  ==========================  ==============================  =======
+    ======  ========================  ============================  =======
+    kind    term at u                 P_y extension at x            numbers
+    ======  ========================  ============================  =======
+    exp     c e^{iwu}                 c e^{-|w|y} e^{iwx}           re,im,w
+    cos     a cos(wu)                 a e^{-|w|y} cos(wx)           a,w
+    atan    a (2/pi) arctan((u-s)/w)  a (2/pi) arctan((x-s)/(w+y))  a,s,w
+    log     a log|u-s+iw|             a log|x-s+i(w+y)|             a,s,w
+    const   c                         c                             re,im
+    ======  ========================  ============================  =======
 
     The coefficient ``coef`` is c or a; only exp and const take a complex
-    one, so the other kinds keep real data real.  atan takes a width
-    w >= 0, and w = 0 is the step a sgn(u-s) with sgn(0) = 0.
+    one, so the other kinds keep real data real.  atan and log take a width
+    w >= 0 (``log:a,s`` is w = 0); atan's w = 0 is a sgn(u-s), sgn(0) = 0.
     """
 
     kind: str
@@ -195,15 +195,15 @@ class Term:
             if coef.imag != 0.0:
                 raise PreconditionError(f"{self.kind} term needs a real a")
             coef = coef.real
-        if self.kind == "atan" and w < 0.0:
-            raise PreconditionError("atan term needs a width w >= 0")
+        if w < 0.0 and self.kind in ("atan", "log"):
+            raise PreconditionError(f"{self.kind} term needs a width w >= 0")
         object.__setattr__(self, "coef", coef)
         object.__setattr__(self, "w", w)
         object.__setattr__(self, "s", s)
 
     def at(self, u, floor: float = 0.0) -> np.ndarray:
-        """The term at points u; log's |u - s| is raised to ``floor``, the
-        sampling convention of a node on its singularity."""
+        """The term at points u; log's |u - s + iw| is raised to ``floor``,
+        the sampling convention of a node on its singularity."""
         if self.kind == "exp":
             return self.coef * np.exp(
                 1j * self.w * np.asarray(u, dtype=np.complex128))
@@ -215,7 +215,8 @@ class Term:
                 return self.coef * np.sign(u - self.s)
             return self.coef * (2.0 / np.pi) * np.arctan((u - self.s) / self.w)
         if self.kind == "log":
-            return self.coef * np.log(np.maximum(np.abs(u - self.s), floor))
+            return self.coef * np.log(np.maximum(np.hypot(u - self.s, self.w),
+                                                 floor))
         return np.full(u.shape, self.coef, dtype=np.complex128)
 
     def extend(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -228,9 +229,25 @@ class Term:
             return self.coef * (2.0 / np.pi) * np.arctan(
                 (x - self.s) / (self.w + y))
         if self.kind == "log":
-            return self.coef * np.log(np.hypot(x - self.s, y))
+            return self.coef * np.log(np.hypot(x - self.s, self.w + y))
         return np.full(np.broadcast(x, y).shape, self.coef,
                        dtype=np.complex128)
+
+    def conjugate(self) -> tuple:
+        """Terms whose samples are H of this term and whose P_y is its Q_y,
+        with no constant: exp c -> -i sgn(w) c, cos -> a sin(|w|u) as two
+        exps, atan <-> log by (2/pi) a and -(pi/2) a, const -> 0."""
+        c, w, s = self.coef, self.w, self.s
+        if self.kind == "exp":
+            return (Term("exp", -1j * np.sign(w) * c, w=w),)
+        if self.kind == "cos":
+            return (Term("exp", -0.5j * c, w=abs(w)),
+                    Term("exp", 0.5j * c, w=-abs(w)))
+        if self.kind == "atan":
+            return (Term("log", 2.0 / np.pi * c, w=w, s=s),)
+        if self.kind == "log":
+            return (Term("atan", -0.5 * np.pi * c, w=w, s=s),)
+        return (Term("const", 0.0),)
 
     def __str__(self) -> str:
         nums = [getattr(self, k) for k in _TERM_FIELDS[self.kind]]
@@ -249,6 +266,8 @@ class Term:
         except ValueError as exc:
             raise PreconditionError(f"unparsable term {text!r}") from exc
         fields = _TERM_FIELDS[kind]
+        if kind == "log" and len(nums) == 2:   # written before log's width
+            nums.append(0.0)
         if len(nums) != len(fields) + (kind in _COMPLEX_KINDS):
             raise PreconditionError(f"term {text!r} has the wrong count of "
                                     f"numbers for {kind}")

@@ -10,8 +10,8 @@ from . import library as lib
 from .grid import (Grid1D, HeightLadder, PreconditionError, SampledFunction,
                    line_integral, make_ladder, product_decay)
 from .spaces import bmoa_log_seminorm, bmo_plus_norm
-from .transforms import (holomorphic_slice, poisson_extend, poisson_slice,
-                         szego_project)
+from .transforms import (holomorphic_extension, holomorphic_slice,
+                         poisson_slice, szego_project)
 
 _DEGENERATE_SEMINORM = 1e-12
 
@@ -88,20 +88,16 @@ def trial_pairs(grid: Grid1D, trials: int, seed: int
 def boundedness_study(b0: SampledFunction, pairs: list) -> dict:
     """Sweep of |<b, fg>| over the given test pairs (see trial_pairs).
 
-    The symbol's tent seminorm is read from its extension over
-    symbol_ladder.  The reported ratio divides by sqrt(seminorm) * ||g||, f
-    being normalized already; a symbol with vanishing tent seminorm
-    (constants) is flagged degenerate instead of ratioed.
-
-    The extension is P_y b, real for a real symbol, while bmoa_log_seminorm
-    takes 2|b'|^2, |grad b|^2 only for holomorphic b: on symbol_ladder at
-    L=16, n=1024, p1 reads 0.0303 here and 0.0162 on the Cauchy rows that
-    norm --norm bmoalog reads, while exp_ix reads 4.498 on both.
+    The symbol's tent seminorm is read from its Cauchy rows over
+    symbol_ladder, as norm --norm bmoalog reads it.  The reported ratio
+    divides by sqrt(seminorm) * ||g||, f being normalized already; a symbol
+    with vanishing tent seminorm (constants) is flagged degenerate instead
+    of ratioed.
     """
     if not pairs:
         raise PreconditionError("need at least one trial")
     seminorm = bmoa_log_seminorm(
-        poisson_extend(b0, symbol_ladder(b0.grid))).value
+        holomorphic_extension(b0, symbol_ladder(b0.grid))).value
     degenerate = seminorm < _DEGENERATE_SEMINORM
 
     rows = []

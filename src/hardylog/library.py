@@ -1,8 +1,8 @@
 """Closed-form boundary functions and half-plane fields used by the CLI and
 the verification sweeps.  Every entry knows its own off-grid values, so
 convolution-type operators can extend windows and tails honestly: the
-BMO-type inputs declare their terms (``grid.Term``), whose Poisson
-extension is exact, and the others carry a continuation.
+BMO-type inputs but q1 declare their terms (``grid.Term``), whose P_y, H
+and Cauchy rows are exact, and the others carry a continuation.
 """
 
 from __future__ import annotations

@@ -5,12 +5,12 @@ H, the y -> 0 member of Q_y, are one direct quadrature of the line, which
 never periodises the data; the Szego projection is (f + iHf)/2.  Every row
 reads f - f(-L), so constants are exact, and P_y adds f(-L) back.  The line
 splits at |u| = W into a near window convolved with band-limited taps and
-far nodes where the kernel is interpolated in x.  P_y takes the declared
-terms of an input (``grid.Term``) in closed form and the rule on the rest.
-One off-window fill rule (``_off_window``) serves all: the closed-form
-continuation when available, otherwise the decay class.  The kernel tables
-depend on the grid, split, far range and height alone; a call builds its
-own and frees each height's before the next.
+far nodes where the kernel is interpolated in x.  Every row takes the
+declared terms of an input (``grid.Term``) in closed form and the rule on
+the rest.  One off-window fill rule (``_off_window``) serves all: the
+closed-form continuation when available, otherwise the decay class.  The
+kernel tables depend on the grid, split, far range and height alone; a
+call builds its own and frees each height's before the next.
 """
 
 from __future__ import annotations
@@ -29,10 +29,9 @@ from .grid import (BOUNDED, DecayClass, Grid1D, HalfPlaneField,
 # The far kernel P_y(x-u), |u| >= W, has its poles outside the Bernstein
 # ellipse of [-L, L] with rho = w + sqrt(w^2 - 1), w = W/L, so 16 Chebyshev
 # nodes interpolate it to rho**-16: 5.8**-16 (6e-13) at 3L, 17.9**-16 at 9L.
-# BMO-type data keep 9L for H and the Cauchy rows, which read declared terms
-# as the continuation, and for the P_y rows of undeclared data: at 3L the
-# far nodes alias P_1*e^{ix} with no declared term on the rig grid by 5e-4,
-# against 4e-5 at 9L.
+# Undeclared BMO-type data (q1, a file with no tail=) keep 9L: at 3L the far
+# nodes alias P_1*e^{ix} with no declared term on the rig grid by 5e-4,
+# against 4e-5 at 9L.  Declared terms take no quadrature.
 _SPLIT_DECAYING = 3
 _SPLIT_LOG_GROWTH = 9
 _TAIL_NODES = 256
@@ -114,9 +113,10 @@ def _hilbert_out_decay(f0: SampledFunction) -> DecayClass:
 def hilbert_transform(f0: SampledFunction) -> SampledFunction:
     """H f = (1/pi) p.v. int f(u) / (x - u) du, H(cos) = sin, as the y -> 0
     member of ``_direct_heights``, on f - f(-L), so constants give exact
-    zeros.  H is found modulo a constant: the far kernel's +1/(pi u), which
-    keeps odd growing data such as sgn finite, drops (1/pi) int_{|u|>W}
-    f(u)/u du, zero for rapid data and W-dependent for growing data."""
+    zeros.  Declared terms give their conjugate terms' samples; on the rest
+    H is found modulo a constant: the far kernel's +1/(pi u), which keeps
+    odd growing data such as sgn finite, drops (1/pi) int_{|u|>W} f(u)/u du,
+    zero for rapid data and W-dependent for undeclared growing data."""
     return SampledFunction(f0.grid, _direct_heights(f0, None),
                            _hilbert_out_decay(f0))
 
@@ -202,23 +202,28 @@ def _direct_heights(f0: SampledFunction, heights,
     their kernel mass adds y (f(v_max) + f(-v_max)) / (pi v_max) to P_y,
     which then adds f(-L) back, and the far kernel of Q_y and H, Q_y(x-u) +
     1/(pi u), subtracts x (f(v_max) + f(-v_max)) / (pi v_max).  So P_y of
-    real data is exactly twice the real part of its Cauchy row.  The P_y
-    rows of an input with declared terms are their exact extensions plus the
-    rule on the rest, the samples minus the terms' samples, zero off the
-    window; a zero rest runs no quadrature.  H and the Cauchy rows read the
-    terms' sum as the continuation.  Each height's tables are built for this
-    call and freed before the next height's; float64 overflow raises
-    PreconditionError."""
+    real data is exactly twice the real part of its Cauchy row.  Declared
+    terms give P_y in closed form and H and Q_y by their conjugate terms;
+    the rule then takes the same row of the rest, the samples minus the
+    terms' samples, zero off the window, and a zero rest none.  Each
+    height's tables are built for this call and freed before the next
+    height's; float64 overflow raises PreconditionError."""
     hilbert = heights is None
     if not hilbert and not np.all(np.isfinite(heights) & (heights > 0)):
         raise PreconditionError("extension heights must be positive and finite")
     grid, n = f0.grid, f0.grid.n
-    if f0.tail and not (hilbert or cauchy):
-        out = tail_extension(f0.tail, grid.nodes, heights[:, None])
+    if f0.tail:
+        x, y = grid.nodes, None if hilbert else heights[:, None]
+        if hilbert or cauchy:
+            conj = tuple(c for t in f0.tail for c in t.conjugate())
+        out = tail_samples(conj, grid) if hilbert else \
+            tail_extension(f0.tail, x, y)
+        if cauchy:
+            out = 0.5 * (out + 1j * tail_extension(conj, x, y))
         rest = f0.values - tail_samples(f0.tail, grid)
         if np.any(rest):
             out = out + _direct_heights(SampledFunction(grid, rest, RAPID),
-                                        heights)
+                                        heights, cauchy)
         return _finite(out.astype(np.complex128))
     factor = _SPLIT_DECAYING if f0.decay.integrable else _SPLIT_LOG_GROWTH
     v_max = 1e8 if hilbert else max(1e8, 1e4 * float(heights[-1]))

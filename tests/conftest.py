@@ -19,7 +19,8 @@ terms = st.one_of(
     st.builds(lambda a, w: Term("cos", a, w=w), _coef, _freq),
     st.builds(lambda a, s, w: Term("atan", a, s=s, w=w), _coef, _shift,
               st.floats(0.0, 5.0)),
-    st.builds(lambda a, s: Term("log", a, s=s), _coef, _shift),
+    st.builds(lambda a, s, w: Term("log", a, s=s, w=w), _coef, _shift,
+              st.floats(0.0, 5.0)),
     st.builds(lambda re, im: Term("const", complex(re, im)), _coef, _coef))
 term_lists = st.lists(terms, min_size=1, max_size=4).map(tuple)
 

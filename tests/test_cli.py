@@ -352,7 +352,8 @@ class TestInputFileProperties:
         if how == "kind":
             kind = "sin"
         elif how == "drop":
-            nums.pop()
+            # log:a,s without the width is the older form, read as w = 0
+            del nums[-2 if kind == "log" else -1:]
         elif how == "extra":
             nums.append("1")
         elif how == "number":
@@ -372,6 +373,23 @@ class TestInputFileProperties:
                          ["--trials", "1"])])
             assert rc == EXIT_PARSE
             assert not out.exists()
+
+    def test_log_without_width_loads(self, tmp_path):
+        # a header written before log took a width says log:a,s, read as
+        # w = 0: the same function and reports as logabs
+        path = write_named(tmp_path, "logabs")
+        head, body = path.read_text().split("\n", 1)
+        assert "tail=log:1,0,0" in head.split()
+        path.write_text(head.replace("tail=log:1,0,0", "tail=log:1,0")
+                        + "\n" + body)
+        reports = []
+        for source in (["--input", str(path)], ["--function", "logabs"]):
+            out = tmp_path / source[0]
+            assert main(SMALL + ["--y-min", "0.05", "--out", str(out), "norm",
+                                 *source, "--norm", "bmoalog"]) == EXIT_OK
+            reports.append(
+                json.loads((out / "norm_bmoalog.json").read_text())["report"])
+        assert reports[0] == reports[1]
 
     def test_overflowing_bmo_is_precondition_error(self, tmp_path):
         # prefix sums of a 1e306 constant overflow; the sweep must not
@@ -497,6 +515,21 @@ class TestFactorizeCommand:
                            "inv_sq", f"--{other}", source])
         assert rc == EXIT_PARSE
         assert not out.exists()
+
+    def test_saved_symbol_reloads(self, tmp_path, capsys):
+        # factor_b.txt declares the symbol's terms, so its Cauchy rows need
+        # no continuation: 2.01838893528 at L=16, n=1024, y_min 0.05
+        flags = SMALL + ["--y-min", "0.05"]
+        assert main(flags + ["--out", str(tmp_path), "factorize",
+                             "--field", "inv_sq"]) == EXIT_OK
+        path = tmp_path / "factor_b.txt"
+        assert f"tail=log:1,0,{np.e:.17g};const:1,0" in \
+            path.read_text().split("\n")[0].split()
+        capsys.readouterr()
+        assert main(flags + ["--out", str(tmp_path / "norm"), "norm",
+                             "--input", str(path), "--norm", "bmoalog"]) \
+            == EXIT_OK
+        assert capsys.readouterr().out.startswith("bmoalog: 2.01838893528 ")
 
     def test_boundary_function_input(self, tmp_path):
         # boundary data route: project, extend, then factorize

@@ -5,8 +5,9 @@ from conftest import max_abs
 from hardylog import library as lib
 from hardylog.factor import (build_g, coifman_rochberg_symbol, factorize,
                              product)
-from hardylog.grid import (PreconditionError, RAPID, SampledFunction,
-                           make_grid, make_ladder, sample_field)
+from hardylog.grid import (PreconditionError, RAPID, SampledFunction, Term,
+                           load_function, make_grid, make_ladder,
+                           sample_field, save_function, tail_samples)
 from hardylog.transforms import boundary_value
 
 E = float(np.e)
@@ -14,18 +15,27 @@ E = float(np.e)
 
 class TestSymbol:
     def test_zero_input(self, rig_grid):
+        # log|x + ie| + 1, all of it declared: the rest is exactly zero
         z = SampledFunction(rig_grid, np.zeros(rig_grid.n), RAPID)
         b = coifman_rochberg_symbol(z)
-        target = np.log(E + np.abs(rig_grid.nodes)) + 1.0
+        target = 0.5 * np.log(rig_grid.nodes ** 2 + E ** 2) + 1.0
         assert max_abs(b.values.real, target) < 1e-14
         assert abs(b.values.real[rig_grid.index_of(0.0)] - 2.0) < 1e-14
+        assert not np.any(b.values - tail_samples(b.tail, rig_grid))
 
     def test_indicator_value(self, rig_grid):
         chi = lib.indicator(rig_grid, 0.0, 1.0)
         b = coifman_rochberg_symbol(chi)
         # sup of window averages of sqrt(chi) at an interior point is 1
-        expected = np.log(E + 0.5) + np.log(E + 1.0)
+        expected = 0.5 * np.log(0.25 + E ** 2) + np.log(E + 1.0)
         assert abs(b.values.real[rig_grid.index_of(0.5)] - expected) < 1e-12
+
+    def test_declares_its_growth(self, tmp_path, small_grid):
+        # log|u + ie| and 1 as terms, which a saved symbol keeps
+        b = coifman_rochberg_symbol(lib.gaussian(small_grid))
+        assert b.tail == (Term("log", 1.0, w=E), Term("const", 1.0))
+        save_function(b, tmp_path / "b.txt")
+        assert load_function(tmp_path / "b.txt").tail == b.tail
 
     def test_lower_bound_and_marking(self, rig_grid):
         b = coifman_rochberg_symbol(lib.gaussian(rig_grid, amplitude=50.0))
@@ -39,6 +49,19 @@ class TestSymbol:
 
 
 class TestBuildG:
+    @pytest.mark.parametrize("L, n", [(16, 1024), (64, 4096)])
+    def test_zero_input_in_closed_form(self, L, n):
+        # the declared symbol log|x + ie| + 1 gives g = log(z + ie) + 1 -
+        # i pi/2, on the boundary and on every row; 2.1e-16 measured
+        grid = make_grid(L, n)
+        lad = make_ladder(0.5 * grid.dx, 1e3, 48)
+        b = coifman_rochberg_symbol(SampledFunction(grid, np.zeros(n), RAPID))
+        g0, g_field = build_g(b, lad)
+        for z, g in ((grid.nodes, g0.values),
+                     (grid.nodes + 1j * lad.y[:, None], g_field.values)):
+            target = np.log(z + 1j * E) + 1.0 - 0.5j * np.pi
+            assert np.max(np.abs(g - target) / np.abs(target)) <= 1e-13
+
     def test_constant_symbol(self, rig_grid):
         lad = make_ladder(0.1, 10.0, 8)
         ones = lib.constant(rig_grid, 1.0)

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import term_lists
+from conftest import max_abs, term_lists
 from hardylog import library as lib
 from hardylog.grid import (BOUNDED, DecayClass, HalfPlaneField, HeightLadder,
                            LOG_GROWTH, NonIntegrableError, PreconditionError,
                            RAPID, SampledFunction, Term, integrate,
                            integrate_window, load_function, make_grid,
                            make_ladder, power_decay, product_decay,
-                           save_function)
+                           save_function, tail_extension, tail_values)
 from hardylog.transforms import poisson_extend
 
 
@@ -271,6 +271,51 @@ class TestHalfPlaneField:
         assert np.allclose(fld.slice_at(3).values.real, vals[3])
 
 
+class TestConjugate:
+    """Term.conjugate: terms whose samples are H of the term and whose P_y
+    is its Q_y."""
+
+    _u = np.linspace(-12.0, 12.0, 97)
+    _x, _y = np.linspace(-12.0, 12.0, 49), np.geomspace(0.5, 50.0, 7)[:, None]
+
+    @staticmethod
+    def _twice(t):
+        return tuple(c for d in t.conjugate() for c in d.conjugate())
+
+    @given(term_lists)
+    def test_twice_negates_all_but_constants(self, tail):
+        # H o H = -I term by term, with no constant added: a constant (exp
+        # and cos at w = 0 included) conjugates to zero
+        for t in tail:
+            flat = t.kind == "const" or (t.kind in ("exp", "cos")
+                                         and t.w == 0.0)
+            for got, own in (
+                    (tail_values(self._twice(t), self._u, 0.1),
+                     t.at(self._u, 0.1)),
+                    (tail_extension(self._twice(t), self._x, self._y),
+                     t.extend(self._x, self._y))):
+                target = 0.0 * own if flat else -own
+                assert max_abs(got, target) <= \
+                    1e-14 * max(abs(t.coef), max_abs(own))
+
+    @given(term_lists)
+    def test_cauchy_riemann(self, tail):
+        # P_y of the term plus i P_y of its conjugate terms is holomorphic
+        # in x + iy: central differences at step h meet dF/dy = i dF/dx to
+        # their truncation error, h^2/6 times the third derivative, on
+        # heights y >= 1/2
+        h = 1e-4
+        for t in tail:
+            def field(x, y):
+                return t.extend(x, y) + 1j * tail_extension(t.conjugate(),
+                                                            x, y)
+            x, y = self._x, self._y
+            d_y = field(x, y + h) - field(x, y - h)
+            d_x = field(x + h, y) - field(x - h, y)
+            assert max_abs(d_y, 1j * d_x) / (2 * h) <= \
+                1e-6 * abs(t.coef) * max(1.0, abs(t.w)) ** 3
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path, small_grid):
         rng = np.random.default_rng(9)
@@ -322,10 +367,10 @@ class TestSerialization:
     @pytest.mark.parametrize("kind, coef, w, s", [
         ("sin", 1.0, 1.0, 0.0), ("exp", complex(1.0, np.inf), 1.0, 0.0),
         ("cos", 1.0, np.nan, 0.0), ("cos", 1j, 1.0, 0.0),
-        ("atan", 1.0, -0.5, 0.0), ("log", 1.0, 1.0, 0.0),
+        ("atan", 1.0, -0.5, 0.0), ("log", 1.0, -1.0, 0.0),
         ("const", 1.0, 0.0, 2.0)])
     def test_term_rejects_what_it_cannot_extend(self, kind, coef, w, s):
-        # unknown kinds, non-finite numbers, a complex a, a negative width
+        # unknown kinds, non-finite numbers, a complex a, negative widths
         # and numbers a kind does not take
         with pytest.raises(PreconditionError):
             Term(kind, coef, w=w, s=s)

@@ -235,14 +235,26 @@ class TestStudy:
         with pytest.raises(PreconditionError, match="at least one trial"):
             boundedness_study(lib.exp_osc(rig_grid, 1.0), [])
 
+    def test_conjugate_pair_reads_one_seminorm(self):
+        # the study reads the Cauchy rows, and q1's are -i times p1's: one
+        # seminorm, 0.0161869 at L=16, n=1024, where P_y read 0.0303 for p1
+        # and 0.0358 for q1
+        grid = make_grid(16, 1024)
+        pairs = trial_pairs(grid, 1, 3)
+        p1, q1 = (boundedness_study(lib.named_function(name, grid),
+                                    pairs)["seminorm"]
+                  for name in ("p1", "q1"))
+        assert abs(q1 / p1 - 1.0) <= 5e-10
+        assert abs(p1 - 0.0161869) <= 1e-7
+
     @pytest.mark.parametrize("freq", [0.5, 1.0, 2.0])
     def test_extended_symbol_seminorm(self, freq):
-        # the study extends boundary symbols on the direct path; its tent
+        # the study extends boundary symbols by their Cauchy rows; its tent
         # seminorm must match the closed-form field exp(i*a*z)
         grid = make_grid(64, 1024)
         lad = symbol_ladder(grid)
         extended = bmoa_log_seminorm(
-            poisson_extend(lib.exp_osc(grid, freq), lad)).value
+            holomorphic_extension(lib.exp_osc(grid, freq), lad)).value
         exact = bmoa_log_seminorm(lib.field_exp_osc(grid, lad, freq)).value
         assert abs(extended / exact - 1.0) <= 0.01
 

@@ -21,14 +21,17 @@ form and the search below the max; llog of a saved rapid row that is 0
 but for 5e-324 at one node, whose first step M * phi(M) underflows to 0
 (the gauge keeps M, with no warning); hlog of a saved modulus and of a saved
 flat rapid 1e306, whose holomorphic extensions overflow float64; bmoalog of
-exp_ix; carleson of p1, sgn and logabs and bmoalog of sgn at y_min 0.05,
-tents of slices whose ends differ, which a derivative that wrapped the
-window would read through a jump at +-L; factorize from --field,
---function and --input, from --field with --function, and from a field it
-cannot factorize; hankel on six symbols, among them q1, the one whose P_y
-rows take the 9L line rule with no declared terms, and p1, the one real
-decaying symbol, extended through its callable continuation, whose study
-seminorm is not the one norm --norm bmoalog reports; hankel on exp_ix with
+exp_ix and logabs and carleson of exp_ix, Cauchy rows of declared terms;
+carleson of p1, sgn and logabs and bmoalog of sgn at y_min 0.05, tents of
+slices whose ends differ, which a derivative that wrapped the window would
+read through a jump at +-L; factorize from --field, --function and
+--input, from --field with --function, and from a field it cannot
+factorize; bmoalog of the saved symbol factor_b.txt, whose header declares
+its terms, and of a saved logabs whose header says log:1,0, the form
+written before log took a width; hankel on six symbols, among them q1, the
+one whose rows take the 9L line rule with no declared terms, and p1, its
+conjugate, the one real decaying symbol, extended through its callable
+continuation, which reads the same study seminorm; hankel on exp_ix with
 the hankel suite's 50 trials at y_min 0.1 (the study that suite reports),
 and on the input file at the default config; the input and config errors;
 hankel and bmoalog on a saved exp_ix, whose header declares its term, so
@@ -75,6 +78,8 @@ OVERFLOW_INPUTS = ("in/huge_modulus.txt", "in/huge_flat.txt")
 HUGE_CONSTANT = "in/huge_constant.txt"
 # 0 but for one subnormal node: M * phi(M) underflows to 0
 SPIKE_INPUT = "in/spike.txt"
+# logabs with the two-number log:1,0 of files written before log's width
+OLD_LOG_INPUT = "in/logabs_old_log.txt"
 # 1e3 plus seeded 1e-12 noise: every BMO bound is decided by its rounding
 # envelopes, so the sweep prunes nothing
 RIPPLE_INPUT = "in/ripple.txt"
@@ -108,6 +113,11 @@ SAVE_INPUT = ("from pathlib import Path\n"
               ".standard_normal(grid.n)\n"
               "save_function(SampledFunction(grid, vals, RAPID), "
               f"{RIPPLE_INPUT!r})\n"
+              "save_function(named_function('logabs', grid), "
+              f"{OLD_LOG_INPUT!r})\n"
+              f"text = Path({OLD_LOG_INPUT!r}).read_text()\n"
+              f"Path({OLD_LOG_INPUT!r}).write_text("
+              "text.replace('tail=log:1,0,0\\n', 'tail=log:1,0\\n', 1))\n"
               f"text = Path({INPUT!r}).read_text()\n"
               f"Path({POWER_INF_INPUT!r}).write_text("
               "text.replace('decay=rapid', 'decay=power:inf', 1))\n")
@@ -150,6 +160,8 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
     cmds += [(f"norm_hlog_overflow_{k}", SMALL,
               ["norm", "--input", path, "--norm", "hlog"])
              for k, path in enumerate(OVERFLOW_INPUTS)]
+    # the out directory of factorize_field, which run_tree numbers by place
+    factor_b = f"out/{len(cmds):02d}_factorize_field/factor_b.txt"
     cmds += [
         ("factorize_field", SMALL, ["factorize", "--field", "inv_sq"]),
         ("factorize_function", at_005,
@@ -158,10 +170,19 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
         ("factorize_field_and_function", SMALL,
          ["factorize", "--field", "inv_sq", "--function", "gbump_odd"]),
         ("factorize_field_exp_iz", SMALL, ["factorize", "--field", "exp_iz"]),
-        # exp_ix takes the Cauchy rows, whose far nodes alias its
-        # oscillation as the Poisson rows do
+        # declared terms give exact Cauchy rows through their conjugate terms
         ("norm_bmoalog_exp_ix", at_005,
          ["norm", "--function", "exp_ix", "--norm", "bmoalog"]),
+        ("norm_bmoalog_logabs", at_005,
+         ["norm", "--function", "logabs", "--norm", "bmoalog"]),
+        ("norm_carleson_exp_ix", at_005,
+         ["norm", "--function", "exp_ix", "--norm", "carleson"]),
+        # the saved symbol reloads with its terms; an old log:a,s header
+        # reads as w = 0
+        ("norm_bmoalog_factor_b", SMALL,
+         ["norm", "--input", factor_b, "--norm", "bmoalog"]),
+        ("norm_bmoalog_input_old_log", at_005,
+         ["norm", "--input", OLD_LOG_INPUT, "--norm", "bmoalog"]),
     ]
     # tents of slices whose ends differ: no derivative may wrap the window
     cmds += [(f"norm_carleson_{s}", at_005,
