@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (HalfPlaneField, HeightLadder, LOG_GROWTH,
-                   PreconditionError, SampledFunction, Term, integrate,
-                   product_decay)
+                   PreconditionError, SampledFunction, Term, frozen,
+                   integrate, product_decay)
 from .maximal import max_interval_average
 from .spaces import E, bmo_plus_norm
-from .transforms import boundary_value, holomorphic_extension, szego_project
+from .transforms import (_cauchy_decay, _direct_heights, boundary_value,
+                         szego_project)
 
 
 @dataclass(frozen=True)
@@ -63,14 +64,17 @@ def build_g(b: SampledFunction, ladder: HeightLadder
             ) -> tuple[SampledFunction, HalfPlaneField]:
     """Holomorphic-type outer factor: twice the Szego projection of b,
     g0 = b + iHb, and twice its Cauchy rows, P_y b + i Q_y b, with b's
-    declared terms in closed form; |g0| >= b >= 1 pointwise."""
+    declared terms in closed form; |g0| >= b >= 1 pointwise.  The rows
+    are doubled in the array that holds them."""
     if not b.is_real:
         raise PreconditionError("symbol must be real")
     if b.values.real.min() < 1.0:
         raise PreconditionError("symbol must be >= 1 everywhere")
-    g0, rows = szego_project(b), holomorphic_extension(b, ladder)
-    return (SampledFunction(b.grid, 2.0 * g0.values, g0.decay),
-            HalfPlaneField(b.grid, ladder, 2.0 * rows.values, rows.decay))
+    g0 = szego_project(b)
+    rows = _direct_heights(b, ladder.y, cauchy=True)
+    rows *= 2.0
+    return (SampledFunction(b.grid, frozen(2.0 * g0.values), g0.decay),
+            HalfPlaneField(b.grid, ladder, frozen(rows), _cauchy_decay(b)))
 
 
 def factorize(h_field: HalfPlaneField) -> FactorizationResult:
@@ -78,26 +82,27 @@ def factorize(h_field: HalfPlaneField) -> FactorizationResult:
 
     The residual max|h - f*g| / max|h| is zero up to roundoff by
     construction; the reported diagnostics (|f0| mass, symbol norm, boundary
-    gap) are the checkable content.
+    gap) are the checkable content.  The symbol's norm is taken before any
+    field is built and the residual row by row, so the working set is h,
+    g and f.
     """
     bv = boundary_value(h_field)
     h0 = bv.f0
     b = coifman_rochberg_symbol(h0)
+    g_norm = bmo_plus_norm(b).value
     g0, g_field = build_g(b, h_field.ladder)
 
-    f_vals = h_field.values / g_field.values
+    f_vals = frozen(h_field.values / g_field.values)
     f_field = HalfPlaneField(h_field.grid, h_field.ladder, f_vals,
                              h_field.decay)
-    h_max = float(np.max(np.abs(h_field.values)))
-    if h_max == 0.0:
-        residual = 0.0
-    else:
-        recon = f_vals * g_field.values
-        residual = float(np.max(np.abs(h_field.values - recon))) / h_max
+    h_max = err = 0.0
+    for h, f, g in zip(h_field.values, f_vals, g_field.values):
+        h_max = max(h_max, float(np.max(np.abs(h))))
+        err = max(err, float(np.max(np.abs(h - f * g))))
+    residual = err / h_max if h_max else 0.0
 
     f0 = SampledFunction(h_field.grid, h0.values / g0.values, h0.decay)
     f_l1 = float(integrate(f0.abs()))
-    g_norm = bmo_plus_norm(b).value
     return FactorizationResult(
         f_field=f_field, g_field=g_field, b=b, h0=h0, f0=f0, g0=g0,
         residual=residual, f_l1=f_l1, g_norm=g_norm,
@@ -111,5 +116,5 @@ def product(f_field: HalfPlaneField, g_field: HalfPlaneField) -> HalfPlaneField:
     if f_field.ladder.levels != g_field.ladder.levels:
         raise PreconditionError("product factors live on different ladders")
     return HalfPlaneField(f_field.grid, f_field.ladder,
-                          f_field.values * g_field.values,
+                          frozen(f_field.values * g_field.values),
                           product_decay(f_field.decay, g_field.decay))

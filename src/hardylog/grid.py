@@ -296,6 +296,13 @@ def tail_extension(tail: tuple, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # sampled boundary functions
 # ---------------------------------------------------------------------------
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """a made read-only: a SampledFunction or HalfPlaneField built on a
+    frozen complex array that owns its data takes it over, not a copy."""
+    a.setflags(write=False)
+    return a
+
+
 @dataclass(frozen=True)
 class SampledFunction:
     """Complex samples on a Grid1D with declared tail behaviour.
@@ -305,6 +312,8 @@ class SampledFunction:
     analytic tails.  ``tail`` declares terms (``Term``) whose sum the
     function is, up to samples that vanish off the window: the sum is then
     the continuation, and the Poisson extension takes the terms exactly.
+    ``values`` are read-only: a read-only complex array that owns its data
+    (``frozen``) is taken over, any other array copied.
     """
 
     grid: Grid1D
@@ -321,8 +330,8 @@ class SampledFunction:
                 f"value count {vals.shape} does not match grid n={self.grid.n}")
         if not np.all(np.isfinite(vals.view(np.float64))):
             raise PreconditionError("sampled values must all be finite")
-        vals = vals.copy()
-        vals.setflags(write=False)
+        if vals.flags.writeable or not vals.flags.owndata:
+            vals = frozen(vals.copy())
         object.__setattr__(self, "values", vals)
         if self.tail:
             if self.continuation is not None:
@@ -441,7 +450,8 @@ def make_ladder(y_min: float, y_max: float, count: int = 48) -> HeightLadder:
 
 @dataclass(frozen=True)
 class HalfPlaneField:
-    """Values f(x_j + i*y_k) on grid x ladder; row k is the height-y_k slice."""
+    """Values f(x_j + i*y_k) on grid x ladder; row k is the height-y_k slice.
+    ``values`` are kept as ``SampledFunction`` keeps its samples."""
 
     grid: Grid1D
     ladder: HeightLadder
@@ -456,8 +466,8 @@ class HalfPlaneField:
                 f"({self.ladder.count}, {self.grid.n})")
         if not np.all(np.isfinite(vals.view(np.float64))):
             raise PreconditionError("field values must all be finite")
-        vals = vals.copy()
-        vals.setflags(write=False)
+        if vals.flags.writeable or not vals.flags.owndata:
+            vals = frozen(vals.copy())
         object.__setattr__(self, "values", vals)
 
     def slice_at(self, k: int) -> SampledFunction:
@@ -467,9 +477,12 @@ class HalfPlaneField:
 def sample_field(grid: Grid1D, ladder: HeightLadder,
                  fn: Callable[[np.ndarray], np.ndarray],
                  decay: DecayClass = RAPID) -> HalfPlaneField:
-    """Evaluate a closed-form function of z = x + iy on grid x ladder."""
-    z = grid.nodes[None, :] + 1j * ladder.y[:, None]
-    return HalfPlaneField(grid, ladder, fn(z), decay)
+    """Evaluate a closed-form function of z = x + iy on grid x ladder, one
+    height at a time into one array; fn must act elementwise."""
+    vals = np.empty((ladder.count, grid.n), dtype=np.complex128)
+    for row, y in zip(vals, ladder.y[:, None]):
+        row[:] = fn(grid.nodes + 1j * y)
+    return HalfPlaneField(grid, ladder, frozen(vals), decay)
 
 
 # ---------------------------------------------------------------------------

@@ -373,9 +373,15 @@ def bmo_norm(f0: SampledFunction) -> NormReport:
         if tops[count] < lb:        # and so are all later tops
             break
         k = int(np.argmax(bounds[count]))
-        lb = max(lb, _scores(vals, prefix, count, np.array([k]))[0])
-        keep = np.flatnonzero(~(bounds[count] < lb))    # NaN bounds are kept
-        k, s = _first_max(_scores(vals, prefix, count, keep))
+        top = _scores(vals, prefix, count, np.array([k]))
+        lb = max(lb, top[0])
+        # NaN bounds are kept, and so is k, whose bound is at least LB: the
+        # others are scored and k's score goes back in its place
+        keep = np.flatnonzero(~(bounds[count] < lb))
+        i = int(np.searchsorted(keep, k))
+        s = _scores(vals, prefix, count,
+                    np.concatenate((keep[:i], keep[i + 1:])))
+        k, s = _first_max(np.concatenate((s[:i], top, s[i:])))
         best[count] = int(keep[k]), s
         lb = max(lb, s)
     if not all(np.isfinite(s) for _, s in best.values()):

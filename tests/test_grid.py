@@ -11,10 +11,11 @@ from conftest import max_abs, term_lists
 from hardylog import library as lib
 from hardylog.grid import (BOUNDED, DecayClass, HalfPlaneField, HeightLadder,
                            LOG_GROWTH, NonIntegrableError, PreconditionError,
-                           RAPID, SampledFunction, Term, integrate,
+                           RAPID, SampledFunction, Term, frozen, integrate,
                            integrate_window, load_function, make_grid,
                            make_ladder, power_decay, product_decay,
-                           save_function, tail_extension, tail_values)
+                           sample_field, save_function, tail_extension,
+                           tail_values)
 from hardylog.transforms import poisson_extend
 
 
@@ -264,11 +265,61 @@ class TestHalfPlaneField:
             HalfPlaneField(make_grid(4, 16), make_ladder(0.1, 10.0, 8),
                            vals.reshape(8, 16), RAPID)
 
+    @pytest.mark.parametrize("fn", [
+        lambda z: 0.7 / (z + 1.3j) ** 2, lambda z: np.exp(0.9j * z),
+        lambda z: (z - 1j) / (z + 1j), lambda z: np.log(z + 1j)])
+    def test_sample_field_is_the_closed_form_row_by_row(self, small_grid, fn):
+        # one height at a time gives the whole-grid evaluation bit for bit
+        lad = make_ladder(0.1, 10.0, 8)
+        fld = sample_field(small_grid, lad, fn)
+        z = small_grid.nodes[None, :] + 1j * lad.y[:, None]
+        assert fld.values.tobytes() == fn(z).astype(complex).tobytes()
+        assert not fld.values.flags.writeable
+
     def test_slice_round_trip(self, small_grid):
         lad = make_ladder(0.1, 10.0, 8)
         vals = np.random.default_rng(0).normal(size=(8, small_grid.n))
         fld = HalfPlaneField(small_grid, lad, vals, RAPID)
         assert np.allclose(fld.slice_at(3).values.real, vals[3])
+
+
+def _field_or_function(shape):
+    grid, ladder = make_grid(4, 16), make_ladder(0.1, 10.0, 8)
+    if shape == "field":
+        return (8, 16), lambda v: HalfPlaneField(grid, ladder, v, RAPID)
+    return (16,), lambda v: SampledFunction(grid, v, RAPID)
+
+
+@pytest.mark.parametrize("shape", ["field", "function"])
+class TestOwnership:
+    """A field or function copies a caller's writeable array and takes over
+    a frozen one that owns its data; its values are read-only either way."""
+
+    def test_writeable_array_is_copied(self, shape):
+        size, make = _field_or_function(shape)
+        vals = np.ones(size, dtype=complex)
+        obj = make(vals)
+        vals[...] = 2.0
+        assert not np.shares_memory(obj.values, vals)
+        assert np.all(obj.values == 1.0)
+        assert not obj.values.flags.writeable
+
+    def test_frozen_owner_is_taken_over(self, shape):
+        size, make = _field_or_function(shape)
+        vals = frozen(np.ones(size, dtype=complex))
+        obj = make(vals)
+        assert obj.values is vals
+        assert np.shares_memory(obj.values, vals)
+        assert not obj.values.flags.writeable
+
+    def test_frozen_view_is_copied(self, shape):
+        # a read-only view of a writeable buffer could still change
+        size, make = _field_or_function(shape)
+        base = np.ones((2,) + size, dtype=complex)
+        obj = make(frozen(base[0]))
+        base[...] = 2.0
+        assert np.all(obj.values == 1.0)
+        assert not obj.values.flags.writeable
 
 
 class TestConjugate:

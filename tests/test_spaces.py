@@ -934,6 +934,23 @@ class TestPrunedSweep:
             assert spaces._scores(vals, prefix, count, offsets).tobytes() \
                 == expected.tobytes()
 
+    def test_each_window_is_scored_once(self, monkeypatch):
+        # 1e3 + 1e-12 noise prunes nothing: every one of its 19332 windows
+        # is scored, each count's highest-bound window once, not twice
+        grid = make_grid(16.0, 1024)
+        noise = np.random.default_rng(0).standard_normal(grid.n)
+        f = SampledFunction(grid, 1e3 + 1e-12 * noise, RAPID)
+        scored, scores = [], spaces._scores
+
+        def counted(vals, prefix, count, offsets):
+            scored.append(offsets.size)
+            return scores(vals, prefix, count, offsets)
+
+        expected = bmo_norm(f)
+        monkeypatch.setattr(spaces, "_scores", counted)
+        assert _as_tuple(bmo_norm(f)) == _as_tuple(expected)
+        assert expected.iterations == sum(scored) == 19332
+
     def test_samples_are_not_written(self, small_grid):
         f = lib.bmo_mixture(small_grid, np.random.default_rng(3))
         before = f.values.copy()

@@ -382,6 +382,20 @@ class TestUnboundedOutputs:
         # a nonzero mean leaves a constant, which is bounded
         assert szego_project(lib.gaussian(rig_grid)).decay == BOUNDED
 
+    def test_hilbert_of_bounded_declared_terms_is_bounded(self):
+        # H(e^{iax}) = -i e^{iax} exactly, no log among the conjugate terms
+        g = make_grid(16, 256)
+        h = hilbert_transform(lib.exp_osc(g))
+        assert h.decay == BOUNDED
+        hankel_apply(h, lib.gaussian(g))
+
+    def test_projection_of_unbounded_declared_terms_stays_unbounded(self):
+        # H(log|x|) is a bounded arctan, but (f + iHf)/2 holds log|x| too
+        f = lib.log_abs(make_grid(16, 256))
+        assert hilbert_transform(f).decay == BOUNDED
+        assert szego_project(f).decay == LOG_GROWTH
+        assert holomorphic_slice(f, 0.5).decay == LOG_GROWTH
+
     @pytest.mark.parametrize("name, peak", [
         # 2/sqrt(pi) max Dawson and the max of x/(pi(x^2 + 1))
         ("gaussian", 2.0 / np.sqrt(np.pi) * 0.5410442246),

@@ -41,7 +41,10 @@ sgn, logabs and exp_ix (ties, data that prunes nothing, a jump, a log
 singularity, complex windows whose larger counts span several chunks) and
 of a saved declared 1e306 constant whose window sums overflow (exit 3);
 bmo of a saved row of 1e3 plus seeded 1e-12 noise, whose bounds are
-decided by their rounding envelopes, so no window is skipped; and
+decided by their rounding envelopes, so no window is skipped;
+factorize --field inv_sq and bmoalog of sgn at --grid-n 4096, the scaling
+benchmark's size, where factorize's fields are one buffer each and the
+Cauchy rows of declared terms are added into the rest's rows; and
 the six suites at the default config (L=64, n=4096, 48 levels), which take
 most of the few minutes a run needs.
 
@@ -230,6 +233,12 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
                  ["norm", "--input", HUGE_CONSTANT, "--norm", "bmo"]))
     cmds.append(("norm_bmo_ripple", SMALL,
                  ["norm", "--input", RIPPLE_INPUT, "--norm", "bmo"]))
+    # the scaling benchmark's size: factorize's one-buffer fields, and the
+    # Cauchy rows of declared terms added into the rest's rows
+    cmds += [("factorize_field_n4096", ["--grid-n", "4096"],
+              ["factorize", "--field", "inv_sq"]),
+             ("norm_bmoalog_sgn_n4096", ["--grid-n", "4096"],
+              ["norm", "--function", "sgn", "--norm", "bmoalog"])]
     cmds += [(f"verify_{s}_rig", [], ["verify", "--suite", s]) for s in SUITES]
     return cmds
 
