@@ -202,25 +202,20 @@ class Term:
         object.__setattr__(self, "s", s)
 
     def at(self, u, floor: float = 0.0) -> np.ndarray:
-        """The term at points u; log's |u - s + iw| is raised to ``floor``,
-        the sampling convention of a node on its singularity."""
-        if self.kind == "exp":
-            return self.coef * np.exp(
-                1j * self.w * np.asarray(u, dtype=np.complex128))
+        """The term at points u: ``extend`` at y = 0 but for two node
+        conventions, atan's w = 0 as a sgn(u - s) with sgn(0) = 0, and log's
+        |u - s + iw| raised to ``floor``, a node on its singularity."""
         u = np.asarray(u, dtype=np.float64)
-        if self.kind == "cos":
-            return self.coef * np.cos(self.w * u)
-        if self.kind == "atan":
-            if self.w == 0.0:
-                return self.coef * np.sign(u - self.s)
-            return self.coef * (2.0 / np.pi) * np.arctan((u - self.s) / self.w)
+        if self.kind == "atan" and self.w == 0.0:
+            return self.coef * np.sign(u - self.s)
         if self.kind == "log":
             return self.coef * np.log(np.maximum(np.hypot(u - self.s, self.w),
                                                  floor))
-        return np.full(u.shape, self.coef, dtype=np.complex128)
+        return self.extend(u, 0.0)
 
     def extend(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """P_y of the term at points x and positive heights y, broadcast."""
+        """P_y of the term at points x and heights y, broadcast; ``at`` reads
+        it at y = 0."""
         if self.kind == "exp":
             return self.coef * np.exp(-abs(self.w) * y) * np.exp(1j * self.w * x)
         if self.kind == "cos":
@@ -354,6 +349,24 @@ class SampledFunction:
     def with_values(self, values: np.ndarray) -> "SampledFunction":
         return SampledFunction(self.grid, values, self.decay)
 
+    def beyond(self, u: np.ndarray) -> np.ndarray:
+        """Values at points u off the window: the continuation (the declared
+        terms' sum) if present, else zeros for rapid decay, else the power
+        law f(edge)*(edge/|u|)**p from the nearer edge, the model whose
+        integral ``line_integral`` adds.  log_growth data with neither
+        cannot be extended honestly."""
+        if self.continuation is not None:
+            return self.continuation(u)
+        if self.decay.tag == "rapid":
+            return np.zeros(u.shape)
+        if self.decay.tag == "power":
+            nodes, vals, left = self.grid.nodes, self.values, u < 0
+            edge = np.where(left, np.abs(nodes[0]), np.abs(nodes[-1]))
+            return np.where(left, vals[0], vals[-1]) \
+                * (edge / np.abs(u)) ** self.decay.p
+        raise PreconditionError(
+            "log_growth input needs a closed-form continuation to extend")
+
     def abs(self) -> "SampledFunction":
         """|f| on the grid; integrate reads no continuation, so none is kept."""
         return SampledFunction(self.grid, np.abs(self.values), self.decay)
@@ -367,9 +380,9 @@ def line_integral(grid: Grid1D, values: np.ndarray, p: Optional[float] = None):
     """Whole-line quadrature of samples along the last axis.
 
     Composite trapezoid over the window [-L, L-dx], plus, when a tail
-    exponent p > 1 is given, the closed-form tail integral assuming
-    |f| ~ |f(edge)|*(edge/x)**p outside it.  Deterministic (fixed summation
-    order).
+    exponent p > 1 is given, the closed-form integral of the power-law fill
+    of ``SampledFunction.beyond``, f(edge)*(edge/|x|)**p, outside it.
+    Deterministic (fixed summation order).
     """
     first, last = values[..., 0], values[..., -1]
     total = grid.dx * (values.sum(axis=-1) - 0.5 * (first + last))

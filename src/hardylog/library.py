@@ -138,20 +138,21 @@ def field_exp_osc(grid: Grid1D, ladder: HeightLadder,
     exp_osc."""
     a = harmonic_freq(grid, freq)
     return sample_field(grid, ladder, lambda z: np.exp(1j * a * z),
-                        LOG_GROWTH)
+                        BOUNDED)
 
 
 def field_blaschke(grid: Grid1D, ladder: HeightLadder) -> HalfPlaneField:
     """(z - i)/(z + i), a bounded holomorphic automorphism factor."""
     return sample_field(grid, ladder, lambda z: (z - 1j) / (z + 1j),
-                        LOG_GROWTH)
+                        BOUNDED)
 
 
 def field_cauchy(grid: Grid1D, ladder: HeightLadder,
                  shift: float = 1.0) -> HalfPlaneField:
-    """1/(z + i*shift); borderline decay, for use inside products only."""
+    """1/(z + i*shift), bounded by 1/shift for shift > 0; borderline
+    decay, for use inside products only."""
     return sample_field(grid, ladder, lambda z: 1.0 / (z + 1j * shift),
-                        LOG_GROWTH)
+                        BOUNDED)
 
 
 def field_cauchy_pair(grid: Grid1D, ladder: HeightLadder, s1: float = 1.0,
@@ -164,9 +165,10 @@ def field_cauchy_pair(grid: Grid1D, ladder: HeightLadder, s1: float = 1.0,
 
 def field_constant(grid: Grid1D, ladder: HeightLadder,
                    c: complex = 1.0) -> HalfPlaneField:
+    """The constant c, bounded by |c|."""
     return sample_field(grid, ladder,
                         lambda z: np.full_like(z, c, dtype=np.complex128),
-                        LOG_GROWTH)
+                        BOUNDED)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
 """Brute-force reference implementations for cross-validating the fast
 operator kernels.  Everything here is real-space summation or exhaustive
-scanning, with no FFTs.  One piece is shared with the fast path: pv_sum and
-poisson_sum read their samples off the window from
-``transforms.extended_window``, which fills them by the fast path's own
-``_off_window`` rule.  On inputs without a continuation, such as
-szego_project output, both sides then carry the same fill error (the power
-law keeps only the leading term of a 1/x^2 tail), so agreement there, as in
-the benchmark gate's oracle.poisson_fft check on projected bumps, cannot
-show it.  Intended for test-time use; costs are quadratic and sizes are
+scanning, with no FFTs, and nothing is imported from ``transforms``.  One
+model is shared with the fast path: pv_sum and poisson_sum read their
+samples off the window from ``SampledFunction.beyond``, and luxemburg_scan
+takes a power tail's integral from ``line_integral``.  On inputs without a
+continuation, such as szego_project output, the oracles read the input's
+own power-law fill, so both sides carry the same fill error (it keeps only
+the leading term of a 1/x^2 tail), and agreement there, as in the benchmark
+gate's oracle.poisson_fft check on projected bumps, cannot show it: an
+oracle independent of the fill, and an exact far field for it, are still
+to come.  Intended for test-time use; costs are quadratic and sizes are
 capped.
 """
 
@@ -15,23 +17,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import PreconditionError, SampledFunction
+from .grid import PreconditionError, SampledFunction, line_integral
 from .spaces import THETA, weight_eval
-from .transforms import extended_window
 
 _BRUTE_CAP = 4096
 _LINE_WINDOW = 64
 
 
+def _line_window(f0: SampledFunction):
+    """Samples of f0 on [-64L, 64L): the core values in the middle and the
+    rest read from ``f0.beyond``; with their abscissae and the core's first
+    index."""
+    grid, n = f0.grid, f0.grid.n
+    m = _LINE_WINDOW * n
+    x = -_LINE_WINDOW * grid.L + grid.dx * np.arange(m)
+    lo = (m - n) // 2
+    off = f0.beyond(np.concatenate([x[:lo], x[lo + n:]]))
+    return np.concatenate([off[:lo], f0.values, off[lo:]]), x, lo
+
+
 def pv_sum(f0: SampledFunction, out_idx: np.ndarray) -> np.ndarray:
     """Principal-value Riemann sum of the 1/(pi(x-u)) kernel at chosen nodes
-    over extended_window(f0, 64), a truncation the fast path does not share.
+    over the 64L window of ``_line_window``, a truncation the fast path does
+    not share.
 
     Symmetric exclusion of the diagonal plus the analytic value of the
     excluded cell for the linear interpolant (-f'(x) dx / pi), which removes
     the first-order hole error and leaves O(dx^3) quadrature residue.
     """
-    ext, x_ext, lo = extended_window(f0, _LINE_WINDOW)
+    ext, x_ext, lo = _line_window(f0)
     dx = f0.grid.dx
     xs = f0.grid.nodes[out_idx]
     out = np.empty(xs.size, dtype=np.complex128)
@@ -58,14 +72,14 @@ def hilbert_pv_direct(f0: SampledFunction) -> SampledFunction:
 
 def poisson_sum(f0: SampledFunction, y: float, out_idx: np.ndarray
                 ) -> np.ndarray:
-    """Riemann sum of the line kernel P_y against the samples of
-    extended_window(f0, 64) at chosen output nodes.  Nothing is periodised:
+    """Riemann sum of the line kernel P_y against the 64L window of
+    ``_line_window`` at chosen output nodes.  Nothing is periodised:
     the closed-form kernel mass beyond each end of the summed cells, times
     the held edge value, stands in for the rest of the line, so constants
     are reproduced exactly."""
     if not y > 0:
         raise PreconditionError("height must be positive")
-    ext, x_ext, _ = extended_window(f0, _LINE_WINDOW)
+    ext, x_ext, _ = _line_window(f0)
     dx = f0.grid.dx
     xs = f0.grid.nodes[out_idx]
     # the cells [u - dx/2, u + dx/2] of the samples cover [lo, hi]
@@ -83,7 +97,7 @@ def poisson_sum(f0: SampledFunction, y: float, out_idx: np.ndarray
 
 def poisson_direct(f0: SampledFunction, y: float) -> SampledFunction:
     """Direct quadrature of the harmonic extension at one height: the line
-    kernel summed against the extended-window samples (see poisson_sum)."""
+    kernel summed against the 64L window's samples (see poisson_sum)."""
     out = poisson_sum(f0, y, np.arange(f0.grid.n))
     if f0.is_real:
         out = out.real
@@ -119,16 +133,12 @@ def luxemburg_scan(f0: SampledFunction) -> float:
     mags = np.abs(f0.values)
     if not mags.any():
         return 0.0
-    grid, decay = f0.grid, f0.decay
+    grid = f0.grid
     x = grid.nodes
 
     def phi_many(lams):
         v = weight_eval(THETA, x[None, :], mags[None, :] / lams[:, None])
-        total = grid.dx * (v.sum(axis=1) - 0.5 * (v[:, 0] + v[:, -1]))
-        if decay.tag == "power":
-            total = total + (v[:, 0] * abs(x[0]) +
-                             v[:, -1] * abs(x[-1])) / (decay.p - 1.0)
-        return total
+        return line_integral(grid, v, f0.decay.p)
 
     def phi(lam):
         return float(phi_many(np.asarray([lam]))[0])

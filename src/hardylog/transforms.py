@@ -7,9 +7,10 @@ reads f - f(-L), so constants are exact, and P_y adds f(-L) back.  The line
 splits at |u| = W into a near window convolved with band-limited taps and
 far nodes where the kernel is interpolated in x.  Every row takes the
 declared terms of an input (``grid.Term``) in closed form and the rule on
-the rest.  One off-window fill rule (``_off_window``) serves all: the
-closed-form continuation when available, otherwise the decay class.  The
-kernel tables depend on the grid, split, far range and height alone; a
+the rest.  Off the window every row reads one fill,
+``SampledFunction.beyond``, in one call at every abscissa the rule needs:
+the closed-form continuation when available, otherwise the decay class.
+The kernel tables depend on the grid, split, far range and height alone; a
 call builds its own and frees each height's before the next.
 """
 
@@ -47,42 +48,6 @@ _GREGORY_ENDS = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
 # (~1e-5), genuinely nonzero means two decades higher
 _MEAN_ZERO_REL = 1e-4
 _OVERFLOW = "the samples or their transform overflow float64"
-
-
-# ---------------------------------------------------------------------------
-# window extension
-# ---------------------------------------------------------------------------
-
-def _off_window(f0: SampledFunction, u: np.ndarray) -> np.ndarray:
-    """Values of f0 at points u off the grid window: the closed-form
-    continuation if present, else zeros for rapid decay, else the power law
-    f(edge)*(edge/|u|)**p from the nearer edge.  Functions with log_growth
-    decay and no continuation cannot be extended honestly."""
-    if f0.continuation is not None:
-        return f0.continuation(u)
-    if f0.decay.tag == "rapid":
-        return np.zeros(u.shape)
-    if f0.decay.tag == "power":
-        nodes, vals, left = f0.grid.nodes, f0.values, u < 0
-        edge = np.where(left, np.abs(nodes[0]), np.abs(nodes[-1]))
-        p = f0.decay.p
-        return np.where(left, vals[0], vals[-1]) * (edge / np.abs(u)) ** p
-    raise PreconditionError(
-        "log_growth input needs a closed-form continuation to extend")
-
-
-def extended_window(f0: SampledFunction, factor: int):
-    """Samples of f0 on [-factor*L, factor*L), core values in the middle and
-    the rest filled by the off-window rule of ``_off_window``."""
-    grid, n = f0.grid, f0.grid.n
-    m = factor * n
-    x = -factor * grid.L + grid.dx * np.arange(m)
-    lo = (m - n) // 2
-    ext = np.zeros(m, dtype=np.complex128)
-    ext[lo:lo + n] = f0.values
-    ext[:lo] = _off_window(f0, x[:lo])
-    ext[lo + n:] = _off_window(f0, x[lo + n:])
-    return ext, x, lo
 
 
 def _is_mean_zero(f0: SampledFunction) -> bool:
@@ -149,9 +114,11 @@ def szego_project(f0: SampledFunction) -> SampledFunction:
 # ---------------------------------------------------------------------------
 
 def _geometry(grid: Grid1D, factor: int, v_max: float) -> SimpleNamespace:
-    """Tables of the split W = factor*L: far nodes u and their Gregory
-    weights times the jacobian, Chebyshev offsets x - u and the n x 16
-    interpolation matrix, tap offsets k, (-1)^k, (k dx)^2."""
+    """Tables of the split W = factor*L: the abscissae the rule reads off
+    the window (the near trapezoid's flanks [-W, -L) and [L, W], then the
+    far nodes u), the far nodes' Gregory weights times the jacobian,
+    Chebyshev offsets x - u and the n x 16 interpolation matrix, tap
+    offsets k, (-1)^k, (k dx)^2."""
     dx, L, n = grid.dx, grid.L, grid.n
     split = factor * L
     # far trapezoid in s, u = W e^s, on |u| in [W, v_max]
@@ -171,8 +138,11 @@ def _geometry(grid: Grid1D, factor: int, v_max: float) -> SimpleNamespace:
     # x_j - u_m = (j - m + (span - n)/2) dx sits at tap index j - m + span
     span = factor * n
     k = np.arange(span + n) - (span + n) // 2
+    near_x = -factor * L + dx * np.arange(span)
+    lo = (span - n) // 2
     return SimpleNamespace(
-        u=u, u_far=u_far, points=np.concatenate([[split], u_far]),
+        u=u, u_far=u_far, lo=lo, points=np.concatenate(
+            [near_x[:lo], near_x[lo + n:], [split], u_far]),
         jac=np.tile(w_s * u, 2)[:, None], interp=interp, far_x=far_x,
         far_x2=far_x ** 2, span=span, k=k,
         alt=1.0 - 2.0 * (k & 1), taps_x2=(dx * k) ** 2)
@@ -256,10 +226,10 @@ def _direct_heights(f0: SampledFunction, heights,
     real = f0.is_real
 
     shift = f0.values[0]
-    off = _off_window(f0, g.points) - shift
-    ext = extended_window(f0, factor)[0] - shift
+    off = f0.beyond(g.points) - shift
+    flanks = 2 * g.lo + 1   # [-W, -L), [L, W], then the far nodes
     # the far nodes' weighted values, one column per real part
-    cont = off[1:]
+    cont = off[flanks:]
     cols = [cont.real] if real else [cont.real, cont.imag]
     far_cols = np.column_stack(cols) * g.jac
     ends = np.array([c[_TAIL_NODES - 1] + c[-1] for c in cols])[:, None]
@@ -268,7 +238,8 @@ def _direct_heights(f0: SampledFunction, heights,
         return ends * x / (np.pi * g.u[-1])
 
     # near trapezoid: samples at u_m = -W + m*dx, m = 0..factor*n, times weights
-    near = grid.dx * np.append(ext, off[0])
+    near = grid.dx * np.concatenate(
+        [off[:g.lo], f0.values - shift, off[g.lo:flanks]])
     near[[0, -1]] *= 0.5
     span, size = g.span, g.span + n     # (factor + 1) n: 5-smooth, n = 2^k
     near_spec = np.fft.rfft(

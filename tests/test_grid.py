@@ -12,11 +12,11 @@ from hardylog import library as lib
 from hardylog.grid import (BOUNDED, DecayClass, HalfPlaneField, HeightLadder,
                            LOG_GROWTH, NonIntegrableError, PreconditionError,
                            RAPID, SampledFunction, Term, frozen, integrate,
-                           integrate_window, load_function, make_grid,
-                           make_ladder, power_decay, product_decay,
-                           sample_field, save_function, tail_extension,
-                           tail_values)
-from hardylog.transforms import poisson_extend
+                           integrate_window, line_integral, load_function,
+                           make_grid, make_ladder, power_decay,
+                           product_decay, sample_field, save_function,
+                           tail_extension, tail_values)
+from hardylog.transforms import poisson_extend, szego_project
 
 
 class TestMakeGrid:
@@ -140,6 +140,64 @@ class TestSampledFunction:
         assert f.decay.bounded is True
         h = SampledFunction(small_grid, np.zeros(small_grid.n), LOG_GROWTH)
         assert h.decay.bounded is False
+
+
+class TestBeyond:
+    """``beyond`` is the one model of a function off the window."""
+
+    _u = np.array([-1e6, -40.0, -16.0, 16.0, 40.0, 1e3])
+
+    def test_continuation_is_returned_as_it_is(self, small_grid):
+        out = np.arange(6.0)
+        f = SampledFunction(small_grid, np.zeros(small_grid.n), BOUNDED,
+                            continuation=lambda u: out)
+        assert f.beyond(self._u) is out
+
+    def test_declared_terms_give_their_sum(self, small_grid):
+        assert np.array_equal(lib.sign_step(small_grid).beyond(self._u),
+                              np.sign(self._u))
+
+    def test_rapid_data_give_zeros(self, small_grid):
+        f = SampledFunction(small_grid, lib.gaussian(small_grid).values, RAPID)
+        out = f.beyond(self._u)
+        assert out.shape == self._u.shape and not out.any()
+
+    def test_power_law_from_the_nearer_edge(self):
+        # an off-centre projected bump: no continuation, power:2, and edge
+        # values 3.9e-4i at -L and 8.5e-4i at L - dx
+        g = make_grid(16, 1024)
+        f = szego_project(lib.gaussian_deriv(g, 3.0, 1.0))
+        assert f.continuation is None and f.decay == power_decay(2.0)
+        left, right = f.values[0], f.values[-1]
+        assert abs(right - left) > 0.5 * abs(left)
+        u = np.array([-1e6, -40.0, -16.0, 16.0 - g.dx, 20.0, 1e3])
+        expected = np.where(u < 0, left * (16.0 / np.abs(u)) ** 2,
+                            right * ((16.0 - g.dx) / np.abs(u)) ** 2)
+        out = f.beyond(u)
+        assert out[2] == left and out[3] == right
+        assert max_abs(out, expected) <= 1e-15 * max_abs(expected)
+
+    def test_line_integral_tail_is_the_fill_integrated(self):
+        # int beyond(u) du over |u| beyond both edges, by Gauss-Legendre in
+        # s = log(|u|/edge), against line_integral's tail
+        g = make_grid(16, 1024)
+        f = szego_project(lib.gaussian_deriv(g, 3.0, 1.0))
+        p = f.decay.p
+        s, w = np.polynomial.legendre.leggauss(64)
+        s, w = 30.0 * (s + 1.0), 30.0 * w     # [0, 60]: e^{-(p-1)60} is 0
+        tails = sum(w @ (f.beyond(u) * np.abs(u))
+                    for u in (-g.L * np.exp(s), (g.L - g.dx) * np.exp(s)))
+        closed = (f.values[0] * g.L + f.values[-1] * (g.L - g.dx)) / (p - 1.0)
+        gap = line_integral(g, f.values, p) - line_integral(g, f.values)
+        assert abs(tails - closed) <= 1e-13 * abs(closed)
+        assert abs(gap - closed) <= 1e-13 * abs(closed)
+
+    def test_log_growth_needs_a_continuation(self, small_grid):
+        bare = SampledFunction(small_grid, np.sign(small_grid.nodes), BOUNDED)
+        with pytest.raises(PreconditionError, match=(
+                "^log_growth input needs a closed-form continuation "
+                "to extend$")):
+            bare.beyond(self._u)
 
 
 class TestIntegrate:

@@ -9,8 +9,9 @@ from hardylog import library as lib
 from hardylog import hankel, transforms
 from hardylog.cli import EXIT_OK, RunConfig, main
 from hardylog.suites import suite_hankel
-from hardylog.grid import (PreconditionError, SampledFunction, load_function,
-                           make_grid, make_ladder, power_decay, save_function)
+from hardylog.grid import (BOUNDED, PreconditionError, SampledFunction,
+                           load_function, make_grid, make_ladder, power_decay,
+                           save_function)
 from hardylog.hankel import (boundedness_study, hankel_apply, hankel_form,
                              symbol_ladder, trial_pairs)
 from hardylog.spaces import bmoa_log_seminorm, hp_norm
@@ -64,6 +65,17 @@ class TestHankelApply:
         path = tmp_path / "exp_ix.txt"
         save_function(lib.exp_osc(rig_grid, 1.0), path)
         hankel._check_symbol(load_function(path))
+
+    @pytest.mark.parametrize("make", [
+        lib.field_exp_osc, lib.field_blaschke, lib.field_cauchy,
+        lib.field_constant])
+    def test_bounded_closed_form_fields_are_symbols(self, make):
+        # |F| <= 1 on the half-plane, so each slice is a Hankel symbol
+        grid = make_grid(16, 256)
+        field = make(grid, make_ladder(0.1, 100.0))
+        assert field.decay == BOUNDED
+        out = hankel_apply(field.slice_at(0), lib.gaussian(grid))
+        assert np.isfinite(out.values).all()
 
     def test_rejects_unbounded_symbol(self, rig_grid):
         la = lib.log_abs(rig_grid)

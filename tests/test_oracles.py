@@ -1,9 +1,13 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.special import wofz
 
 from conftest import max_abs, rel_l2
 from hardylog import library as lib
+from hardylog import oracles
 from hardylog.grid import (PreconditionError, RAPID, SampledFunction,
                            make_grid)
 from hardylog.oracles import (bmo_bruteforce, hilbert_pv_direct,
@@ -46,6 +50,10 @@ class TestPoissonOracle:
                 <= 1e-10
             out = poisson_sum(lib.gaussian(rig_grid), y, idx)
             assert max_abs(out, wofz(x + 1j * y).real) <= 1e-10
+
+    def test_rejects_height_zero(self, small_grid):
+        with pytest.raises(PreconditionError, match="height must be positive"):
+            poisson_sum(lib.gaussian(small_grid), 0.0, np.arange(4))
 
     def test_constant_preserved(self):
         g = make_grid(16, 512)
@@ -107,10 +115,29 @@ class TestLuxemburgScan:
         assert abs(scaled - np.e * base) <= 1e-5 * base
 
     def test_agrees_with_solver(self, small_grid):
+        # rapid Gaussians, and power-law bumps whose tail the scan takes
+        # from line_integral: a = 0.05 is solved below max|f| in 13 steps,
+        # a = 1 in the closed form
         rng = np.random.default_rng(21)
-        for _ in range(3):
-            f = lib.gaussian(small_grid, rng.uniform(-4, 4),
-                             rng.uniform(0.5, 2), rng.uniform(0.5, 8))
+        inputs = [lib.gaussian(small_grid, rng.uniform(-4, 4),
+                               rng.uniform(0.5, 2), rng.uniform(0.5, 8))
+                  for _ in range(3)]
+        inputs += [lib.poisson_bump(small_grid, a) for a in (0.05, 1.0)]
+        for f in inputs:
             fast = luxemburg_norm(f).value
             slow = luxemburg_scan(f)
             assert abs(fast - slow) / slow <= 1e-5
+
+
+def test_oracles_import_nothing_from_transforms():
+    # the references share only grid's model of values beyond the window;
+    # "from .transforms import x" and "from . import transforms" both count
+    tree = ast.parse(Path(oracles.__file__).read_text())
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported += [f"{node.module or ''}.{a.name}" for a in node.names]
+        elif isinstance(node, ast.Import):
+            imported += [a.name for a in node.names]
+    assert imported
+    assert not [m for m in imported if "transforms" in m.split(".")]

@@ -160,7 +160,7 @@ class TestPoissonExtend:
 
     def test_direct_path_samples_continuation_once(self, rig_grid):
         # the continuation is sampled on the near window and the far nodes
-        # once per input, however many heights are extended
+        # in one call per input, however many heights are extended
         n = rig_grid.n
         sg = lib.sign_step(rig_grid)
         for count in (8, 48):
@@ -172,6 +172,7 @@ class TestPoissonExtend:
             f0 = SampledFunction(rig_grid, sg.values, lib.BOUNDED,
                                  continuation=counted)
             poisson_extend(f0, make_ladder(1e-3, 1e3, count))
+            assert len(seen) == 1
             assert sum(seen) <= 9 * n + 1 + 2 * 256
 
     @pytest.mark.parametrize("L", [16, 64])

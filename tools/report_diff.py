@@ -24,7 +24,11 @@ flat rapid 1e306, whose holomorphic extensions overflow float64; bmoalog of
 exp_ix and logabs and carleson of exp_ix, Cauchy rows of declared terms;
 carleson of p1, sgn and logabs and bmoalog of sgn at y_min 0.05, tents of
 slices whose ends differ, which a derivative that wrapped the window would
-read through a jump at +-L; factorize from --field, --function and
+read through a jump at +-L; bmoalog, carleson and hlog (exit 3) of a saved
+szego_project(gaussian_deriv(grid, 3.0, 1.0)), power:2 with no
+continuation, whose rows read the power-law fill beyond the window, and
+bmoalog and carleson of q1, whose Cauchy rows take the 9L split through its
+continuation, all at y_min 0.05; factorize from --field, --function and
 --input, from --field with --function, and from a field it cannot
 factorize; bmoalog of the saved symbol factor_b.txt, whose header declares
 its terms, and of a saved logabs whose header says log:1,0, the form
@@ -83,6 +87,9 @@ HUGE_CONSTANT = "in/huge_constant.txt"
 SPIKE_INPUT = "in/spike.txt"
 # logabs with the two-number log:1,0 of files written before log's width
 OLD_LOG_INPUT = "in/logabs_old_log.txt"
+# an off-centre projected bump: power:2 with no continuation, so the line
+# rule reads its power-law fill beyond the window
+PROJECTED_INPUT = "in/projected_bump.txt"
 # 1e3 plus seeded 1e-12 noise: every BMO bound is decided by its rounding
 # envelopes, so the sweep prunes nothing
 RIPPLE_INPUT = "in/ripple.txt"
@@ -92,6 +99,7 @@ SAVE_INPUT = ("from pathlib import Path\n"
               "power_decay, save_function)\n"
               "from hardylog.library import (constant, gaussian, "
               "gaussian_deriv, named_function)\n"
+              "from hardylog.transforms import szego_project\n"
               "grid = make_grid(16, 1024)\n"
               f"save_function(named_function('gbump_odd', grid), {INPUT!r})\n"
               f"save_function(named_function('exp_ix', grid), {SYMBOL_INPUT!r})\n"
@@ -116,6 +124,8 @@ SAVE_INPUT = ("from pathlib import Path\n"
               ".standard_normal(grid.n)\n"
               "save_function(SampledFunction(grid, vals, RAPID), "
               f"{RIPPLE_INPUT!r})\n"
+              "save_function(szego_project(gaussian_deriv(grid, 3.0, 1.0)), "
+              f"{PROJECTED_INPUT!r})\n"
               "save_function(named_function('logabs', grid), "
               f"{OLD_LOG_INPUT!r})\n"
               f"text = Path({OLD_LOG_INPUT!r}).read_text()\n"
@@ -193,6 +203,15 @@ def _commands() -> list[tuple[str, list[str], list[str]]]:
              for s in ("p1", "sgn", "logabs")]
     cmds.append(("norm_bmoalog_sgn", at_005,
                  ["norm", "--function", "sgn", "--norm", "bmoalog"]))
+    # the line rule on a saved file's power-law fill, and on q1's 9L split
+    # through its continuation; hlog of the file exits 3, as its Cauchy
+    # rows are log_growth:bounded
+    cmds += [(f"norm_{n}_projected_input", at_005,
+              ["norm", "--input", PROJECTED_INPUT, "--norm", n])
+             for n in ("bmoalog", "carleson", "hlog")]
+    cmds += [(f"norm_{n}_q1", at_005,
+              ["norm", "--function", "q1", "--norm", n])
+             for n in ("bmoalog", "carleson")]
     cmds += [(f"hankel_{s}", SMALL + ["--seed", "3"],
               ["hankel", "--function", s, "--trials", "5"])
              for s in ("exp_ix", "sgn", "one", "logabs", "q1", "p1")]
