@@ -56,7 +56,7 @@ def coifman_rochberg_symbol(h0: SampledFunction) -> SampledFunction:
     grid = h0.grid
     m = max_interval_average(np.sqrt(np.abs(h0.values)))
     tail = (Term("log", 1.0, w=E), Term("const", 1.0))
-    vals = np.log(np.hypot(grid.nodes, E)) + np.log(E + m)
+    vals = tail[0].at(grid.nodes) + np.log(E + m)
     return SampledFunction(grid, vals, LOG_GROWTH, tail=tail)
 
 

@@ -221,8 +221,11 @@ class Term:
         if self.kind == "cos":
             return self.coef * np.exp(-abs(self.w) * y) * np.cos(self.w * x)
         if self.kind == "atan":
-            return self.coef * (2.0 / np.pi) * np.arctan(
-                (x - self.s) / (self.w + y))
+            # a subnormal width overflows the ratio to +-inf, whose arctan
+            # is the right +-pi/2
+            with np.errstate(over="ignore"):
+                return self.coef * (2.0 / np.pi) * np.arctan(
+                    (x - self.s) / (self.w + y))
         if self.kind == "log":
             return self.coef * np.log(np.hypot(x - self.s, self.w + y))
         return np.full(np.broadcast(x, y).shape, self.coef,
@@ -298,6 +301,21 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _owned(values, shape: tuple, shape_error: str, finite_error: str
+           ) -> np.ndarray:
+    """values as read-only complex samples of the given shape, all finite:
+    a frozen complex array that owns its data is taken over, any other
+    copied.  ``shape_error`` is formatted with the shape found."""
+    vals = np.asarray(values, dtype=np.complex128)
+    if vals.shape != shape:
+        raise PreconditionError(shape_error.format(vals.shape))
+    if not np.all(np.isfinite(vals.view(np.float64))):
+        raise PreconditionError(finite_error)
+    if vals.flags.writeable or not vals.flags.owndata:
+        vals = frozen(vals.copy())
+    return vals
+
+
 @dataclass(frozen=True)
 class SampledFunction:
     """Complex samples on a Grid1D with declared tail behaviour.
@@ -319,15 +337,10 @@ class SampledFunction:
     tail: tuple = ()
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.grid.n,):
-            raise PreconditionError(
-                f"value count {vals.shape} does not match grid n={self.grid.n}")
-        if not np.all(np.isfinite(vals.view(np.float64))):
-            raise PreconditionError("sampled values must all be finite")
-        if vals.flags.writeable or not vals.flags.owndata:
-            vals = frozen(vals.copy())
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", _owned(
+            self.values, (self.grid.n,),
+            f"value count {{}} does not match grid n={self.grid.n}",
+            "sampled values must all be finite"))
         if self.tail:
             if self.continuation is not None:
                 raise PreconditionError(
@@ -472,16 +485,11 @@ class HalfPlaneField:
     decay: DecayClass
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.complex128)
-        if vals.shape != (self.ladder.count, self.grid.n):
-            raise PreconditionError(
-                f"field shape {vals.shape} does not match ladder x grid "
-                f"({self.ladder.count}, {self.grid.n})")
-        if not np.all(np.isfinite(vals.view(np.float64))):
-            raise PreconditionError("field values must all be finite")
-        if vals.flags.writeable or not vals.flags.owndata:
-            vals = frozen(vals.copy())
-        object.__setattr__(self, "values", vals)
+        shape = (self.ladder.count, self.grid.n)
+        object.__setattr__(self, "values", _owned(
+            self.values, shape,
+            f"field shape {{}} does not match ladder x grid {shape}",
+            "field values must all be finite"))
 
     def slice_at(self, k: int) -> SampledFunction:
         return SampledFunction(self.grid, self.values[k], self.decay)

@@ -1,16 +1,16 @@
 """Brute-force reference implementations for cross-validating the fast
-operator kernels.  Everything here is real-space summation or exhaustive
-scanning, with no FFTs, and nothing is imported from ``transforms``.  One
-model is shared with the fast path: pv_sum and poisson_sum read their
-samples off the window from ``SampledFunction.beyond``, and luxemburg_scan
-takes a power tail's integral from ``line_integral``.  On inputs without a
-continuation, such as szego_project output, the oracles read the input's
-own power-law fill, so both sides carry the same fill error (it keeps only
-the leading term of a 1/x^2 tail), and agreement there, as in the benchmark
-gate's oracle.poisson_fft check on projected bumps, cannot show it: an
-oracle independent of the fill, and an exact far field for it, are still
-to come.  Intended for test-time use; costs are quadratic and sizes are
-capped.
+operator kernels: real-space kernel sums, an exhaustive BMO scan and a
+bisection of the Luxemburg gauge, with no FFTs and nothing imported from
+``transforms``.  The fill is still shared with the fast path: pv_sum and
+poisson_sum read their samples off the window from
+``SampledFunction.beyond``, and luxemburg_scan takes a power tail's
+integral from ``line_integral``.  On inputs without a continuation, such
+as szego_project output, the oracles read the input's own power-law fill,
+so both sides carry the same fill error (it keeps only the leading term of
+a 1/x^2 tail), and agreement there, as in the benchmark gate's
+oracle.poisson_fft check on projected bumps, cannot show it: an oracle
+independent of the fill, and an exact far field for it, are still to come.
+Intended for test-time use; costs are quadratic and sizes are capped.
 """
 
 from __future__ import annotations
@@ -36,6 +36,20 @@ def _line_window(f0: SampledFunction):
     return np.concatenate([off[:lo], f0.values, off[lo:]]), x, lo
 
 
+def _kernel_sum(kernel, xs: np.ndarray, x_ext: np.ndarray,
+                ext: np.ndarray) -> np.ndarray:
+    """Sums over u of kernel(x - u) * ext(u) at the points xs, for samples
+    ext at x_ext; the real kernel is built a few rows at a time and applied
+    to the real and imaginary parts apart."""
+    out = np.empty(xs.size, dtype=np.complex128)
+    chunk = max(1, (1 << 21) // ext.size)
+    for start in range(0, xs.size, chunk):
+        stop = min(start + chunk, xs.size)
+        kern = kernel(xs[start:stop, None] - x_ext[None, :])
+        out[start:stop] = kern @ ext.real + 1j * (kern @ ext.imag)
+    return out
+
+
 def pv_sum(f0: SampledFunction, out_idx: np.ndarray) -> np.ndarray:
     """Principal-value Riemann sum of the 1/(pi(x-u)) kernel at chosen nodes
     over the 64L window of ``_line_window``, a truncation the fast path does
@@ -47,27 +61,16 @@ def pv_sum(f0: SampledFunction, out_idx: np.ndarray) -> np.ndarray:
     """
     ext, x_ext, lo = _line_window(f0)
     dx = f0.grid.dx
-    xs = f0.grid.nodes[out_idx]
-    out = np.empty(xs.size, dtype=np.complex128)
-    chunk = max(1, (1 << 23) // ext.size)
-    for start in range(0, xs.size, chunk):
-        stop = min(start + chunk, xs.size)
-        diffs = xs[start:stop, None] - x_ext[None, :]
+
+    def kernel(diffs):
         with np.errstate(divide="ignore"):
             kern = 1.0 / diffs
         kern[np.abs(diffs) < 0.5 * dx] = 0.0
-        out[start:stop] = (kern * ext[None, :]).sum(axis=1) * dx
+        return kern
+    out = _kernel_sum(kernel, f0.grid.nodes[out_idx], x_ext, ext) * dx
     centers = lo + np.asarray(out_idx)
     deriv = (ext[centers + 1] - ext[centers - 1]) / (2.0 * dx)
     return (out - deriv * dx) / np.pi
-
-
-def hilbert_pv_direct(f0: SampledFunction) -> SampledFunction:
-    """O(n^2) principal-value quadrature of the Hilbert transform."""
-    vals = pv_sum(f0, np.arange(f0.grid.n))
-    if f0.is_real:
-        vals = vals.real
-    return SampledFunction(f0.grid, vals, f0.decay)
 
 
 def poisson_sum(f0: SampledFunction, y: float, out_idx: np.ndarray
@@ -86,22 +89,9 @@ def poisson_sum(f0: SampledFunction, y: float, out_idx: np.ndarray
     lo, hi = x_ext[0] - 0.5 * dx, x_ext[-1] + 0.5 * dx
     out = (ext[0] * (0.5 - np.arctan((xs - lo) / y) / np.pi)
            + ext[-1] * (0.5 - np.arctan((hi - xs) / y) / np.pi))
-    chunk = max(1, (1 << 21) // ext.size)
-    for start in range(0, xs.size, chunk):
-        stop = min(start + chunk, xs.size)
-        diffs = xs[start:stop, None] - x_ext[None, :]
-        kern = (dx * y / np.pi) / (diffs * diffs + y * y)
-        out[start:stop] += kern @ ext.real + 1j * (kern @ ext.imag)
-    return out
-
-
-def poisson_direct(f0: SampledFunction, y: float) -> SampledFunction:
-    """Direct quadrature of the harmonic extension at one height: the line
-    kernel summed against the 64L window's samples (see poisson_sum)."""
-    out = poisson_sum(f0, y, np.arange(f0.grid.n))
-    if f0.is_real:
-        out = out.real
-    return SampledFunction(f0.grid, out, f0.decay)
+    return out + _kernel_sum(
+        lambda diffs: (dx * y / np.pi) / (diffs * diffs + y * y),
+        xs, x_ext, ext)
 
 
 def bmo_bruteforce(f0: SampledFunction) -> float:
@@ -127,33 +117,23 @@ def bmo_bruteforce(f0: SampledFunction) -> float:
 
 
 def luxemburg_scan(f0: SampledFunction) -> float:
-    """Luxemburg gauge of theta: a geometric scan over the gauge parameter
-    (1e4 steps spanning eight decades around the L1 mass) followed by local
-    bisection refinement."""
+    """Luxemburg gauge of theta, the lam at which the whole-line integral
+    phi(lam) of theta(x, |f|/lam) falls to 1: phi falls as lam grows, so
+    100 bisection steps on [1e-4, 1e4] times the whole-line L1 mass of |f|
+    find it."""
     mags = np.abs(f0.values)
     if not mags.any():
         return 0.0
-    grid = f0.grid
-    x = grid.nodes
-
-    def phi_many(lams):
-        v = weight_eval(THETA, x[None, :], mags[None, :] / lams[:, None])
-        return line_integral(grid, v, f0.decay.p)
+    grid, p = f0.grid, f0.decay.p
 
     def phi(lam):
-        return float(phi_many(np.asarray([lam]))[0])
+        return float(line_integral(
+            grid, weight_eval(THETA, grid.nodes, mags / lam), p))
 
-    center = grid.dx * mags.sum()
-    lams = np.geomspace(center * 1e-4, center * 1e4, 10000)
-    values = np.empty(lams.size)
-    step = max(1, (1 << 22) // grid.n)
-    for start in range(0, lams.size, step):
-        values[start:start + step] = phi_many(lams[start:start + step])
-    below = np.nonzero(values <= 1.0)[0]
-    if below.size == 0 or below[0] == 0:
+    center = float(line_integral(grid, mags, p))
+    lo, hi = center * 1e-4, center * 1e4
+    if phi(lo) <= 1.0 or phi(hi) > 1.0:
         raise PreconditionError("scan window failed to bracket the gauge")
-    hi_i = below[0]
-    lo, hi = lams[hi_i - 1], lams[hi_i]
     for _ in range(100):
         mid = 0.5 * (lo + hi)
         if phi(mid) > 1.0:

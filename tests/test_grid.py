@@ -141,6 +141,18 @@ class TestSampledFunction:
         h = SampledFunction(small_grid, np.zeros(small_grid.n), LOG_GROWTH)
         assert h.decay.bounded is False
 
+    def test_atan_of_subnormal_width_samples_sgn_quietly(self):
+        # (u - s)/w overflows to +-inf off the origin, whose arctan is right
+        g = make_grid(16, 256)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            f = SampledFunction.declared(
+                g, (Term("atan", 1.0, w=5e-324),), BOUNDED)
+        i = g.index_of(0.0)
+        assert g.nodes[i] == 0.0
+        assert list(f.values[i - 1:i + 2]) == [-1.0, 0.0, 1.0]
+        assert np.array_equal(f.values, np.sign(g.nodes))
+
 
 class TestBeyond:
     """``beyond`` is the one model of a function off the window."""
